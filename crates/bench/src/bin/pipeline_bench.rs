@@ -16,9 +16,7 @@ use certchain_chainlab::{
     RowFilter,
 };
 use certchain_colstore::codec::Encoding;
-use certchain_colstore::{
-    Category, CategorySet, DatasetReader, DatasetWriter, MapMode, WriterOptions, VERSION_V1,
-};
+use certchain_colstore::{Category, CategorySet, DatasetReader, DatasetWriter, MapMode, COLUMNS};
 use certchain_netsim::zeek::reader::{read_ssl_log, read_x509_log};
 use certchain_netsim::zeek::tsv::{write_ssl_log, write_x509_log};
 use certchain_netsim::{SimClock, SslLogStream, X509LogStream};
@@ -108,22 +106,6 @@ fn thread_sweep(args: &[String], cores: usize) -> Vec<usize> {
         .into_iter()
         .filter(|&n| n == 1 || n <= cores)
         .collect()
-}
-
-/// Total bytes of the regular files directly inside `dir` (the columnar
-/// store is flat, so no recursion is needed).
-fn dir_size(dir: &std::path::Path) -> u64 {
-    let mut total = 0;
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            if let Ok(meta) = entry.metadata() {
-                if meta.is_file() {
-                    total += meta.len();
-                }
-            }
-        }
-    }
-    total
 }
 
 fn main() {
@@ -242,12 +224,10 @@ fn main() {
 
     // TSV-vs-columnar single-thread ingest: the same records, once parsed
     // from the serialized Zeek logs and once mapped from the columnar
-    // store (in both the legacy raw-column v1 layout and the segmented v2
-    // one), through an identical sequential analysis. This is the number
+    // store, through an identical sequential analysis. This is the number
     // the columnar store exists for — analyze time with the parse stage
-    // deleted — plus the v2-vs-v1 win from the vectorized segment fold.
-    // Fingerprint → structural class table, used both to digest the v2
-    // store at write time and to pick the rarest category below. First
+    // deleted. Fingerprint → structural class table, used both to digest
+    // the store at write time and to pick the rarest category below. First
     // parseable occurrence of a fingerprint wins — the same intern
     // semantics as the analysis enrich pass.
     let cat_codes: std::collections::HashMap<certchain_x509::Fingerprint, CertCat> = {
@@ -269,54 +249,42 @@ fn main() {
                 .map(|fp| cat_codes.get(fp).copied().unwrap_or(CertCat::Unresolved)),
         )
     };
-    let build_store = |path: &std::path::Path, version: u64| {
-        let _ = std::fs::remove_dir_all(path);
-        let mut writer = DatasetWriter::create_with(
-            path,
-            WriterOptions {
-                version,
-                ..WriterOptions::default()
-            },
-        )
-        .expect("create bench colstore");
+    let store =
+        std::env::temp_dir().join(format!("certchain-pipeline-bench-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    {
+        let mut writer = DatasetWriter::create(&store).expect("create bench colstore");
         for rec in X509LogStream::new(&x509_buf[..]) {
             writer
                 .append_x509(&rec.expect("x509 rows round-trip"))
                 .expect("append x509 row");
         }
-        if version == certchain_colstore::VERSION {
-            let codes = cat_codes.clone();
-            writer = writer.with_category_provider(Box::new(move |rec| {
-                chain_category(
-                    rec.cert_chain_fps
-                        .iter()
-                        .map(|fp| codes.get(fp).copied().unwrap_or(CertCat::Unresolved)),
-                )
-            }));
-        }
+        let codes = cat_codes.clone();
+        writer = writer.with_category_provider(Box::new(move |rec| {
+            chain_category(
+                rec.cert_chain_fps
+                    .iter()
+                    .map(|fp| codes.get(fp).copied().unwrap_or(CertCat::Unresolved)),
+            )
+        }));
         for rec in SslLogStream::new(&ssl_buf[..]) {
             writer
                 .append_ssl(&rec.expect("ssl rows round-trip"))
                 .expect("append ssl row");
         }
         writer.finish().expect("finish bench colstore");
-    };
-    let tmp = std::env::temp_dir();
-    let store_v1 = tmp.join(format!(
-        "certchain-pipeline-bench-v1-{}",
-        std::process::id()
-    ));
-    let store_v2 = tmp.join(format!(
-        "certchain-pipeline-bench-v2-{}",
-        std::process::id()
-    ));
-    build_store(&store_v1, VERSION_V1);
-    build_store(&store_v2, certchain_colstore::VERSION);
-    let v1_bytes = dir_size(&store_v1);
-    let v2_bytes = dir_size(&store_v2);
-    let compression_ratio = v1_bytes as f64 / v2_bytes.max(1) as f64;
-    let reader_v1 = DatasetReader::open(&store_v1, MapMode::Auto).expect("open v1 colstore");
-    let reader_v2 = DatasetReader::open(&store_v2, MapMode::Auto).expect("open v2 colstore");
+    }
+    let reader = DatasetReader::open(&store, MapMode::Auto).expect("open colstore");
+    // Segment compression over the fixed-width columns: rows x width
+    // (their size as raw little-endian arrays, i.e. the v1 layout) over
+    // their encoded bytes, both read off the manifest. The var-length
+    // data files and shared tables are stored raw either way.
+    let (raw_bytes, encoded_bytes) = COLUMNS
+        .iter()
+        .filter_map(|(name, width)| Some((reader.manifest().segments.get(*name)?, (*width)?)))
+        .flat_map(|(metas, width)| metas.iter().map(move |m| (m.rows * width, m.bytes)))
+        .fold((0u64, 0u64), |(raw, enc), (r, e)| (raw + r, enc + e));
+    let compression_ratio = raw_bytes as f64 / encoded_bytes.max(1) as f64;
 
     let tsv_run = || {
         pipeline_with(1)
@@ -326,19 +294,14 @@ fn main() {
             )
             .expect("streams parse cleanly")
     };
-    let col_v1_run = || {
+    let col_run = || {
         pipeline_with(1)
-            .analyze_colstore(&reader_v1)
-            .expect("v1 columnar store reads cleanly")
-    };
-    let col_v2_run = || {
-        pipeline_with(1)
-            .analyze_colstore(&reader_v2)
-            .expect("v2 columnar store reads cleanly")
+            .analyze_colstore(&reader)
+            .expect("columnar store reads cleanly")
     };
     // Peak heap from a dedicated run each, then best-of-three timing.
     let (_, tsv_ingest_peak) = peak_during(tsv_run);
-    let (_, col_ingest_peak) = peak_during(col_v2_run);
+    let (_, col_ingest_peak) = peak_during(col_run);
     let best_of = |f: &dyn Fn() -> Analysis| {
         let mut best = f64::INFINITY;
         for _ in 0..3 {
@@ -349,23 +312,19 @@ fn main() {
         best
     };
     let tsv_secs = best_of(&tsv_run);
-    let col_v1_secs = best_of(&col_v1_run);
-    let col_secs = best_of(&col_v2_run);
+    let col_secs = best_of(&col_run);
     let ingest_speedup = tsv_secs / col_secs;
-    let v2_vs_v1 = col_v1_secs / col_secs;
     eprintln!(
-        "ingest (1 thread): tsv {:.1}ms, columnar v1 {:.1}ms, v2 {:.1}ms ({:.0} conns/s) \
-         — {:.2}x vs tsv, {:.2}x vs v1, {:.2}x smaller on disk",
+        "ingest (1 thread): tsv {:.1}ms, columnar {:.1}ms ({:.0} conns/s) \
+         — {:.2}x vs tsv; fixed-width columns {:.2}x smaller than raw",
         tsv_secs * 1e3,
-        col_v1_secs * 1e3,
         col_secs * 1e3,
         conns / col_secs,
         ingest_speedup,
-        v2_vs_v1,
         compression_ratio,
     );
 
-    // Zone-map effectiveness: analyze the v2 store filtered to its rarest
+    // Zone-map effectiveness: analyze the store filtered to its rarest
     // SNI (deterministic pick: lowest count, then lexicographically
     // smallest) and report what fraction of row bands the fold skipped.
     let mut sni_freq: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
@@ -395,8 +354,8 @@ fn main() {
         )
         .with_metrics(Arc::clone(&registry));
         pipeline
-            .analyze_colstore(&reader_v2)
-            .expect("filtered v2 analysis reads cleanly");
+            .analyze_colstore(&reader)
+            .expect("filtered analysis reads cleanly");
         let snap = registry.snapshot();
         let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
         (
@@ -411,7 +370,7 @@ fn main() {
         segments_read + segments_skipped,
     );
 
-    // Category-digest effectiveness: analyze the v2 store filtered to its
+    // Category-digest effectiveness: analyze the store filtered to its
     // rarest structural chain category (deterministic pick: lowest row
     // count among the categories present, ties to the lower category
     // index) and record, per thread count, how many segments the
@@ -451,8 +410,8 @@ fn main() {
             .with_metrics(Arc::clone(&registry));
             let start = Instant::now();
             pipeline
-                .analyze_colstore(&reader_v2)
-                .expect("category-filtered v2 analysis reads cleanly");
+                .analyze_colstore(&reader)
+                .expect("category-filtered analysis reads cleanly");
             let secs = start.elapsed().as_secs_f64();
             if secs < best {
                 best = secs;
@@ -502,11 +461,11 @@ fn main() {
     // every segment's encoding and payload size, so the compression
     // delta against plain 4-byte rows is exact, not sampled.
     let orig_h_for = {
-        let segs = reader_v2
+        let segs = reader
             .manifest()
             .segments
             .get("ssl.orig_h")
-            .expect("v2 manifest describes ssl.orig_h");
+            .expect("manifest describes ssl.orig_h");
         let plain: u64 = segs.iter().map(|s| s.rows * 4).sum();
         let encoded: u64 = segs.iter().map(|s| s.bytes).sum();
         let for_segments = segs.iter().filter(|s| s.encoding == Encoding::For).count();
@@ -527,8 +486,7 @@ fn main() {
             ),
         ])
     };
-    let _ = std::fs::remove_dir_all(&store_v1);
-    let _ = std::fs::remove_dir_all(&store_v2);
+    let _ = std::fs::remove_dir_all(&store);
 
     let note = if cores == 1 {
         format!(
@@ -573,10 +531,6 @@ fn main() {
                     "tsv_peak_bytes".into(),
                     JsonValue::Num(tsv_ingest_peak as f64),
                 ),
-                (
-                    "columnar_v1_wall_ms".into(),
-                    JsonValue::Num(col_v1_secs * 1e3),
-                ),
                 ("columnar_wall_ms".into(), JsonValue::Num(col_secs * 1e3)),
                 (
                     "columnar_conns_per_sec".into(),
@@ -587,7 +541,6 @@ fn main() {
                     JsonValue::Num(col_ingest_peak as f64),
                 ),
                 ("speedup".into(), JsonValue::Num(ingest_speedup)),
-                ("speedup_v2_vs_v1".into(), JsonValue::Num(v2_vs_v1)),
                 (
                     "compression_ratio".into(),
                     JsonValue::Num(compression_ratio),

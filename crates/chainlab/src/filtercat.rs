@@ -14,8 +14,8 @@
 //! interception chains are structurally `non_public_only`.)
 //!
 //! The same fold runs in three places and must stay in lock-step: the
-//! TSV ingest path (via [`CategoryOracle`]), the columnar v1/v2 folds
-//! (via per-fingerprint-code [`CertCat`] tables), and the store writers
+//! TSV ingest path (via [`CategoryOracle`]), the columnar fold (via
+//! per-fingerprint-code [`CertCat`] tables), and the store writers
 //! (via a digest provider closure). All three call [`chain_category`].
 
 use crate::classify::{classify, CertClass};
@@ -50,8 +50,8 @@ impl CertCat {
 }
 
 /// Fold a chain's per-certificate classes into its structural category.
-/// The one category fold in the workspace — every path (TSV, columnar
-/// v1/v2, store writers) routes through here.
+/// The one category fold in the workspace — every path (TSV, columnar,
+/// store writers) routes through here.
 pub fn chain_category(codes: impl IntoIterator<Item = CertCat>) -> Category {
     let mut len = 0usize;
     let mut publics = 0usize;

@@ -1,5 +1,5 @@
 //! The columnar analyze path: fold straight off a mapped
-//! [`DatasetReader`], no parse stage, workers sharded by row ranges.
+//! [`DatasetReader`], no parse stage, workers sharded by row bands.
 //!
 //! The TSV streaming path pays for a text parse of every row and funnels
 //! the whole stream through one dispatch thread (the partition-dispatch
@@ -7,37 +7,37 @@
 //! exactly one worker for the f64 fold order to match the sequential
 //! reference. Columnar input removes both costs: fields decode with
 //! offset arithmetic off the mapped columns, and workers take contiguous
-//! *row ranges* instead of chain shards. Range sharding means one chain's
-//! connections can land in several workers — which is sound here because
-//! every on-disk row folds at weight 1.0, so all the f64 aggregates are
-//! exact small integers and merging per-worker partials (in worker-index
-//! order) is bit-identical to the sequential fold. The batch path's
-//! fractional per-record weights are exactly why *it* cannot shard by
-//! range and the columnar path can.
+//! *segment ranges* instead of chain shards. Range sharding means one
+//! chain's connections can land in several workers — which is sound here
+//! because every on-disk row folds at weight 1.0, so all the f64
+//! aggregates are exact small integers and merging per-worker partials
+//! (in worker-index order) is bit-identical to the sequential fold. The
+//! batch path's fractional per-record weights are exactly why *it*
+//! cannot shard by range and the columnar path can.
 //!
-//! Both store versions are served. A v1 store folds row by row off the
-//! zero-copy [`SslColumns`] view. A v2 store runs the vectorized fold:
-//! workers claim whole *segments*, consult each segment's zone map to
-//! skip row bands that cannot match the active [`super::RowFilter`]
-//! (filter predicates are resolved to dictionary codes once, so the
-//! per-row test is two integer compares), decode only the five columns
-//! the fold touches into reused scratch buffers, and key the per-chain
-//! accumulators by fingerprint-*code* sequences — fingerprints and SNI
-//! strings are resolved once per distinct chain at the end, not once per
-//! row. Zone-map skip decisions are per-segment properties of the data,
-//! so they are identical for every thread count, which keeps the
+//! There is one fold for every store version (a v1 store reaches it as
+//! `plain` bands, see `certchain_colstore::read`). Workers claim whole
+//! *segments*, consult each segment's zone map to skip row bands that
+//! cannot match the active [`super::RowFilter`] (filter predicates are
+//! resolved to dictionary codes once, so the per-row test is two integer
+//! compares), decode only the five columns the fold touches into reused
+//! scratch buffers, and key the per-chain accumulators by
+//! fingerprint-*code* sequences — fingerprints and SNI strings are
+//! resolved once per distinct chain at the end, not once per row.
+//! Zone-map skip decisions are per-segment properties of the data, so
+//! they are identical for every thread count, which keeps the
 //! `colstore.segments_*` metrics deterministic.
 
 use super::categorize::{self, Prepared};
 use super::enrich::CertIndex;
 use super::ingest::{ChainAccum, IngestCounts};
 use super::{resolve_threads, Analysis, Pipeline, RowFilter};
-use crate::filtercat::{chain_category, CategoryOracle, CertCat};
+use crate::filtercat::{chain_category, CertCat};
 use crate::model::{CertRecord, ChainKey};
 use crate::usage::UsageStats;
 use certchain_colstore::{
-    CategoryDigest, CategorySet, ColError, ColResult, DatasetReader, SslColumns, SslSegments,
-    X509Columns, X509Segments, NONE_IDX, VERSION_V1,
+    CategoryDigest, CategorySet, ColError, ColResult, DatasetReader, SslSegments, X509Segments,
+    NONE_IDX,
 };
 use std::collections::{BTreeSet, HashMap};
 use std::net::Ipv4Addr;
@@ -47,7 +47,8 @@ impl Pipeline<'_> {
     /// version). For a store converted from (or generated alongside) a
     /// TSV dataset, the result is byte-identical to
     /// [`Pipeline::analyze_stream`] over the Zeek readers, for every
-    /// thread count and for either store version.
+    /// thread count and for either store version: segment-at-a-time
+    /// decode, zone-map skipping, and the code-keyed vectorized fold.
     ///
     /// The first corrupt-data error aborts the analysis and is returned
     /// as-is (truncation is already caught by [`DatasetReader::open`]).
@@ -55,59 +56,6 @@ impl Pipeline<'_> {
         let threads = resolve_threads(self.options.threads);
         self.obs.set("colstore.bytes_mapped", reader.bytes_mapped());
         let filter = ColFilter::resolve(reader, &self.options.filter)?;
-        if reader.format_version() == VERSION_V1 {
-            self.analyze_colstore_v1(reader, &filter, threads)
-        } else {
-            self.analyze_colstore_v2(reader, &filter, threads)
-        }
-    }
-
-    /// The v1 path: per-row fold off the zero-copy column views.
-    fn analyze_colstore_v1(
-        &self,
-        reader: &DatasetReader,
-        filter: &ColFilter,
-        threads: usize,
-    ) -> Result<Analysis, ColError> {
-        // v1 has no zone maps: every row is scanned even under a filter.
-        self.obs
-            .add("colstore.rows_read", reader.ssl_rows() + reader.x509_rows());
-        let (cert_index, unparseable) = {
-            let _span = self.obs.stage("enrich");
-            enrich_columns(&reader.x509()?)?
-        };
-        self.record_enrich(reader.x509_rows(), unparseable, cert_index.len());
-        // v1 also has no per-fp-code tables, so the category predicate
-        // runs through the same oracle the TSV path uses.
-        let oracle = filter.categories.map(|set| {
-            CategoryOracle::new(
-                set,
-                cert_index.iter().map(|(fp, cert)| (*fp, &**cert)),
-                self.trust,
-            )
-        });
-        let (prepared, counts) = {
-            let _span = self.obs.stage("ingest");
-            ingest_columns(
-                self,
-                &reader.ssl()?,
-                filter,
-                oracle.as_ref(),
-                &cert_index,
-                threads,
-            )?
-        };
-        Ok(self.finish(prepared, counts, threads))
-    }
-
-    /// The v2 path: segment-at-a-time decode, zone-map skipping, and the
-    /// code-keyed vectorized fold.
-    fn analyze_colstore_v2(
-        &self,
-        reader: &DatasetReader,
-        filter: &ColFilter,
-        threads: usize,
-    ) -> Result<Analysis, ColError> {
         let x509 = reader.x509_segments()?;
         let (cert_index, unparseable, x509_tally) = {
             let _span = self.obs.stage("enrich");
@@ -120,7 +68,7 @@ impl Pipeline<'_> {
             ingest_segments(
                 self,
                 &ssl,
-                filter,
+                &filter,
                 reader.category_digests(),
                 &cert_index,
                 threads,
@@ -150,9 +98,8 @@ struct ColFilter {
     /// — match rows whose SNI dictionary code is exactly `c`.
     sni: Option<Option<u32>>,
     /// The structural-category predicate. Evaluated per row through a
-    /// per-fingerprint-code [`CertCat`] table (v2) or a
-    /// [`CategoryOracle`] (v1), and per segment through the manifest's
-    /// category digests when the store carries them.
+    /// per-fingerprint-code [`CertCat`] table, and per segment through
+    /// the manifest's category digests when the store carries them.
     categories: Option<CategorySet>,
 }
 
@@ -228,36 +175,13 @@ impl SegTally {
     }
 }
 
-/// Enrich off the **v1** x509 columns: first occurrence of a fingerprint
-/// wins, and a duplicate is skipped on the 4-byte fingerprint index
-/// alone — the row's strings are never resolved. Returns the interned
-/// index and the unparseable-row tally.
-fn enrich_columns(cols: &X509Columns<'_>) -> ColResult<(CertIndex, u64)> {
-    let mut cert_index: CertIndex = HashMap::new();
-    let mut unparseable = 0u64;
-    for row in 0..cols.rows {
-        let fp = cols.fingerprint(row)?;
-        if cert_index.contains_key(&fp) {
-            continue;
-        }
-        let rec = cols.record(row)?;
-        match CertRecord::from_record(&rec) {
-            Some(cert) => {
-                cert_index.insert(fp, std::sync::Arc::new(cert));
-            }
-            None => unparseable += 1,
-        }
-    }
-    Ok((cert_index, unparseable))
-}
-
-/// Enrich off the **v2** x509 segments: decode a segment's columns once,
+/// Enrich off the x509 segments: decode a segment's columns once,
 /// then intern each row whose fingerprint *code* is unseen. An interned
 /// code is tracked in a plain bitmap, so duplicate rows — the common
 /// case, since every reappearance of a certificate logs a row — cost one
 /// vector load and no string resolution. A row that fails to parse is
-/// *not* marked seen, so a later duplicate retries it, matching the v1
-/// and streaming enrich semantics exactly.
+/// *not* marked seen, so a later duplicate retries it, matching the
+/// streaming enrich semantics exactly.
 fn enrich_segments(cols: &X509Segments<'_>) -> ColResult<(CertIndex, u64, SegTally)> {
     let mut cert_index: CertIndex = HashMap::new();
     let mut unparseable = 0u64;
@@ -353,115 +277,6 @@ fn var_codes<'a>(dat: &'a [u8], start: u64, end: u64, what: &str, row: u64) -> C
     Ok(bytes)
 }
 
-/// Fold rows `lo..hi` of a **v1** table into per-chain accumulators.
-/// This is the one body both the sequential and the range-sharded
-/// parallel v1 path run.
-fn fold_range(
-    cols: &SslColumns<'_>,
-    lo: u64,
-    hi: u64,
-    filter: &ColFilter,
-    oracle: Option<&CategoryOracle>,
-    cert_index: &CertIndex,
-) -> ColResult<(HashMap<ChainKey, ChainAccum>, IngestCounts)> {
-    let mut accums: HashMap<ChainKey, ChainAccum> = HashMap::new();
-    let mut counts = IngestCounts::default();
-    let mut fps = Vec::new();
-    for row in lo..hi {
-        if !filter.admits(cols.resp_p(row), cols.sni_code(row)) {
-            continue;
-        }
-        cols.chain_fps_into(row, &mut fps)?;
-        // Same invisibility rule as the streaming reference: a
-        // category-rejected row moves no counter, not even `records`.
-        if let Some(oracle) = oracle {
-            if !oracle.admits(&fps) {
-                continue;
-            }
-        }
-        counts.records += 1;
-        if fps.is_empty() {
-            counts.no_chain += 1;
-            continue;
-        }
-        if !fps.iter().all(|fp| cert_index.contains_key(fp)) {
-            counts.unresolvable += 1;
-            continue;
-        }
-        // Probe with the borrowed slice; allocate a key only on first
-        // sight of a chain (same discipline as the streaming fold).
-        if !accums.contains_key(fps.as_slice()) {
-            accums.insert(ChainKey(fps.clone()), ChainAccum::default());
-        }
-        let entry = accums
-            .get_mut(fps.as_slice())
-            .expect("present or just inserted");
-        let sni = cols.sni(row)?;
-        entry.usage.add(
-            cols.established(row),
-            sni.is_some(),
-            cols.resp_p(row),
-            cols.orig_h(row),
-            1.0,
-        );
-        if let Some(sni) = sni {
-            entry.snis.insert(sni.to_string());
-        }
-    }
-    Ok((accums, counts))
-}
-
-/// Ingest a **v1** ssl table: contiguous row ranges per worker, partials
-/// merged in worker-index order, then one classification pass.
-fn ingest_columns(
-    pipe: &Pipeline<'_>,
-    cols: &SslColumns<'_>,
-    filter: &ColFilter,
-    oracle: Option<&CategoryOracle>,
-    cert_index: &CertIndex,
-    threads: usize,
-) -> ColResult<(Vec<Prepared>, IngestCounts)> {
-    let rows = cols.rows;
-    let (accums, counts) = if threads <= 1 || rows < 2 {
-        fold_range(cols, 0, rows, filter, oracle, cert_index)?
-    } else {
-        let per = rows.div_ceil(threads as u64);
-        let parts: Vec<ColResult<_>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads as u64)
-                .map(|w| {
-                    let lo = (w * per).min(rows);
-                    let hi = ((w + 1) * per).min(rows);
-                    scope.spawn(move || fold_range(cols, lo, hi, filter, oracle, cert_index))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("columnar ingest worker panicked"))
-                .collect()
-        });
-        let mut merged: HashMap<ChainKey, ChainAccum> = HashMap::new();
-        let mut counts = IngestCounts::default();
-        for part in parts {
-            let (accums, c) = part?;
-            counts.records += c.records;
-            counts.no_chain += c.no_chain;
-            counts.unresolvable += c.unresolvable;
-            // srclint: commutative -- per-chain merge into a keyed map; ChainAccum::merge is commutative at unit weight, so worker-map iteration order is invisible
-            for (key, accum) in accums {
-                match merged.get_mut(&key) {
-                    Some(existing) => existing.merge(accum),
-                    None => {
-                        merged.insert(key, accum);
-                    }
-                }
-            }
-        }
-        (merged, counts)
-    };
-    pipe.obs.finish_progress(counts.records);
-    Ok((categorize::prepare(pipe, accums, cert_index), counts))
-}
-
 /// Per-chain accumulator keyed by fingerprint-*code* sequence. Identical
 /// aggregates to [`ChainAccum`], but nothing is resolved to strings or
 /// 32-byte fingerprints during the fold — codes are rekeyed once per
@@ -480,7 +295,7 @@ impl CodeAccum {
     }
 }
 
-/// Fold segments `seg_lo..seg_hi` of a **v2** ssl table. Category
+/// Fold segments `seg_lo..seg_hi` of the ssl table. Category
 /// digests and zone maps veto whole segments first; surviving segments
 /// decode only the five columns the fold touches, into scratch buffers
 /// reused across segments.
@@ -597,7 +412,7 @@ fn fold_segments(
     Ok((accums, counts, tally))
 }
 
-/// Ingest a **v2** ssl table: contiguous *segment* ranges per worker,
+/// Ingest the ssl table: contiguous *segment* ranges per worker,
 /// partials merged in worker-index order, code keys resolved once per
 /// distinct chain, then one classification pass.
 fn ingest_segments(
@@ -659,7 +474,7 @@ fn ingest_segments(
     };
     // Rekey code sequences to fingerprint chains and SNI codes to
     // strings — once per distinct chain, the only string work in the
-    // whole v2 ingest.
+    // whole ingest.
     let mut accums: HashMap<ChainKey, ChainAccum> = HashMap::new();
     // srclint: commutative -- map-to-map rekeying; the code->fingerprint mapping is injective, so each source entry lands in a distinct key and iteration order is invisible
     for (code_key, code_accum) in code_accums {

@@ -110,8 +110,8 @@ pub struct Analysis {
 /// columnar path drop whole row bands via zone maps and category
 /// digests — skipping a segment none of whose rows can match is then
 /// *exactly* equivalent to testing every row, so filtered reports stay
-/// byte-identical across the TSV, v1-columnar, and v2-columnar paths at
-/// every thread count.
+/// byte-identical across the TSV and columnar paths (either store
+/// version) at every thread count.
 ///
 /// `port` and `sni` test record fields directly ([`RowFilter::admits`]);
 /// `categories` tests the chain's structural category, which needs the

@@ -32,14 +32,14 @@ pub struct AnalyzeOptions {
     /// the human report's loss-accounting line reflects the source.
     pub format: Option<DatasetFormat>,
     /// Keep only connections to this responder port. Filtered-out rows
-    /// are invisible to the whole analysis; on a v2 columnar store the
+    /// are invisible to the whole analysis; on a columnar store the
     /// filter also skips whole segments via zone maps. The report is
     /// byte-identical across formats and thread counts either way.
     pub filter_port: Option<u16>,
     /// Keep only connections that sent exactly this SNI.
     pub filter_sni: Option<String>,
     /// Keep only connections whose chain's structural category is in
-    /// this set. On a v2 columnar store carrying category digests, the
+    /// this set. On a columnar store carrying category digests, the
     /// filter skips whole segments whose digest proves no row matches.
     pub filter_category: Option<certchain_colstore::CategorySet>,
 }

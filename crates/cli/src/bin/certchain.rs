@@ -3,8 +3,7 @@
 //! ```text
 //! certchain generate --out <dir> [--profile quick|default] [--seed N] [--threads N]
 //!                    [--format tsv|columnar] [--progress] [--metrics-json <path>]
-//! certchain convert  --dir <dir> [--force] [--store-version N] [--segment-rows N]
-//!                    [--metrics-json <path>]
+//! certchain convert  --dir <dir> [--force] [--segment-rows N] [--metrics-json <path>]
 //! certchain compact  --dir <dir> [--segment-rows N] [--metrics-json <path>]
 //! certchain analyze  --dir <dir> [--threads N] [--json] [--format tsv|columnar]
 //!                    [--filter-port N] [--filter-sni <name>]
@@ -28,19 +27,19 @@ USAGE:
       Generate a synthetic campus dataset (logs + trust PEMs + CT corpus).
       --format columnar writes the mmap-backed columnar store instead of
       Zeek TSV logs; analyzing either yields byte-identical reports.
-  certchain convert --dir <dir> [--force] [--store-version 1|2]
-                    [--segment-rows N] [--metrics-json <path>]
+  certchain convert --dir <dir> [--force] [--segment-rows N]
+                    [--metrics-json <path>]
       Re-encode <dir>/ssl.log + <dir>/x509.log as <dir>/colstore/, the
-      columnar store `analyze` then reads without a parse stage. Refuses
-      to overwrite an existing store unless --force is given.
-      --store-version 1 writes the legacy raw-column layout;
-      --segment-rows tunes the v2 row-band size.
+      segmented (v2) columnar store `analyze` then reads without a parse
+      stage. Refuses to overwrite an existing store unless --force is
+      given. --segment-rows tunes the row-band size.
   certchain compact --dir <dir> [--segment-rows N] [--metrics-json <path>]
       Rewrite <dir>/colstore/ in the current segmented (v2) format —
-      the live-migration path for v1 stores, and for v2 stores a
-      recompaction that re-encodes every column with the newest codecs
-      and recomputes the per-segment category digests. The original
-      store is replaced only after the new one is complete.
+      the migration path for read-only v1 stores written by older
+      builds, and for v2 stores a recompaction that re-encodes every
+      column with the newest codecs and recomputes the per-segment
+      category digests. The original store is replaced only after the
+      new one is complete.
   certchain analyze --dir <dir> [--json] [--threads N] [--format tsv|columnar]
                     [--filter-port N] [--filter-sni <name>]
                     [--filter-category <list>]
@@ -53,8 +52,8 @@ USAGE:
       output is identical for every value.
       --filter-port / --filter-sni / --filter-category restrict the
       analysis to matching connections (filtered rows are invisible); on
-      a v2 store the filters skip whole row bands via zone maps and
-      per-segment category digests. --filter-category takes a comma-
+      a columnar store the filters skip whole row bands via zone maps
+      and per-segment category digests. --filter-category takes a comma-
       separated list of structural chain categories out of none /
       incomplete / self_signed / public_only / non_public_only / hybrid.
 
@@ -90,6 +89,8 @@ USAGE:
       staging artifacts, included roots). Defaults to linting as of now.
   certchain help
       Show this message.
+
+  Every command rejects a flag it does not list above.
 ";
 
 fn main() -> ExitCode {
@@ -114,6 +115,19 @@ fn run(args: &[String]) -> CliResult<String> {
     };
     match command.as_str() {
         "generate" => {
+            check_args(
+                args,
+                false,
+                &[
+                    "--out",
+                    "--profile",
+                    "--seed",
+                    "--threads",
+                    "--format",
+                    "--metrics-json",
+                ],
+                &["--progress"],
+            )?;
             let out = flag_value(args, "--out")?
                 .ok_or_else(|| CliError::Invalid("generate requires --out <dir>".into()))?;
             let mut profile = match flag_value(args, "--profile")?.as_deref() {
@@ -139,17 +153,28 @@ fn run(args: &[String]) -> CliResult<String> {
             Ok(format!("{summary}\n"))
         }
         "convert" => {
+            check_args(
+                args,
+                false,
+                &["--dir", "--segment-rows", "--metrics-json"],
+                &["--force"],
+            )?;
             let dir = flag_value(args, "--dir")?
                 .ok_or_else(|| CliError::Invalid("convert requires --dir <dir>".into()))?;
             let opts = convert::ConvertOptions {
                 metrics_json: flag_value(args, "--metrics-json")?.map(PathBuf::from),
                 force: has_flag(args, "--force"),
-                store_version: parse_u64_flag(args, "--store-version")?,
                 segment_rows: parse_u64_flag(args, "--segment-rows")?,
             };
             convert::convert_opts(&PathBuf::from(dir), &opts)
         }
         "compact" => {
+            check_args(
+                args,
+                false,
+                &["--dir", "--segment-rows", "--metrics-json"],
+                &[],
+            )?;
             let dir = flag_value(args, "--dir")?
                 .ok_or_else(|| CliError::Invalid("compact requires --dir <dir>".into()))?;
             let opts = compact::CompactOptions {
@@ -159,6 +184,20 @@ fn run(args: &[String]) -> CliResult<String> {
             compact::compact_opts(&PathBuf::from(dir), &opts)
         }
         "analyze" => {
+            check_args(
+                args,
+                false,
+                &[
+                    "--dir",
+                    "--threads",
+                    "--metrics-json",
+                    "--format",
+                    "--filter-port",
+                    "--filter-sni",
+                    "--filter-category",
+                ],
+                &["--json", "--progress", "-v", "--verbose"],
+            )?;
             let dir = flag_value(args, "--dir")?
                 .ok_or_else(|| CliError::Invalid("analyze requires --dir <dir>".into()))?;
             let opts = analyze::AnalyzeOptions {
@@ -189,6 +228,22 @@ fn run(args: &[String]) -> CliResult<String> {
             analyze::analyze_opts(&PathBuf::from(dir), &opts)
         }
         "serve" => {
+            check_args(
+                args,
+                false,
+                &[
+                    "--dir",
+                    "--spool",
+                    "--checkpoint",
+                    "--threads",
+                    "--listen",
+                    "--interval-ms",
+                    "--listen-addr-file",
+                    "--watchdog-cycles",
+                    "--trace-capacity",
+                ],
+                &["--drain"],
+            )?;
             let need = |flag: &str| {
                 flag_value(args, flag)?
                     .ok_or_else(|| CliError::Invalid(format!("serve requires {flag} <dir>")))
@@ -217,6 +272,7 @@ fn run(args: &[String]) -> CliResult<String> {
             )
         }
         "spool-split" => {
+            check_args(args, false, &["--dir", "--out", "--parts"], &[])?;
             let dir = flag_value(args, "--dir")?
                 .ok_or_else(|| CliError::Invalid("spool-split requires --dir <dir>".into()))?;
             let out = flag_value(args, "--out")?
@@ -225,6 +281,7 @@ fn run(args: &[String]) -> CliResult<String> {
             serve::spool_split(&PathBuf::from(dir), &PathBuf::from(out), parts)
         }
         "validate" => {
+            check_args(args, true, &["--dir"], &[])?;
             let chain = args
                 .get(1)
                 .filter(|a| !a.starts_with("--"))
@@ -236,6 +293,7 @@ fn run(args: &[String]) -> CliResult<String> {
             validate::validate(&PathBuf::from(chain), trust.as_ref(), None)
         }
         "lint" => {
+            check_args(args, true, &["--at"], &[])?;
             let chain = args
                 .get(1)
                 .filter(|a| !a.starts_with("--"))
@@ -287,6 +345,34 @@ fn parse_threads(args: &[String]) -> CliResult<usize> {
             .parse()
             .map_err(|_| CliError::Invalid(format!("bad thread count {v:?}"))),
     }
+}
+
+/// Reject any argument the `args[0]` command does not read, so a
+/// mistyped flag fails instead of silently running with defaults.
+/// `valued` flags consume the next argument, `switches` stand alone, and
+/// `operand` admits one bare argument right after the command (the chain
+/// file of `validate` and `lint`).
+fn check_args(args: &[String], operand: bool, valued: &[&str], switches: &[&str]) -> CliResult<()> {
+    use certchain_cli::CliError;
+    let command = &args[0];
+    let mut i = 1;
+    while let Some(arg) = args.get(i) {
+        let arg = arg.as_str();
+        i += if valued.contains(&arg) {
+            2
+        } else if switches.contains(&arg) || (operand && i == 1 && !arg.starts_with('-')) {
+            1
+        } else if arg.starts_with('-') {
+            return Err(CliError::Invalid(format!(
+                "unknown flag {arg} for {command}"
+            )));
+        } else {
+            return Err(CliError::Invalid(format!(
+                "unexpected argument {arg:?} for {command}"
+            )));
+        };
+    }
+    Ok(())
 }
 
 /// Boolean flag presence.

@@ -101,10 +101,10 @@ pub fn compact_opts(dir: &Path, opts: &CompactOptions) -> CliResult<String> {
             );
         }
         let before = dir_size(&store)?;
-        let defaults = WriterOptions::default();
         let writer_opts = WriterOptions {
-            segment_rows: opts.segment_rows.unwrap_or(defaults.segment_rows),
-            ..defaults
+            segment_rows: opts
+                .segment_rows
+                .unwrap_or(WriterOptions::default().segment_rows),
         };
         let mut writer = DatasetWriter::create_with(&tmp, writer_opts).map_err(col_err)?;
         // Same table order as `convert`: x509 first, so shared-table

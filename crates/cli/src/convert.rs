@@ -25,9 +25,7 @@ pub struct ConvertOptions {
     /// Overwrite an existing columnar store. Without this, conversion
     /// refuses to clobber a directory that already holds a manifest.
     pub force: bool,
-    /// Store format version to write (`None` = the current default).
-    pub store_version: Option<u64>,
-    /// Rows per v2 segment (`None` = the format default).
+    /// Rows per segment (`None` = the format default).
     pub segment_rows: Option<u64>,
 }
 
@@ -47,10 +45,10 @@ pub fn convert_opts(dir: &Path, opts: &ConvertOptions) -> CliResult<String> {
             store.display()
         )));
     }
-    let defaults = WriterOptions::default();
     let writer_opts = WriterOptions {
-        version: opts.store_version.unwrap_or(defaults.version),
-        segment_rows: opts.segment_rows.unwrap_or(defaults.segment_rows),
+        segment_rows: opts
+            .segment_rows
+            .unwrap_or(WriterOptions::default().segment_rows),
     };
     let col_err = |e: certchain_colstore::ColError| CliError::Invalid(format!("colstore: {e}"));
     // Trust material drives the per-segment category digests. A dataset

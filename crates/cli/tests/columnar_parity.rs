@@ -3,11 +3,15 @@
 //! summary, same report tables, at every thread count — and a stale
 //! store version must fail loudly instead of silently falling back.
 
+#[path = "../../colstore/tests/common/mod.rs"]
+mod common;
+
 use certchain_cli::dataset::DatasetFormat;
 use certchain_cli::{analyze, convert, generate};
 use certchain_obs::json::JsonValue;
 use certchain_workload::CampusProfile;
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 /// One shared dataset, generated and converted once: every test here
 /// reads it, none mutates it (the version test copies the store first).
@@ -111,6 +115,41 @@ fn copy_dataset(tag: &str) -> PathBuf {
         }
     }
     dir
+}
+
+/// Replace `dir`'s v2 store with the same data in the read-only v1
+/// layout.
+fn rewrite_store_as_v1(dir: &Path) {
+    let store = certchain_cli::dataset::colstore_dir(dir);
+    let v1 = store.with_file_name("colstore.v1");
+    common::write_v1(&store, &v1);
+    std::fs::remove_dir_all(&store).unwrap();
+    std::fs::rename(&v1, &store).unwrap();
+}
+
+/// The rarest SNI and the rarest responder port in `dir`'s store (ties
+/// to the smallest value): predicates most row bands cannot match.
+fn rare_predicates(dir: &Path) -> (String, u16) {
+    fn rarest<K: Clone + Ord>(freq: &BTreeMap<K, u64>) -> K {
+        freq.iter()
+            .min_by_key(|(key, n)| (**n, (*key).clone()))
+            .expect("dataset has rows")
+            .0
+            .clone()
+    }
+    let store = certchain_cli::dataset::colstore_dir(dir);
+    let reader =
+        certchain_colstore::DatasetReader::open(&store, certchain_colstore::MapMode::Auto).unwrap();
+    let mut snis: BTreeMap<String, u64> = BTreeMap::new();
+    let mut ports: BTreeMap<u16, u64> = BTreeMap::new();
+    for rec in reader.ssl_iter().unwrap() {
+        let rec = rec.unwrap();
+        *ports.entry(rec.resp_p).or_default() += 1;
+        if let Some(sni) = rec.server_name {
+            *snis.entry(sni).or_default() += 1;
+        }
+    }
+    (rarest(&snis), rarest(&ports))
 }
 
 #[test]
@@ -220,15 +259,7 @@ fn compact_migrates_v1_stores_with_identical_reports() {
     use certchain_cli::compact;
     let dir = copy_dataset("compact");
     // Rewrite the store in the legacy v1 layout first.
-    convert::convert_opts(
-        &dir,
-        &convert::ConvertOptions {
-            force: true,
-            store_version: Some(1),
-            ..convert::ConvertOptions::default()
-        },
-    )
-    .unwrap();
+    rewrite_store_as_v1(&dir);
     let manifest = certchain_colstore::Manifest::load(&dir.join("colstore")).unwrap();
     assert_eq!(manifest.version, 1);
     let report_at = |threads: usize| {
@@ -275,21 +306,7 @@ fn filtered_analysis_skips_segments_and_matches_tsv() {
     .unwrap();
     // Pick the rarest SNI in the store (lexicographically smallest on
     // ties) — a predicate most row bands cannot match.
-    let store = certchain_cli::dataset::colstore_dir(&dir);
-    let reader =
-        certchain_colstore::DatasetReader::open(&store, certchain_colstore::MapMode::Auto).unwrap();
-    let mut freq: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-    for rec in reader.ssl_iter().unwrap() {
-        if let Some(sni) = rec.unwrap().server_name {
-            *freq.entry(sni).or_default() += 1;
-        }
-    }
-    let (sni, _) = freq
-        .iter()
-        .min_by_key(|(name, n)| (**n, (*name).clone()))
-        .expect("dataset has SNI-bearing rows");
-    let sni = sni.clone();
-    drop(reader);
+    let (sni, _) = rare_predicates(&dir);
 
     let metrics_path = dir.join("filter-metrics.json");
     let filtered = |format: DatasetFormat, threads: usize| {
@@ -359,13 +376,12 @@ fn compact_preserves_digests_byte_for_byte() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Shared body for the category-filter parity tests: analyze `dir` with
-/// `--filter-category non_public_only` in TSV and columnar form at
-/// threads 1/2/8, demand byte-identity, and return the last columnar
-/// run's metrics snapshot.
-fn category_parity(dir: &std::path::Path) -> JsonValue {
-    let set = certchain_colstore::CategorySet::parse_list("non_public_only").unwrap();
-    let metrics_path = dir.join("cat-metrics.json");
+/// Shared body for the filter parity tests: analyze `dir` under the
+/// filter fields of `filter` in TSV and columnar form at threads 1/2/8,
+/// demand byte-identity, and return the last columnar run's metrics
+/// snapshot.
+fn filter_parity(dir: &Path, filter: &analyze::AnalyzeOptions) -> JsonValue {
+    let metrics_path = dir.join("filter-metrics.json");
     let filtered = |format: DatasetFormat, threads: usize| {
         analyze::analyze_opts(
             dir,
@@ -373,9 +389,8 @@ fn category_parity(dir: &std::path::Path) -> JsonValue {
                 threads,
                 json: true,
                 format: Some(format),
-                filter_category: Some(set),
                 metrics_json: Some(metrics_path.clone()),
-                ..analyze::AnalyzeOptions::default()
+                ..filter.clone()
             },
         )
         .unwrap()
@@ -385,10 +400,22 @@ fn category_parity(dir: &std::path::Path) -> JsonValue {
         assert_eq!(
             filtered(DatasetFormat::Columnar, threads),
             baseline,
-            "category-filtered columnar diverged at {threads} threads"
+            "filtered columnar diverged at {threads} threads under {filter:?}"
         );
     }
     certchain_obs::json::parse(&std::fs::read_to_string(&metrics_path).unwrap()).unwrap()
+}
+
+/// [`filter_parity`] under `--filter-category non_public_only`.
+fn category_parity(dir: &Path) -> JsonValue {
+    let set = certchain_colstore::CategorySet::parse_list("non_public_only").unwrap();
+    filter_parity(
+        dir,
+        &analyze::AnalyzeOptions {
+            filter_category: Some(set),
+            ..analyze::AnalyzeOptions::default()
+        },
+    )
 }
 
 fn counter_of(snap: &JsonValue, name: &str) -> u64 {
@@ -423,18 +450,26 @@ fn category_filter_skips_segments_and_matches_tsv() {
 #[test]
 fn digestless_stores_analyze_correctly_and_never_skip() {
     // A v1 store has no digests at all: category filtering must fall
-    // back to per-row tests and still match the TSV oracle.
+    // back to per-row tests and still match the TSV oracle. The port and
+    // SNI predicates run over the v1 store's zone-mapped plain bands.
     let dir = copy_dataset("cat-v1");
-    convert::convert_opts(
-        &dir,
-        &convert::ConvertOptions {
-            force: true,
-            store_version: Some(1),
-            ..convert::ConvertOptions::default()
-        },
-    )
-    .unwrap();
+    rewrite_store_as_v1(&dir);
     category_parity(&dir);
+    let (sni, port) = rare_predicates(&dir);
+    filter_parity(
+        &dir,
+        &analyze::AnalyzeOptions {
+            filter_port: Some(port),
+            ..analyze::AnalyzeOptions::default()
+        },
+    );
+    filter_parity(
+        &dir,
+        &analyze::AnalyzeOptions {
+            filter_sni: Some(sni),
+            ..analyze::AnalyzeOptions::default()
+        },
+    );
     let _ = std::fs::remove_dir_all(&dir);
 
     // A digest-less v2 store (written by a pre-digest build, simulated
@@ -449,10 +484,7 @@ fn digestless_stores_analyze_correctly_and_never_skip() {
                 .unwrap();
         let mut writer = certchain_colstore::DatasetWriter::create_with(
             &rewrite,
-            certchain_colstore::WriterOptions {
-                segment_rows: 32,
-                ..certchain_colstore::WriterOptions::default()
-            },
+            certchain_colstore::WriterOptions { segment_rows: 32 },
         )
         .unwrap();
         for rec in reader.x509_iter().unwrap() {

@@ -49,23 +49,28 @@
 //!
 //! # Format versions
 //!
-//! The layout above is **v1**: every fixed-width column is raw
-//! little-endian values. **v2** (the current default) keeps the same
-//! file set but stores each fixed-width column as a sequence of encoded
-//! *segments* — row bands of `segment_rows` rows (the last band of each
-//! table may be shorter), each independently compressed
-//! ([`codec::Encoding`]: plain / packed / delta / RLE, smallest wins
-//! deterministically) and summarised by a [`zonemap::ZoneMap`] (min/max,
-//! plus a 256-bit dictionary-presence bitmap for `ssl.sni`) recorded in
-//! the manifest. All columns of one table share identical row banding,
-//! so a consumer that decodes a band gets aligned scratch vectors. The
-//! var-length `*.dat` files and the shared tables stay raw — segment
-//! encoding applies to the fixed-width index/value columns only.
+//! The writer produces **v2**: each fixed-width column above is stored
+//! as a sequence of encoded *segments* — row bands of `segment_rows`
+//! rows (the last band of each table may be shorter), each independently
+//! compressed ([`codec::Encoding`]: plain / packed / delta / RLE / FoR,
+//! smallest wins deterministically) and summarised by a
+//! [`zonemap::ZoneMap`] (min/max, plus a 256-bit dictionary-presence
+//! bitmap for `ssl.sni`) recorded in the manifest. All columns of one
+//! table share identical row banding, so a consumer that decodes a band
+//! gets aligned scratch vectors. The var-length `*.dat` files and the
+//! shared tables stay raw — segment encoding applies to the fixed-width
+//! index/value columns only.
 //!
 //! Zone maps let `analyze` skip whole segments that cannot match an
 //! active predicate, and the banding gives [`DatasetWriter::append_open`]
 //! a natural append unit: new rows start a fresh segment and the shared
 //! tables grow by their tails only, so appends cost O(new data).
+//!
+//! **v1**, the original layout, is a read-only input: every fixed-width
+//! column is raw little-endian values at the widths listed above, which
+//! are exactly `plain` segments placed end to end. The reader bands a v1
+//! store in memory (see [`read`]), `certchain compact` migrates it to v2,
+//! and [`DatasetWriter::append_open`] refuses it.
 //!
 //! # Reading
 //!
@@ -77,15 +82,13 @@
 //! `SAFETY:` comment enforced by srclint); everywhere else, and on
 //! request, a positioned-read fallback loads each column with `pread`.
 //!
-//! Both versions are read transparently ([`DatasetReader::format_version`]
-//! dispatches; only *unknown* versions are a hard error). The reader
-//! exposes the same record iterators as the streaming Zeek readers
+//! Both versions are read through one segmented API (only *unknown*
+//! versions are a hard error): [`SslSegments`] / [`X509Segments`] let
+//! the analyze hot path fold straight off the mapped bytes without
+//! constructing records, and the record iterators
 //! ([`DatasetReader::ssl_iter`] / [`DatasetReader::x509_iter`] yield
-//! `Result<SslRecord, _>` / `Result<X509Record, _>`), so
-//! `Pipeline::analyze_stream` runs unchanged — plus raw column accessors
-//! ([`SslColumns`] / [`X509Columns`] on v1, [`SslSegments`] /
-//! [`X509Segments`] on v2) so the analyze hot path can fold straight off
-//! the mapped bytes without constructing records at all.
+//! `Result<SslRecord, _>` / `Result<X509Record, _>`, like the streaming
+//! Zeek readers) let `Pipeline::analyze_stream` run unchanged.
 
 pub mod category;
 pub mod checkpoint;
@@ -102,9 +105,7 @@ pub use category::{Category, CategoryDigest, CategorySet, CATEGORY_COUNT, CATEGO
 pub use checkpoint::{Checkpoint, CheckpointWriter, CHECKPOINT_MANIFEST_FILE, CHECKPOINT_SCHEMA};
 pub use manifest::{Manifest, MANIFEST_FILE, SCHEMA, STORE_DIR, VERSION, VERSION_V1};
 pub use map::{MapMode, Mapping};
-pub use read::{
-    DatasetReader, SegmentedColumn, SslColumns, SslSegments, X509Columns, X509Segments,
-};
+pub use read::{DatasetReader, SegmentedColumn, SslSegments, X509Segments};
 pub use segment::{SegmentMeta, DEFAULT_SEGMENT_ROWS};
 pub use write::{DatasetWriter, WriterOptions};
 pub use zonemap::ZoneMap;

@@ -2,11 +2,12 @@
 //! written last (so a crashed writer never leaves a manifest pointing at
 //! incomplete columns) and validated first.
 //!
-//! Two format versions are readable. v1 records only per-file byte
-//! lengths; v2 additionally records `segment_rows` and, for every
-//! fixed-width column, the per-segment metadata (rows, encoded bytes,
-//! encoding, zone map) that the segmented reader and the zone-map skip
-//! rule consume. Unknown versions are a hard error — never a silent
+//! Two format versions are readable. v2, the only one written, records
+//! `segment_rows` and, for every fixed-width column, the per-segment
+//! metadata (rows, encoded bytes, encoding, zone map) that the segmented
+//! reader and the zone-map skip rule consume. A v1 manifest records only
+//! per-file byte lengths; the reader derives its segment metadata at
+//! open time. Unknown versions are a hard error — never a silent
 //! fallback.
 
 use crate::category::CategoryDigest;
@@ -24,7 +25,7 @@ pub const SCHEMA: &str = "certchain-colstore/v1";
 /// Current format version. Bump on any layout change.
 pub const VERSION: u64 = 2;
 
-/// The legacy one-file-per-field format, still fully readable.
+/// The legacy raw-column format: read-only, served as `plain` bands.
 pub const VERSION_V1: u64 = 1;
 
 /// Manifest file name inside the store directory.
@@ -48,10 +49,11 @@ pub struct Manifest {
     pub fp_entries: u64,
     /// Byte length of every column file, keyed by file name.
     pub columns: BTreeMap<String, u64>,
-    /// Nominal rows per segment (v2 only; 0 in v1 manifests).
+    /// Nominal rows per segment (0 in a parsed v1 manifest; the reader's
+    /// v1 banding fills it in).
     pub segment_rows: u64,
-    /// Per-segment metadata for every fixed-width column (v2 only;
-    /// empty in v1 manifests).
+    /// Per-segment metadata for every fixed-width column (empty in a
+    /// parsed v1 manifest; the reader's v1 banding fills it in).
     pub segments: BTreeMap<String, Vec<SegmentMeta>>,
     /// Optional per-ssl-segment chain-category digests (v2 only). When
     /// present, one digest per ssl row band, each covering exactly that

@@ -6,24 +6,27 @@
 //! columns) — truncation is diagnosed up front, before any row is
 //! decoded.
 //!
-//! Both format versions are served transparently: v1 stores expose the
-//! zero-copy [`SslColumns`]/[`X509Columns`] views, v2 stores the
-//! segmented [`SslSegments`]/[`X509Segments`] views (whole-segment
-//! decode into caller-owned scratch buffers, zone maps for skipping).
-//! The record iterators ([`DatasetReader::ssl_iter`] /
-//! [`DatasetReader::x509_iter`]) work on either version, so stream-based
-//! consumers and the v1→v2 `certchain compact` migration never care
-//! which layout is underneath. Only *unknown* versions are an error, and
-//! that error comes from the manifest check before any column is mapped.
+//! Every store is served through one segmented API:
+//! [`SslSegments`]/[`X509Segments`] (whole-segment decode into
+//! caller-owned scratch buffers, zone maps for skipping) and the record
+//! iterators built on them ([`DatasetReader::ssl_iter`] /
+//! [`DatasetReader::x509_iter`]). A v1 store's raw fixed-width columns
+//! are byte-for-byte `plain` segments placed end to end, so `open` splits
+//! them in memory into bands of [`DEFAULT_SEGMENT_ROWS`] rows, each with
+//! a zone map computed from the mapped bytes; from then on nothing
+//! downstream can tell the layouts apart. Only *unknown* versions are an
+//! error, and that error comes from the manifest check before any column
+//! is mapped.
 
+use crate::codec::{self, Encoding};
 use crate::dict::Dict;
 use crate::manifest::{Manifest, VERSION_V1};
 use crate::map::{MapMode, Mapping};
-use crate::segment::SegmentMeta;
+use crate::segment::{SegmentMeta, DEFAULT_SEGMENT_ROWS};
 use crate::write::{decode_tls_version, FLAG_BC_CA, FLAG_BC_PRESENT, FLAG_PATH_LEN};
-use crate::{ColError, ColResult, COLUMNS, VERSION};
+use crate::zonemap::ZoneMap;
+use crate::{ColError, ColResult, COLUMNS};
 use certchain_asn1::Asn1Time;
-use certchain_netsim::handshake::TlsVersion;
 use certchain_netsim::zeek::record::{SslRecord, X509Record};
 use certchain_x509::Fingerprint;
 use std::net::Ipv4Addr;
@@ -69,8 +72,8 @@ struct SegStart {
 pub struct DatasetReader {
     manifest: Manifest,
     maps: Vec<Mapping>,
-    /// Per-column segment starts (parallel to `maps`); empty for v1
-    /// stores, var-length data files, and shared tables.
+    /// Per-column segment starts (parallel to `maps`); empty for
+    /// var-length data files and shared tables.
     seg_starts: Vec<Vec<SegStart>>,
 }
 
@@ -88,10 +91,9 @@ impl std::fmt::Debug for DatasetReader {
 impl DatasetReader {
     /// Open `store_dir`, validating manifest and column lengths.
     pub fn open(store_dir: &Path, mode: MapMode) -> ColResult<DatasetReader> {
-        let manifest = Manifest::load(store_dir)?;
+        let mut manifest = Manifest::load(store_dir)?;
         let mut maps = Vec::with_capacity(COLUMNS.len());
-        let mut seg_starts = vec![Vec::new(); COLUMNS.len()];
-        for (at, (name, width)) in COLUMNS.iter().enumerate() {
+        for (name, _) in COLUMNS {
             let expected = *manifest
                 .columns
                 .get(*name)
@@ -105,36 +107,30 @@ impl DatasetReader {
                     found,
                 });
             }
-            if let Some(width) = width {
-                if manifest.version == VERSION_V1 {
-                    let rows = crate::rows_for(name, manifest.ssl_rows, manifest.x509_rows)
-                        .expect("fixed-width columns are table columns");
-                    if found != rows * width {
-                        return Err(ColError::Corrupt(format!(
-                            "column {name}: {found} bytes is not {rows} rows x {width} bytes"
-                        )));
-                    }
-                } else {
-                    // Segment byte/row sums were validated against the
-                    // file length at manifest parse; record each
-                    // segment's start for O(1) addressing here.
-                    let metas = manifest
-                        .segments
-                        .get(*name)
-                        .expect("validated in from_json");
-                    let mut byte = 0u64;
-                    let mut row = 0u64;
-                    let starts = &mut seg_starts[at];
-                    starts.reserve(metas.len());
-                    for meta in metas {
-                        starts.push(SegStart { byte, row });
-                        byte += meta.bytes;
-                        row += meta.rows;
-                    }
-                }
-            }
             maps.push(map);
         }
+        if manifest.version == VERSION_V1 {
+            band_v1(&mut manifest, &maps)?;
+        }
+        // Segment byte/row sums match the file lengths (validated at
+        // manifest parse, or by construction for v1 bands); record each
+        // segment's start for O(1) addressing.
+        let seg_starts = COLUMNS
+            .iter()
+            .map(|(name, _)| {
+                let metas = manifest.segments.get(*name).map_or(&[][..], Vec::as_slice);
+                let (mut byte, mut row) = (0u64, 0u64);
+                metas
+                    .iter()
+                    .map(|meta| {
+                        let start = SegStart { byte, row };
+                        byte += meta.bytes;
+                        row += meta.rows;
+                        start
+                    })
+                    .collect()
+            })
+            .collect();
         let reader = DatasetReader {
             manifest,
             maps,
@@ -175,29 +171,22 @@ impl DatasetReader {
             self.maps[STRINGS_DAT].bytes(),
         )?;
         // Each var-length pair: the last index entry must equal the data
-        // length (and an empty table implies an empty data file). In a v2
-        // store the index column is encoded, so the final offset comes
-        // from the last segment's zone max (end offsets are
-        // non-decreasing, so the max is the last entry).
+        // length (and an empty table implies an empty data file). The
+        // index column is segmented, so the final offset comes from the
+        // last segment's zone max (end offsets are non-decreasing, so the
+        // max is the last entry).
         for (idx, dat, unit) in [
             (SSL_UID_IDX, SSL_UID_DAT, 1u64),
             (SSL_CHAIN_IDX, SSL_CHAIN_DAT, 4),
             (X509_SAN_IDX, X509_SAN_DAT, 4),
         ] {
             let dat_len = self.maps[dat].len() as u64;
-            let end = if m.version == VERSION_V1 {
-                let idx_bytes = self.maps[idx].bytes();
-                match idx_bytes.len() {
-                    0 => 0,
-                    n => u64::from_le_bytes(idx_bytes[n - 8..].try_into().expect("8-byte slice")),
-                }
-            } else {
-                m.segments
-                    .get(COLUMNS[idx].0)
-                    .expect("validated in from_json")
-                    .last()
-                    .map_or(0, |meta| meta.zone.max)
-            };
+            let end = m
+                .segments
+                .get(COLUMNS[idx].0)
+                .expect("every fixed-width column is segmented")
+                .last()
+                .map_or(0, |meta| meta.zone.max);
             if end != dat_len {
                 return Err(ColError::Corrupt(format!(
                     "column {}: final offset {end} != data length {dat_len}",
@@ -214,7 +203,8 @@ impl DatasetReader {
         Ok(())
     }
 
-    /// The validated manifest.
+    /// The validated manifest (for a v1 store, with the open-time
+    /// banding's `segment_rows` and segment metadata filled in).
     pub fn manifest(&self) -> &Manifest {
         &self.manifest
     }
@@ -262,76 +252,23 @@ impl DatasetReader {
         Ok(None)
     }
 
-    fn require_version(&self, want: u64, view: &str) -> ColResult<()> {
-        if self.manifest.version == want {
-            Ok(())
-        } else {
-            Err(ColError::Format(format!(
-                "{view} requires a v{want} store, this one is v{} \
-                 (dispatch on DatasetReader::format_version)",
-                self.manifest.version
-            )))
-        }
-    }
-
-    /// Zero-copy column view over a **v1** ssl table.
-    pub fn ssl(&self) -> ColResult<SslColumns<'_>> {
-        self.require_version(VERSION_V1, "SslColumns")?;
-        Ok(SslColumns {
-            rows: self.manifest.ssl_rows,
-            ts: self.maps[SSL_TS].bytes(),
-            uid_idx: self.maps[SSL_UID_IDX].bytes(),
-            uid_dat: self.maps[SSL_UID_DAT].bytes(),
-            orig_h: self.maps[SSL_ORIG_H].bytes(),
-            orig_p: self.maps[SSL_ORIG_P].bytes(),
-            resp_h: self.maps[SSL_RESP_H].bytes(),
-            resp_p: self.maps[SSL_RESP_P].bytes(),
-            version: self.maps[SSL_VERSION].bytes(),
-            sni: self.maps[SSL_SNI].bytes(),
-            established: self.maps[SSL_ESTABLISHED].bytes(),
-            chain_idx: self.maps[SSL_CHAIN_IDX].bytes(),
-            chain_dat: self.maps[SSL_CHAIN_DAT].bytes(),
-            dict: self.dict()?,
-            fps: self.maps[FPS_DAT].bytes(),
-        })
-    }
-
-    /// Zero-copy column view over a **v1** x509 table.
-    pub fn x509(&self) -> ColResult<X509Columns<'_>> {
-        self.require_version(VERSION_V1, "X509Columns")?;
-        Ok(X509Columns {
-            rows: self.manifest.x509_rows,
-            ts: self.maps[X509_TS].bytes(),
-            fp: self.maps[X509_FP].bytes(),
-            version: self.maps[X509_VERSION].bytes(),
-            serial: self.maps[X509_SERIAL].bytes(),
-            subject: self.maps[X509_SUBJECT].bytes(),
-            issuer: self.maps[X509_ISSUER].bytes(),
-            not_before: self.maps[X509_NOT_BEFORE].bytes(),
-            not_after: self.maps[X509_NOT_AFTER].bytes(),
-            flags: self.maps[X509_FLAGS].bytes(),
-            path_len: self.maps[X509_PATH_LEN].bytes(),
-            san_idx: self.maps[X509_SAN_IDX].bytes(),
-            san_dat: self.maps[X509_SAN_DAT].bytes(),
-            dict: self.dict()?,
-            fps: self.maps[FPS_DAT].bytes(),
-        })
-    }
-
     fn seg_col(&self, at: usize) -> SegmentedColumn<'_> {
         let (name, width) = COLUMNS[at];
         SegmentedColumn {
             name,
             width: width.expect("segmented columns are fixed-width") as u8,
             data: self.maps[at].bytes(),
-            metas: self.manifest.segments.get(name).expect("v2 manifest"),
+            metas: self
+                .manifest
+                .segments
+                .get(name)
+                .expect("every fixed-width column is segmented"),
             starts: &self.seg_starts[at],
         }
     }
 
-    /// Segmented view over a **v2** ssl table.
+    /// Segmented view over the ssl table.
     pub fn ssl_segments(&self) -> ColResult<SslSegments<'_>> {
-        self.require_version(VERSION, "SslSegments")?;
         Ok(SslSegments {
             rows: self.manifest.ssl_rows,
             ts: self.seg_col(SSL_TS),
@@ -351,9 +288,8 @@ impl DatasetReader {
         })
     }
 
-    /// Segmented view over a **v2** x509 table.
+    /// Segmented view over the x509 table.
     pub fn x509_segments(&self) -> ColResult<X509Segments<'_>> {
-        self.require_version(VERSION, "X509Segments")?;
         Ok(X509Segments {
             rows: self.manifest.x509_rows,
             ts: self.seg_col(X509_TS),
@@ -384,49 +320,63 @@ impl DatasetReader {
     /// `SslLogStream`, so stream-based consumers run unchanged on either
     /// format version.
     pub fn ssl_iter(&self) -> ColResult<Box<dyn Iterator<Item = ColResult<SslRecord>> + '_>> {
-        if self.manifest.version == VERSION_V1 {
-            let cols = self.ssl()?;
-            Ok(Box::new((0..cols.rows).map(move |row| cols.record(row))))
-        } else {
-            Ok(Box::new(SslV2Iter::new(self.ssl_segments()?)))
-        }
+        Ok(Box::new(SslIter::new(self.ssl_segments()?)))
     }
 
     /// Iterate x509 rows as [`X509Record`]s, mirroring `X509LogStream`.
     pub fn x509_iter(&self) -> ColResult<Box<dyn Iterator<Item = ColResult<X509Record>> + '_>> {
-        if self.manifest.version == VERSION_V1 {
-            let cols = self.x509()?;
-            Ok(Box::new((0..cols.rows).map(move |row| cols.record(row))))
-        } else {
-            Ok(Box::new(X509V2Iter::new(self.x509_segments()?)))
+        Ok(Box::new(X509Iter::new(self.x509_segments()?)))
+    }
+}
+
+/// Describe a v1 store's raw fixed-width columns as `plain` segments of
+/// [`DEFAULT_SEGMENT_ROWS`] rows, zone-mapped from the mapped bytes by
+/// the writer's rule ([`ZoneMap::for_column`]). Every column length is
+/// checked against rows × width before any band is decoded, so a
+/// mis-sized column is an error, never a slice panic.
+fn band_v1(manifest: &mut Manifest, maps: &[Mapping]) -> ColResult<()> {
+    let fixed = || {
+        COLUMNS
+            .iter()
+            .zip(maps)
+            .filter_map(|((name, width), map)| Some((*name, (*width)?, map.bytes())))
+    };
+    for (name, width, bytes) in fixed() {
+        let rows = crate::rows_for(name, manifest.ssl_rows, manifest.x509_rows)
+            .expect("fixed-width columns are table columns");
+        let found = bytes.len() as u64;
+        if rows.checked_mul(width) != Some(found) {
+            return Err(ColError::Corrupt(format!(
+                "column {name}: {found} bytes is not {rows} rows x {width} bytes"
+            )));
         }
     }
-}
-
-fn u64_at(col: &[u8], row: u64) -> u64 {
-    let at = (row as usize) * 8;
-    u64::from_le_bytes(col[at..at + 8].try_into().expect("8-byte slice"))
-}
-
-fn u32_at(col: &[u8], row: u64) -> u32 {
-    let at = (row as usize) * 4;
-    u32::from_le_bytes(col[at..at + 4].try_into().expect("4-byte slice"))
-}
-
-fn u16_at(col: &[u8], row: u64) -> u16 {
-    let at = (row as usize) * 2;
-    u16::from_le_bytes(col[at..at + 2].try_into().expect("2-byte slice"))
-}
-
-fn var_range(idx: &[u8], row: u64, dat_len: usize, what: &str) -> ColResult<(usize, usize)> {
-    let start = if row == 0 { 0 } else { u64_at(idx, row - 1) } as usize;
-    let end = u64_at(idx, row) as usize;
-    if start > end || end > dat_len {
-        return Err(ColError::Corrupt(format!(
-            "{what} row {row}: offsets {start}..{end} out of bounds (data length {dat_len})"
-        )));
+    let mut values = Vec::new();
+    for (name, width, bytes) in fixed() {
+        let mut metas = Vec::new();
+        for band in bytes.chunks((DEFAULT_SEGMENT_ROWS * width) as usize) {
+            let rows = band.len() / width as usize;
+            values.clear();
+            codec::decode_into(
+                Encoding::Plain,
+                width as u8,
+                width as u8,
+                rows,
+                band,
+                &mut values,
+            )?;
+            metas.push(SegmentMeta {
+                rows: rows as u64,
+                bytes: band.len() as u64,
+                encoding: Encoding::Plain,
+                param: width as u8,
+                zone: ZoneMap::for_column(name, &values),
+            });
+        }
+        manifest.segments.insert(name.to_string(), metas);
     }
-    Ok((start, end))
+    manifest.segment_rows = DEFAULT_SEGMENT_ROWS;
+    Ok(())
 }
 
 /// Bounds-check a decoded `start..end` offset pair against `dat`.
@@ -451,7 +401,7 @@ fn fp_at(fps: &[u8], idx: u32, what: &str) -> ColResult<Fingerprint> {
     Ok(Fingerprint(bytes.try_into().expect("32-byte slice")))
 }
 
-/// One encoded column of a v2 store: segment metadata plus the
+/// One encoded fixed-width column: segment metadata plus the
 /// concatenated payload bytes, with O(1) segment addressing.
 #[derive(Clone, Copy)]
 pub struct SegmentedColumn<'a> {
@@ -498,9 +448,9 @@ impl<'a> SegmentedColumn<'a> {
     }
 }
 
-/// Segmented view over the ssl table of a v2 store. Fixed-width columns
-/// decode segment-at-a-time; the var-length data files and shared
-/// tables are raw slices, exactly as in v1.
+/// Segmented view over the ssl table. Fixed-width columns decode
+/// segment-at-a-time; the var-length data files and shared tables are
+/// raw slices.
 #[derive(Clone, Copy)]
 pub struct SslSegments<'a> {
     /// Row count.
@@ -563,7 +513,7 @@ impl<'a> SslSegments<'a> {
     }
 }
 
-/// Segmented view over the x509 table of a v2 store.
+/// Segmented view over the x509 table.
 #[derive(Clone, Copy)]
 pub struct X509Segments<'a> {
     /// Row count.
@@ -620,9 +570,9 @@ impl<'a> X509Segments<'a> {
     }
 }
 
-/// Record iterator over a v2 ssl table: decodes one segment's columns at
+/// Record iterator over the ssl table: decodes one segment's columns at
 /// a time, materialises its records, then moves on.
-struct SslV2Iter<'a> {
+struct SslIter<'a> {
     cols: SslSegments<'a>,
     seg: usize,
     buf: std::vec::IntoIter<SslRecord>,
@@ -631,9 +581,9 @@ struct SslV2Iter<'a> {
     failed: bool,
 }
 
-impl<'a> SslV2Iter<'a> {
-    fn new(cols: SslSegments<'a>) -> SslV2Iter<'a> {
-        SslV2Iter {
+impl<'a> SslIter<'a> {
+    fn new(cols: SslSegments<'a>) -> SslIter<'a> {
+        SslIter {
             cols,
             seg: 0,
             buf: Vec::new().into_iter(),
@@ -706,7 +656,7 @@ impl<'a> SslV2Iter<'a> {
     }
 }
 
-impl Iterator for SslV2Iter<'_> {
+impl Iterator for SslIter<'_> {
     type Item = ColResult<SslRecord>;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -734,8 +684,8 @@ impl Iterator for SslV2Iter<'_> {
     }
 }
 
-/// Record iterator over a v2 x509 table.
-struct X509V2Iter<'a> {
+/// Record iterator over the x509 table.
+struct X509Iter<'a> {
     cols: X509Segments<'a>,
     seg: usize,
     buf: std::vec::IntoIter<X509Record>,
@@ -743,9 +693,9 @@ struct X509V2Iter<'a> {
     failed: bool,
 }
 
-impl<'a> X509V2Iter<'a> {
-    fn new(cols: X509Segments<'a>) -> X509V2Iter<'a> {
-        X509V2Iter {
+impl<'a> X509Iter<'a> {
+    fn new(cols: X509Segments<'a>) -> X509Iter<'a> {
+        X509Iter {
             cols,
             seg: 0,
             buf: Vec::new().into_iter(),
@@ -815,7 +765,7 @@ impl<'a> X509V2Iter<'a> {
     }
 }
 
-impl Iterator for X509V2Iter<'_> {
+impl Iterator for X509Iter<'_> {
     type Item = ColResult<X509Record>;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -840,174 +790,5 @@ impl Iterator for X509V2Iter<'_> {
                 }
             }
         }
-    }
-}
-
-/// Borrowed, zero-copy accessors over the ssl table. All row arguments
-/// must be `< rows` (fixed-width reads panic past the end, like slice
-/// indexing); var-length and table lookups return [`ColError::Corrupt`]
-/// on inconsistent data.
-#[derive(Clone, Copy)]
-pub struct SslColumns<'a> {
-    /// Row count.
-    pub rows: u64,
-    ts: &'a [u8],
-    uid_idx: &'a [u8],
-    uid_dat: &'a [u8],
-    orig_h: &'a [u8],
-    orig_p: &'a [u8],
-    resp_h: &'a [u8],
-    resp_p: &'a [u8],
-    version: &'a [u8],
-    sni: &'a [u8],
-    established: &'a [u8],
-    chain_idx: &'a [u8],
-    chain_dat: &'a [u8],
-    dict: Dict<'a>,
-    fps: &'a [u8],
-}
-
-impl<'a> SslColumns<'a> {
-    /// Connection timestamp (epoch seconds).
-    pub fn ts(&self, row: u64) -> u64 {
-        u64_at(self.ts, row)
-    }
-
-    /// Connection uid.
-    pub fn uid(&self, row: u64) -> ColResult<&'a str> {
-        let (start, end) = var_range(self.uid_idx, row, self.uid_dat.len(), "ssl.uid")?;
-        std::str::from_utf8(&self.uid_dat[start..end])
-            .map_err(|_| ColError::Corrupt(format!("ssl.uid row {row} is not valid UTF-8")))
-    }
-
-    /// Originator (client) address.
-    pub fn orig_h(&self, row: u64) -> Ipv4Addr {
-        Ipv4Addr::from(u32_at(self.orig_h, row))
-    }
-
-    /// Originator port.
-    pub fn orig_p(&self, row: u64) -> u16 {
-        u16_at(self.orig_p, row)
-    }
-
-    /// Responder (server) address.
-    pub fn resp_h(&self, row: u64) -> Ipv4Addr {
-        Ipv4Addr::from(u32_at(self.resp_h, row))
-    }
-
-    /// Responder port.
-    pub fn resp_p(&self, row: u64) -> u16 {
-        u16_at(self.resp_p, row)
-    }
-
-    /// Negotiated TLS version.
-    pub fn version(&self, row: u64) -> ColResult<TlsVersion> {
-        decode_tls_version(self.version[row as usize])
-    }
-
-    /// SNI dictionary code ([`crate::NONE_IDX`] = unset), for
-    /// code-level predicate comparison without string resolution.
-    pub fn sni_code(&self, row: u64) -> u32 {
-        u32_at(self.sni, row)
-    }
-
-    /// SNI, when the client sent one.
-    pub fn sni(&self, row: u64) -> ColResult<Option<&'a str>> {
-        self.dict.get_opt(u32_at(self.sni, row))
-    }
-
-    /// Whether the handshake completed.
-    pub fn established(&self, row: u64) -> bool {
-        self.established[row as usize] != 0
-    }
-
-    /// Number of fingerprints in the row's delivered chain.
-    pub fn chain_len(&self, row: u64) -> ColResult<usize> {
-        let (start, end) = var_range(self.chain_idx, row, self.chain_dat.len(), "ssl.chain")?;
-        Ok((end - start) / 4)
-    }
-
-    /// Append the row's chain fingerprints to `out` (cleared first) —
-    /// lets the analyze hot path reuse one buffer across rows.
-    pub fn chain_fps_into(&self, row: u64, out: &mut Vec<Fingerprint>) -> ColResult<()> {
-        out.clear();
-        let (start, end) = var_range(self.chain_idx, row, self.chain_dat.len(), "ssl.chain")?;
-        for at in (start..end).step_by(4) {
-            let idx =
-                u32::from_le_bytes(self.chain_dat[at..at + 4].try_into().expect("4-byte slice"));
-            out.push(fp_at(self.fps, idx, "ssl.chain")?);
-        }
-        Ok(())
-    }
-
-    /// Materialise the full [`SslRecord`] for `row`.
-    pub fn record(&self, row: u64) -> ColResult<SslRecord> {
-        let mut chain = Vec::new();
-        self.chain_fps_into(row, &mut chain)?;
-        Ok(SslRecord {
-            ts: Asn1Time::from_unix(self.ts(row)),
-            uid: self.uid(row)?.to_string(),
-            orig_h: self.orig_h(row),
-            orig_p: self.orig_p(row),
-            resp_h: self.resp_h(row),
-            resp_p: self.resp_p(row),
-            version: self.version(row)?,
-            server_name: self.sni(row)?.map(str::to_string),
-            established: self.established(row),
-            cert_chain_fps: chain,
-        })
-    }
-}
-
-/// Borrowed, zero-copy accessors over the x509 table.
-#[derive(Clone, Copy)]
-pub struct X509Columns<'a> {
-    /// Row count.
-    pub rows: u64,
-    ts: &'a [u8],
-    fp: &'a [u8],
-    version: &'a [u8],
-    serial: &'a [u8],
-    subject: &'a [u8],
-    issuer: &'a [u8],
-    not_before: &'a [u8],
-    not_after: &'a [u8],
-    flags: &'a [u8],
-    path_len: &'a [u8],
-    san_idx: &'a [u8],
-    san_dat: &'a [u8],
-    dict: Dict<'a>,
-    fps: &'a [u8],
-}
-
-impl<'a> X509Columns<'a> {
-    /// The row's fingerprint (the join key with the ssl table).
-    pub fn fingerprint(&self, row: u64) -> ColResult<Fingerprint> {
-        fp_at(self.fps, u32_at(self.fp, row), "x509.fp")
-    }
-
-    /// Materialise the full [`X509Record`] for `row`.
-    pub fn record(&self, row: u64) -> ColResult<X509Record> {
-        let flags = self.flags[row as usize];
-        let (start, end) = var_range(self.san_idx, row, self.san_dat.len(), "x509.san")?;
-        let mut san_dns = Vec::with_capacity((end - start) / 4);
-        for at in (start..end).step_by(4) {
-            let idx =
-                u32::from_le_bytes(self.san_dat[at..at + 4].try_into().expect("4-byte slice"));
-            san_dns.push(self.dict.get(idx)?.to_string());
-        }
-        Ok(X509Record {
-            ts: Asn1Time::from_unix(u64_at(self.ts, row)),
-            fingerprint: self.fingerprint(row)?,
-            cert_version: u64_at(self.version, row),
-            serial: self.dict.get(u32_at(self.serial, row))?.to_string(),
-            subject: self.dict.get(u32_at(self.subject, row))?.to_string(),
-            issuer: self.dict.get(u32_at(self.issuer, row))?.to_string(),
-            not_before: Asn1Time::from_unix(u64_at(self.not_before, row)),
-            not_after: Asn1Time::from_unix(u64_at(self.not_after, row)),
-            basic_constraints_ca: (flags & FLAG_BC_PRESENT != 0).then_some(flags & FLAG_BC_CA != 0),
-            path_len: (flags & FLAG_PATH_LEN != 0).then(|| u64_at(self.path_len, row)),
-            san_dns,
-        })
     }
 }

@@ -1,13 +1,13 @@
 //! Streaming columnar writer.
 //!
-//! Rows are appended one at a time. In v1 mode each fixed-width field
-//! streams raw little-endian bytes to its own buffered column file; in
-//! v2 mode (the default) fixed-width fields buffer logical values until a
-//! whole row band of `segment_rows` rows is complete, then the band is
-//! encoded ([`crate::codec`]), zone-mapped ([`crate::zonemap`]), and
-//! flushed as one segment. Var-length data files (`*.dat`) stream raw in
-//! both modes, so writer memory stays O(distinct strings + distinct
-//! fingerprints + segment_rows) regardless of row count.
+//! Rows are appended one at a time. Fixed-width fields buffer logical
+//! values until a whole row band of `segment_rows` rows is complete, then
+//! the band is encoded ([`crate::codec`]), zone-mapped
+//! ([`crate::zonemap`]), and flushed as one segment. Var-length data
+//! files (`*.dat`) stream raw, so writer memory stays O(distinct strings,
+//! distinct fingerprints and `segment_rows`) regardless of row count.
+//! The writer only produces the current (v2) format; v1 stores are a
+//! read-only input (see [`crate::read`]).
 //!
 //! The shared tables (`strings.*`, `fps.dat`) and the manifest are
 //! written by [`DatasetWriter::finish`] — the manifest last, so a crashed
@@ -21,7 +21,7 @@
 use crate::category::{Category, CategoryDigest};
 use crate::codec;
 use crate::dict::{Dict, DictBuilder};
-use crate::manifest::{Manifest, VERSION_V1};
+use crate::manifest::Manifest;
 use crate::segment::{SegmentMeta, DEFAULT_SEGMENT_ROWS};
 use crate::zonemap::ZoneMap;
 use crate::{io_ctx, ColError, ColResult, COLUMNS, VERSION};
@@ -170,17 +170,13 @@ const X509_FIXED: &[usize] = &[
 /// Format options for [`DatasetWriter::create_with`].
 #[derive(Debug, Clone, Copy)]
 pub struct WriterOptions {
-    /// Store format version: [`VERSION`] (segmented, default) or
-    /// [`VERSION_V1`] (legacy raw columns).
-    pub version: u64,
-    /// Rows per segment in v2 stores (ignored for v1).
+    /// Rows per segment.
     pub segment_rows: u64,
 }
 
 impl Default for WriterOptions {
     fn default() -> WriterOptions {
         WriterOptions {
-            version: VERSION,
             segment_rows: DEFAULT_SEGMENT_ROWS,
         }
     }
@@ -202,7 +198,6 @@ pub type CategoryProvider = Box<dyn FnMut(&SslRecord) -> Category>;
 /// Streaming writer for one columnar store directory.
 pub struct DatasetWriter {
     dir: PathBuf,
-    version: u64,
     segment_rows: u64,
     cols: Vec<Col>,
     widths: Vec<Option<u64>>,
@@ -214,8 +209,8 @@ pub struct DatasetWriter {
     ssl_rows: u64,
     x509_rows: u64,
     append_base: Option<AppendBase>,
-    /// Per-row category hook; when attached (and the store is v2), every
-    /// flushed ssl band gets a [`CategoryDigest`] in the manifest.
+    /// Per-row category hook; when attached, every flushed ssl band gets
+    /// a [`CategoryDigest`] in the manifest.
     category_provider: Option<CategoryProvider>,
     /// Categories of the ssl rows buffered in the current band.
     cat_pending: Vec<Category>,
@@ -244,19 +239,10 @@ impl DatasetWriter {
         DatasetWriter::create_with(store_dir, WriterOptions::default())
     }
 
-    /// Create a store with explicit format options — the v1 escape hatch
-    /// for fixtures and migration tests, and the knob for segment sizing.
+    /// Create a store with explicit format options (segment sizing).
     pub fn create_with(store_dir: &Path, opts: WriterOptions) -> ColResult<DatasetWriter> {
-        if opts.version != VERSION_V1 && opts.version != VERSION {
-            return Err(ColError::Format(format!(
-                "cannot write store version {} (supported: {VERSION_V1} and {VERSION})",
-                opts.version
-            )));
-        }
-        if opts.version == VERSION && opts.segment_rows == 0 {
-            return Err(ColError::Format(
-                "segment_rows must be at least 1 for a v2 store".into(),
-            ));
+        if opts.segment_rows == 0 {
+            return Err(ColError::Format("segment_rows must be at least 1".into()));
         }
         std::fs::create_dir_all(store_dir)
             .map_err(io_ctx(format!("creating {}", store_dir.display())))?;
@@ -273,7 +259,6 @@ impl DatasetWriter {
         }
         Ok(DatasetWriter {
             dir: store_dir.to_path_buf(),
-            version: opts.version,
             segment_rows: opts.segment_rows,
             cols,
             widths: STREAMED.iter().map(|n| width_of(n)).collect(),
@@ -298,7 +283,7 @@ impl DatasetWriter {
     /// manifest, which the analyze fold uses to skip whole segments
     /// under `--filter-category`. Attach it before the first ssl row —
     /// coverage is all-or-nothing, so a band appended earlier without a
-    /// provider makes `finish` drop every digest. No-op on v1 stores.
+    /// provider makes `finish` drop every digest.
     pub fn with_category_provider(mut self, provider: CategoryProvider) -> DatasetWriter {
         self.category_provider = Some(provider);
         self
@@ -392,7 +377,6 @@ impl DatasetWriter {
             digests_live: carried_digests || ssl_bands == 0,
             carried_digests,
             dir: store_dir.to_path_buf(),
-            version: VERSION,
             segment_rows: manifest.segment_rows,
             cols,
             widths: STREAMED.iter().map(|n| width_of(n)).collect(),
@@ -422,16 +406,9 @@ impl DatasetWriter {
         Ok(idx)
     }
 
-    /// Route one fixed-width value: raw bytes in v1, pending buffer in v2.
-    fn put_fixed(&mut self, i: usize, v: u64) -> ColResult<()> {
-        let width = self.widths[i].expect("fixed-width column") as usize;
-        if self.version == VERSION_V1 {
-            let bytes = v.to_le_bytes();
-            self.cols[i].put(&bytes[..width])
-        } else {
-            self.pending[i].push(v);
-            Ok(())
-        }
+    /// Buffer one fixed-width value for the current row band.
+    fn put_fixed(&mut self, i: usize, v: u64) {
+        self.pending[i].push(v);
     }
 
     /// Encode and flush one whole row band of `group`'s pending values.
@@ -440,11 +417,7 @@ impl DatasetWriter {
             let values = std::mem::take(&mut self.pending[i]);
             let width = self.widths[i].expect("fixed-width column") as u8;
             let (encoding, param, payload) = codec::encode(&values, width);
-            let zone = if self.cols[i].name == "ssl.sni" {
-                ZoneMap::with_presence(&values)
-            } else {
-                ZoneMap::of(&values)
-            };
+            let zone = ZoneMap::for_column(self.cols[i].name, &values);
             if zone.max >= JSON_SAFE_MAX {
                 return Err(ColError::Corrupt(format!(
                     "column {}: value {} exceeds the JSON-safe integer range",
@@ -487,33 +460,31 @@ impl DatasetWriter {
 
     /// Append one `ssl.log` row.
     pub fn append_ssl(&mut self, rec: &SslRecord) -> ColResult<()> {
-        if self.version == VERSION {
-            if let Some(provider) = self.category_provider.as_mut() {
-                let cat = provider(rec);
-                self.cat_pending.push(cat);
-            }
+        if let Some(provider) = self.category_provider.as_mut() {
+            let cat = provider(rec);
+            self.cat_pending.push(cat);
         }
         let sni = self.dict.intern_opt(rec.server_name.as_deref())?;
         let mut chain = Vec::with_capacity(rec.cert_chain_fps.len() * 4);
         for fp in &rec.cert_chain_fps {
             chain.extend_from_slice(&self.fp_index(fp)?.to_le_bytes());
         }
-        self.put_fixed(SSL_TS, rec.ts.unix_secs())?;
+        self.put_fixed(SSL_TS, rec.ts.unix_secs());
         self.cols[SSL_UID_DAT].put(rec.uid.as_bytes())?;
         let uid_end = self.cols[SSL_UID_DAT].bytes;
-        self.put_fixed(SSL_UID_IDX, uid_end)?;
-        self.put_fixed(SSL_ORIG_H, u64::from(u32::from(rec.orig_h)))?;
-        self.put_fixed(SSL_ORIG_P, u64::from(rec.orig_p))?;
-        self.put_fixed(SSL_RESP_H, u64::from(u32::from(rec.resp_h)))?;
-        self.put_fixed(SSL_RESP_P, u64::from(rec.resp_p))?;
-        self.put_fixed(SSL_VERSION, u64::from(encode_tls_version(rec.version)))?;
-        self.put_fixed(SSL_SNI, u64::from(sni))?;
-        self.put_fixed(SSL_ESTABLISHED, u64::from(rec.established))?;
+        self.put_fixed(SSL_UID_IDX, uid_end);
+        self.put_fixed(SSL_ORIG_H, u64::from(u32::from(rec.orig_h)));
+        self.put_fixed(SSL_ORIG_P, u64::from(rec.orig_p));
+        self.put_fixed(SSL_RESP_H, u64::from(u32::from(rec.resp_h)));
+        self.put_fixed(SSL_RESP_P, u64::from(rec.resp_p));
+        self.put_fixed(SSL_VERSION, u64::from(encode_tls_version(rec.version)));
+        self.put_fixed(SSL_SNI, u64::from(sni));
+        self.put_fixed(SSL_ESTABLISHED, u64::from(rec.established));
         self.cols[SSL_CHAIN_DAT].put(&chain)?;
         let chain_end = self.cols[SSL_CHAIN_DAT].bytes;
-        self.put_fixed(SSL_CHAIN_IDX, chain_end)?;
+        self.put_fixed(SSL_CHAIN_IDX, chain_end);
         self.ssl_rows += 1;
-        if self.version == VERSION && self.pending[SSL_TS].len() as u64 == self.segment_rows {
+        if self.pending[SSL_TS].len() as u64 == self.segment_rows {
             self.flush_ssl_band()?;
         }
         Ok(())
@@ -539,21 +510,21 @@ impl DatasetWriter {
         if rec.path_len.is_some() {
             flags |= FLAG_PATH_LEN;
         }
-        self.put_fixed(X509_TS, rec.ts.unix_secs())?;
-        self.put_fixed(X509_FP, u64::from(fp))?;
-        self.put_fixed(X509_VERSION, rec.cert_version)?;
-        self.put_fixed(X509_SERIAL, u64::from(serial))?;
-        self.put_fixed(X509_SUBJECT, u64::from(subject))?;
-        self.put_fixed(X509_ISSUER, u64::from(issuer))?;
-        self.put_fixed(X509_NOT_BEFORE, rec.not_before.unix_secs())?;
-        self.put_fixed(X509_NOT_AFTER, rec.not_after.unix_secs())?;
-        self.put_fixed(X509_FLAGS, u64::from(flags))?;
-        self.put_fixed(X509_PATH_LEN, rec.path_len.unwrap_or(0))?;
+        self.put_fixed(X509_TS, rec.ts.unix_secs());
+        self.put_fixed(X509_FP, u64::from(fp));
+        self.put_fixed(X509_VERSION, rec.cert_version);
+        self.put_fixed(X509_SERIAL, u64::from(serial));
+        self.put_fixed(X509_SUBJECT, u64::from(subject));
+        self.put_fixed(X509_ISSUER, u64::from(issuer));
+        self.put_fixed(X509_NOT_BEFORE, rec.not_before.unix_secs());
+        self.put_fixed(X509_NOT_AFTER, rec.not_after.unix_secs());
+        self.put_fixed(X509_FLAGS, u64::from(flags));
+        self.put_fixed(X509_PATH_LEN, rec.path_len.unwrap_or(0));
         self.cols[X509_SAN_DAT].put(&san)?;
         let san_end = self.cols[X509_SAN_DAT].bytes;
-        self.put_fixed(X509_SAN_IDX, san_end)?;
+        self.put_fixed(X509_SAN_IDX, san_end);
         self.x509_rows += 1;
-        if self.version == VERSION && self.pending[X509_TS].len() as u64 == self.segment_rows {
+        if self.pending[X509_TS].len() as u64 == self.segment_rows {
             self.flush_band(X509_FIXED)?;
         }
         Ok(())
@@ -566,13 +537,11 @@ impl DatasetWriter {
 
     /// Flush all columns, write the shared tables, then the manifest.
     pub fn finish(mut self) -> ColResult<Manifest> {
-        if self.version == VERSION {
-            if !self.pending[SSL_TS].is_empty() {
-                self.flush_ssl_band()?;
-            }
-            if !self.pending[X509_TS].is_empty() {
-                self.flush_band(X509_FIXED)?;
-            }
+        if !self.pending[SSL_TS].is_empty() {
+            self.flush_ssl_band()?;
+        }
+        if !self.pending[X509_TS].is_empty() {
+            self.flush_band(X509_FIXED)?;
         }
         let mut columns = std::collections::BTreeMap::new();
         for col in &mut self.cols {
@@ -634,32 +603,25 @@ impl DatasetWriter {
         }
         debug_assert_eq!(columns.len(), COLUMNS.len());
         let mut segments = std::collections::BTreeMap::new();
-        if self.version == VERSION {
-            for (i, name) in STREAMED.iter().enumerate() {
-                if self.widths[i].is_some() {
-                    segments.insert(name.to_string(), std::mem::take(&mut self.metas[i]));
-                }
+        for (i, name) in STREAMED.iter().enumerate() {
+            if self.widths[i].is_some() {
+                segments.insert(name.to_string(), std::mem::take(&mut self.metas[i]));
             }
         }
         // Digests ship only when coverage is complete AND something
         // asked for them (a provider, or digests carried from the store
         // being appended to). A digest-less store stays digest-less.
-        let category_digests = (self.version == VERSION
-            && self.digests_live
+        let category_digests = (self.digests_live
             && (self.category_provider.is_some() || self.carried_digests))
             .then(|| std::mem::take(&mut self.cat_digests));
         let manifest = Manifest {
-            version: self.version,
+            version: VERSION,
             ssl_rows: self.ssl_rows,
             x509_rows: self.x509_rows,
             dict_entries: self.dict.len(),
             fp_entries: self.fp_order.len() as u64,
             columns,
-            segment_rows: if self.version == VERSION {
-                self.segment_rows
-            } else {
-                0
-            },
+            segment_rows: self.segment_rows,
             segments,
             category_digests,
         };

@@ -1,5 +1,6 @@
 //! Per-segment zone maps: min/max bounds for every segmented column,
-//! plus a 256-bit dictionary-presence bitmap for the `ssl.sni` column.
+//! plus a 256-bit dictionary-presence bitmap for the `ssl.sni` column
+//! ([`ZoneMap::for_column`] is the one rule that picks between them).
 //!
 //! The fold consults these before decoding a segment. The skip rule is
 //! conservative in exactly one direction: a zone map may claim a value
@@ -54,6 +55,17 @@ impl ZoneMap {
         }
         zone.bitmap = Some(bits);
         zone
+    }
+
+    /// The zone map a segment of column `name` records: min/max, plus
+    /// the presence bitmap on `ssl.sni`. The writer and the reader's v1
+    /// banding both summarise segments through this one rule.
+    pub fn for_column(name: &str, values: &[u64]) -> ZoneMap {
+        if name == "ssl.sni" {
+            ZoneMap::with_presence(values)
+        } else {
+            ZoneMap::of(values)
+        }
     }
 
     /// Whether `v` falls inside the min/max bounds.

@@ -4,10 +4,12 @@
 //! column file, corrupted dictionary — must fail `open` with a structured
 //! error, never a panic and never silently wrong rows.
 
+mod common;
+
 use certchain_asn1::Asn1Time;
 use certchain_colstore::{
     ColError, DatasetReader, DatasetWriter, Manifest, MapMode, WriterOptions, MANIFEST_FILE,
-    VERSION_V1,
+    VERSION, VERSION_V1,
 };
 use certchain_netsim::{SslRecord, TlsVersion, X509Record};
 use certchain_x509::Fingerprint;
@@ -114,6 +116,16 @@ fn write_store_with(
     writer.finish().expect("finish store")
 }
 
+/// Write both record kinds as a v1 store: a default v2 store rewritten
+/// by the shared fixture helper.
+fn write_v1_store(dir: &Path, ssl: &[SslRecord], x509: &[X509Record]) -> Manifest {
+    let v2 = scratch("v2-src");
+    write_store(&v2, ssl, x509);
+    let manifest = common::write_v1(&v2, dir);
+    let _ = std::fs::remove_dir_all(&v2);
+    manifest
+}
+
 fn read_back(dir: &Path, mode: MapMode) -> (Vec<SslRecord>, Vec<X509Record>) {
     let reader = DatasetReader::open(dir, mode).expect("open store");
     let ssl = reader
@@ -139,14 +151,18 @@ proptest! {
     ) {
         // Default v2, v2 with row bands small enough to force multiple
         // ragged segments, and legacy v1 all round-trip identically.
-        for opts in [
-            WriterOptions::default(),
-            WriterOptions { segment_rows: 3, ..WriterOptions::default() },
-            WriterOptions { version: VERSION_V1, ..WriterOptions::default() },
+        for (version, opts) in [
+            (VERSION, WriterOptions::default()),
+            (VERSION, WriterOptions { segment_rows: 3 }),
+            (VERSION_V1, WriterOptions::default()),
         ] {
             let dir = scratch("rt");
-            let manifest = write_store_with(&dir, &ssl, &x509, opts);
-            prop_assert_eq!(manifest.version, opts.version);
+            let manifest = if version == VERSION_V1 {
+                write_v1_store(&dir, &ssl, &x509)
+            } else {
+                write_store_with(&dir, &ssl, &x509, opts)
+            };
+            prop_assert_eq!(manifest.version, version);
             prop_assert_eq!(manifest.ssl_rows, ssl.len() as u64);
             prop_assert_eq!(manifest.x509_rows, x509.len() as u64);
             for mode in [MapMode::Auto, MapMode::Read] {
@@ -234,11 +250,7 @@ fn truncated_fixed_width_column_reports_expected_and_found() {
     // below (rows x width) only holds there; v2 length mismatches are
     // caught by the same manifest length check under `Truncated` too,
     // which `any_truncated_column_fails_open` exercises.
-    let opts = WriterOptions {
-        version: VERSION_V1,
-        ..WriterOptions::default()
-    };
-    write_store_with(&dir, &ssl, &[], opts);
+    write_v1_store(&dir, &ssl, &[]);
     // 4 rows x 8 bytes; keep only 3 rows' worth.
     let ts = dir.join("ssl.ts");
     let f = std::fs::OpenOptions::new().write(true).open(&ts).unwrap();

@@ -6,12 +6,14 @@
 //! corruption, and unknown versions all fail `open` or decode with a
 //! structured error.
 
+mod common;
+
 use certchain_asn1::Asn1Time;
 use certchain_colstore::codec::{self, Encoding};
 use certchain_colstore::zonemap::ZoneMap;
 use certchain_colstore::{
-    Category, CategoryDigest, ColError, DatasetReader, DatasetWriter, MapMode, WriterOptions,
-    MANIFEST_FILE, NONE_IDX, VERSION_V1,
+    Category, CategoryDigest, ColError, DatasetReader, DatasetWriter, Manifest, MapMode,
+    WriterOptions, COLUMNS, DEFAULT_SEGMENT_ROWS, MANIFEST_FILE, NONE_IDX, VERSION_V1,
 };
 use certchain_netsim::{SslRecord, TlsVersion, X509Record};
 use certchain_x509::Fingerprint;
@@ -63,14 +65,8 @@ fn x509_row(i: u64) -> X509Record {
 }
 
 fn write_v2(dir: &Path, ssl_rows: u64, x509_rows: u64, segment_rows: u64) {
-    let mut writer = DatasetWriter::create_with(
-        dir,
-        WriterOptions {
-            segment_rows,
-            ..WriterOptions::default()
-        },
-    )
-    .expect("create v2 store");
+    let mut writer =
+        DatasetWriter::create_with(dir, WriterOptions { segment_rows }).expect("create v2 store");
     for i in 0..x509_rows {
         writer.append_x509(&x509_row(i)).expect("append x509");
     }
@@ -264,22 +260,91 @@ fn append_open_extends_a_store_in_place() {
 
 #[test]
 fn append_open_refuses_v1_stores() {
+    let src = scratch("append-v1-src");
     let dir = scratch("append-v1");
-    let mut writer = DatasetWriter::create_with(
-        &dir,
-        WriterOptions {
-            version: VERSION_V1,
-            ..WriterOptions::default()
-        },
-    )
-    .expect("create v1 store");
-    writer.append_ssl(&ssl_row(0)).expect("append");
-    writer.finish().expect("finish");
+    write_v2(&src, 1, 0, DEFAULT_SEGMENT_ROWS);
+    common::write_v1(&src, &dir);
+    let _ = std::fs::remove_dir_all(&src);
     let msg = match DatasetWriter::append_open(&dir) {
         Ok(_) => panic!("append_open must refuse a v1 store"),
         Err(e) => e.to_string(),
     };
     assert!(msg.contains("certchain compact"), "{msg}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn v1_stores_are_served_as_plain_bands() {
+    let src = scratch("v1-bands-src");
+    let dir = scratch("v1-bands");
+    write_v2(&src, 10_000, 10_000, DEFAULT_SEGMENT_ROWS);
+    common::write_v1(&src, &dir);
+    let _ = std::fs::remove_dir_all(&src);
+    let reader = DatasetReader::open(&dir, MapMode::Auto).expect("open v1 store");
+    assert_eq!(reader.format_version(), VERSION_V1);
+    // Every fixed column splits into 4096 + 4096 + 1808 rows of plain
+    // payload, zone-mapped exactly as the writer would over those rows.
+    for (name, width) in COLUMNS {
+        let Some(width) = width else { continue };
+        let width = *width as usize;
+        let metas = &reader.manifest().segments[*name];
+        let bands: Vec<u64> = metas.iter().map(|m| m.rows).collect();
+        assert_eq!(bands, [4096, 4096, 1808], "{name}");
+        let raw = std::fs::read(dir.join(name)).unwrap();
+        for (meta, band) in metas.iter().zip(raw.chunks(4096 * width)) {
+            assert_eq!(meta.encoding, Encoding::Plain, "{name}");
+            assert_eq!(meta.param as usize, width, "{name}");
+            assert_eq!(meta.bytes, band.len() as u64, "{name}");
+            let values: Vec<u64> = band
+                .chunks(width)
+                .map(|le| {
+                    let mut buf = [0u8; 8];
+                    buf[..width].copy_from_slice(le);
+                    u64::from_le_bytes(buf)
+                })
+                .collect();
+            let want = if *name == "ssl.sni" {
+                ZoneMap::with_presence(&values)
+            } else {
+                ZoneMap::of(&values)
+            };
+            assert_eq!(meta.zone, want, "{name}");
+        }
+    }
+    assert_eq!(reader.ssl_segments().unwrap().segment_count(), 3);
+    assert_eq!(reader.x509_segments().unwrap().segment_count(), 3);
+    let ssl: Vec<SslRecord> = reader
+        .ssl_iter()
+        .expect("iter")
+        .collect::<Result<_, _>>()
+        .expect("decode");
+    assert_eq!(ssl, (0..10_000).map(ssl_row).collect::<Vec<_>>());
+    let x509: Vec<X509Record> = reader
+        .x509_iter()
+        .expect("iter")
+        .collect::<Result<_, _>>()
+        .expect("decode");
+    assert_eq!(x509, (0..10_000).map(x509_row).collect::<Vec<_>>());
+    drop(reader);
+
+    // A fixed column one row short, with a manifest that agrees with the
+    // file: no longer rows x width, so `open` must refuse it before any
+    // band is decoded.
+    let victim = dir.join("ssl.resp_p");
+    let len = std::fs::metadata(&victim).unwrap().len();
+    let f = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&victim)
+        .unwrap();
+    f.set_len(len - 2).unwrap();
+    drop(f);
+    let mut manifest = Manifest::load(&dir).unwrap();
+    manifest.columns.insert("ssl.resp_p".into(), len - 2);
+    manifest.store(&dir).unwrap();
+    match DatasetReader::open(&dir, MapMode::Auto).unwrap_err() {
+        ColError::Corrupt(msg) => assert!(msg.contains("ssl.resp_p"), "{msg}"),
+        other => panic!("expected Corrupt, got {other}"),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -398,15 +463,9 @@ fn digest_rows(rows: impl Iterator<Item = u64>) -> CategoryDigest {
 fn append_open_redigests_tail_bands_and_preserves_existing_digests() {
     let dir = scratch("append-digest");
     // Digest-bearing base store: 10 ssl rows at band 8 → digests [0..8), [8..10).
-    let mut writer = DatasetWriter::create_with(
-        &dir,
-        WriterOptions {
-            segment_rows: 8,
-            ..WriterOptions::default()
-        },
-    )
-    .expect("create store")
-    .with_category_provider(cat_provider());
+    let mut writer = DatasetWriter::create_with(&dir, WriterOptions { segment_rows: 8 })
+        .expect("create store")
+        .with_category_provider(cat_provider());
     for i in 0..6 {
         writer.append_x509(&x509_row(i)).expect("append x509");
     }
@@ -450,15 +509,9 @@ fn append_open_redigests_tail_bands_and_preserves_existing_digests() {
 #[test]
 fn append_without_provider_drops_digest_coverage_atomically() {
     let dir = scratch("append-poison");
-    let mut writer = DatasetWriter::create_with(
-        &dir,
-        WriterOptions {
-            segment_rows: 8,
-            ..WriterOptions::default()
-        },
-    )
-    .expect("create store")
-    .with_category_provider(cat_provider());
+    let mut writer = DatasetWriter::create_with(&dir, WriterOptions { segment_rows: 8 })
+        .expect("create store")
+        .with_category_provider(cat_provider());
     for i in 0..10 {
         writer.append_ssl(&ssl_row(i)).expect("append ssl");
     }

@@ -1,9 +1,10 @@
 //! The end-to-end analysis pipeline (Figure 2's "certificate chain
 //! structure analyzer"), as four explicit stages:
 //!
-//! 1. [`ingest`] — fold the ssl.log record stream into per-chain
-//!    accumulators, chunk by chunk with a fixed chunk size, so peak memory
-//!    is O(distinct chains) rather than O(connections);
+//! 1. [`ingest`] — fold ssl.log rows into per-chain accumulators on
+//!    shard workers, a bounded batch at a time, so peak memory is
+//!    O(distinct chains) rather than O(connections); on the TSV path the
+//!    workers also parse the lines;
 //! 2. [`enrich`] — intern x509.log rows into shared [`CertRecord`]s, one
 //!    `Arc` per distinct fingerprint;
 //! 3. [`categorize`] — interception-entity discovery (pass 1) and
@@ -12,10 +13,11 @@
 //!    the byte-identical-across-thread-counts guarantee.
 //!
 //! Batch callers use [`Pipeline::analyze`] over in-memory slices; the
-//! bounded-memory path is [`Pipeline::analyze_stream`], which consumes
-//! `Result`-yielding record iterators (e.g. the streaming Zeek readers in
-//! `certchain_netsim::zeek::stream`) and never materializes the connection
-//! stream.
+//! bounded-memory paths never materialize the connection stream:
+//! [`Pipeline::analyze_stream`] consumes `Result`-yielding record
+//! iterators, and [`Pipeline::fold_ssl_log`] takes an ssl.log stream
+//! (`certchain_netsim::zeek::stream`) and parses its lines on the shard
+//! workers — the TSV path of `certchain analyze` and `serve`.
 
 pub mod categorize;
 pub mod columnar;

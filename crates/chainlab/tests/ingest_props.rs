@@ -8,18 +8,29 @@
 //! distinct connection metadata, non-trivial weights — through the
 //! pipeline at thread counts 2..=8 and requires the full `Analysis` to
 //! be identical (f64 fields bit-for-bit) to the sequential fold. A
-//! fixed deterministic case larger than one ingest chunk (8192 records)
-//! exercises the multi-chunk dispatch path.
+//! fixed deterministic case many ingest batches long exercises the
+//! multi-batch dispatch path.
 //!
 //! Every run also attaches a fresh metrics registry and requires the
 //! snapshot's *deterministic* section (counters, gauges, histograms —
 //! not timing) to be byte-identical across thread counts: observability
 //! must never observe the scheduler.
+//!
+//! The TSV path (`Pipeline::fold_ssl_log`, whose shard workers parse
+//! ssl.log lines themselves) is held to the record-iterator path
+//! (`fold_ssl_stream` over the same permissive stream) on rough logs:
+//! escaped uids and SNIs, uppercase and `\x`-escaped fingerprint hex,
+//! CRLF lines, a second `#fields` header with permuted columns, and
+//! corrupted bytes. Analysis, deterministic metrics and the stream's
+//! tallies must match at threads 1/2/8, and in strict mode the workers
+//! must return the stream's first error.
 
 use certchain_asn1::Asn1Time;
 use certchain_chainlab::{Analysis, CrossSignRegistry, Pipeline, PipelineOptions};
+use certchain_chainlab::{PipelineState, RowFilter};
 use certchain_ctlog::DomainIndex;
-use certchain_netsim::{SslRecord, TlsVersion, X509Record};
+use certchain_netsim::zeek::tsv::{write_ssl_log, SSL_FIELDS};
+use certchain_netsim::{SslLogStream, SslRecord, TlsVersion, X509Record};
 use certchain_trust::TrustDb;
 use certchain_x509::Fingerprint;
 use proptest::prelude::*;
@@ -234,9 +245,10 @@ proptest! {
     }
 }
 
-/// The dispatch path splits work in `CHUNK = 8192`-record slices; a batch
-/// spanning several chunks must still fold every chain in global record
-/// order. 20k records cover three chunks with a partial tail.
+/// The dispatch path hands workers batches of `CHUNK = 1024` rows; a
+/// stream spanning many batches must still fold every chain in global
+/// record order. 20k records make many batches per shard, with partial
+/// tails.
 #[test]
 fn multi_chunk_batches_stay_invariant() {
     let x509 = cert_pool();
@@ -369,4 +381,270 @@ proptest! {
             );
         }
     }
+}
+
+/// SplitMix64: the per-row choices of [`rough_log`], from one seed.
+fn mix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Write `records` as an ssl.log, then roughen it as real logs are:
+/// fingerprint hex in upper case or partly `\x`-escaped, CRLF line ends,
+/// and a second `#fields` header with permuted columns before a random
+/// data row. Then overwrite one ASCII byte per corruption with its
+/// character (`'\0'` stands for a raw 0xff byte: invalid UTF-8).
+fn rough_log(
+    records: &[SslRecord],
+    seed: u64,
+    corrupt: &[(proptest::sample::Index, char)],
+) -> Vec<u8> {
+    let mut buf = Vec::new();
+    write_ssl_log(&mut buf, records, Asn1Time::from_unix(0)).unwrap();
+    let text = String::from_utf8(buf).unwrap();
+    let mut rng = seed;
+    let n = SSL_FIELDS.len();
+    // i -> 3i + r (mod 10) is a permutation: gcd(3, 10) = 1.
+    let shift = mix(&mut rng) as usize % n;
+    let perm: Vec<usize> = (0..n).map(|i| (3 * i + shift) % n).collect();
+    let second_header = mix(&mut rng) as usize % (records.len() + 1);
+    let mut out = String::new();
+    let mut row = 0;
+    for line in text.lines() {
+        let eol = if mix(&mut rng) % 4 == 0 { "\r\n" } else { "\n" };
+        if line.starts_with('#') {
+            out.push_str(line);
+            out.push_str(eol);
+            continue;
+        }
+        if row == second_header {
+            let names: Vec<&str> = perm.iter().map(|&i| SSL_FIELDS[i]).collect();
+            out.push_str(&format!("#fields\t{}\n", names.join("\t")));
+        }
+        let mut cols: Vec<String> = line.split('\t').map(str::to_string).collect();
+        if cols[9] != "(empty)" {
+            let entries: Vec<String> = cols[9]
+                .split(',')
+                .map(|hex| match mix(&mut rng) % 3 {
+                    0 => hex.to_string(),
+                    1 => hex.to_uppercase(),
+                    _ => {
+                        let k = 1 + mix(&mut rng) as usize % 4;
+                        let escaped: String =
+                            hex[..k].bytes().map(|b| format!("\\x{b:02X}")).collect();
+                        escaped + &hex[k..]
+                    }
+                })
+                .collect();
+            cols[9] = entries.join(",");
+        }
+        if row >= second_header {
+            cols = perm.iter().map(|&i| cols[i].clone()).collect();
+        }
+        out.push_str(&cols.join("\t"));
+        out.push_str(eol);
+        row += 1;
+    }
+    let mut bytes = out.into_bytes();
+    for (at, c) in corrupt {
+        let i = at.index(bytes.len());
+        if !bytes[i].is_ascii() {
+            continue;
+        }
+        if *c == '\0' {
+            bytes[i] = 0xff;
+        } else {
+            let mut utf8 = [0u8; 4];
+            bytes.splice(i..=i, c.encode_utf8(&mut utf8).bytes());
+        }
+    }
+    bytes
+}
+
+/// Fold `log` in permissive mode — on the shard workers or through the
+/// record iterator — and render the analysis, the deterministic metrics
+/// and the stream's tallies (or the error).
+fn tsv_outcome(log: &[u8], threads: usize, filter: &RowFilter, workers: bool) -> String {
+    let trust = TrustDb::new();
+    let ct = DomainIndex::new();
+    let registry = std::sync::Arc::new(certchain_obs::Registry::new());
+    let options = PipelineOptions {
+        threads,
+        filter: filter.clone(),
+        ..PipelineOptions::default()
+    };
+    let pipeline = Pipeline::with_options(&trust, &ct, CrossSignRegistry::new(), options)
+        .with_metrics(std::sync::Arc::clone(&registry));
+    let mut state = PipelineState::new();
+    pipeline
+        .fold_x509_stream(&mut state, cert_pool().into_iter().map(Ok::<_, ()>))
+        .unwrap();
+    let stream = SslLogStream::permissive(log);
+    let stats = stream.stats();
+    let folded = if workers {
+        pipeline.fold_ssl_log(&mut state, stream)
+    } else {
+        pipeline.fold_ssl_stream(&mut state, stream)
+    };
+    let outcome = match folded {
+        Ok(()) => {
+            let analysis = pipeline.finalize_state(&state);
+            canon(&analysis) + &registry.snapshot().deterministic_fingerprint()
+        }
+        Err(e) => format!("error: {e}"),
+    };
+    format!(
+        "{outcome}\nlines={} records={} malformed={} by_reason={:?}",
+        stats.lines(),
+        stats.records(),
+        stats.malformed(),
+        stats.malformed_by_reason()
+    )
+}
+
+/// The strict-mode error of the shard workers folding `log`.
+fn strict_worker_error(log: &[u8], threads: usize) -> Option<String> {
+    let trust = TrustDb::new();
+    let ct = DomainIndex::new();
+    let options = PipelineOptions {
+        threads,
+        ..PipelineOptions::default()
+    };
+    let pipeline = Pipeline::with_options(&trust, &ct, CrossSignRegistry::new(), options);
+    pipeline
+        .fold_ssl_log(&mut PipelineState::new(), SslLogStream::new(log))
+        .err()
+        .map(|e| e.to_string())
+}
+
+/// The TSV-path contract on one log: see the module docs.
+fn check_tsv_paths(log: &[u8], filter: &RowFilter) {
+    let want = tsv_outcome(log, 1, filter, false);
+    let want_strict = SslLogStream::new(log)
+        .find_map(Result::err)
+        .map(|e| e.to_string());
+    for threads in [1, 2, 8] {
+        assert_eq!(
+            tsv_outcome(log, threads, filter, true),
+            want,
+            "shard workers diverged at threads = {threads}"
+        );
+        assert_eq!(
+            strict_worker_error(log, threads),
+            want_strict,
+            "strict error diverged at threads = {threads}"
+        );
+    }
+}
+
+/// Connections with escape-worthy uids and SNIs.
+fn arb_rough_conn() -> impl Strategy<Value = SslRecord> {
+    (
+        arb_conn(),
+        0usize..4,
+        prop_oneof![
+            Just(None),
+            Just(Some("svc0.example.org".to_string())),
+            Just(Some("tab\tsni.example".to_string())),
+            Just(Some("-".to_string())),
+            Just(Some("back\\slash,comma.example".to_string())),
+        ],
+    )
+        .prop_map(|(mut rec, uid, sni)| {
+            rec.uid = ["Cplain", "C\ttab", "-", "C\\x41"][uid].to_string();
+            rec.server_name = sni;
+            rec
+        })
+}
+
+/// Row filters the TSV property runs under, escaped SNIs included.
+fn filter_of(pick: usize) -> RowFilter {
+    match pick {
+        0 => RowFilter::default(),
+        1 => RowFilter {
+            port: Some(443),
+            ..RowFilter::default()
+        },
+        2 => RowFilter {
+            sni: Some("tab\tsni.example".to_string()),
+            ..RowFilter::default()
+        },
+        _ => RowFilter {
+            sni: Some("-".to_string()),
+            ..RowFilter::default()
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn tsv_workers_match_the_record_stream(
+        records in proptest::collection::vec(arb_rough_conn(), 0..80),
+        seed in any::<u64>(),
+        corrupt in proptest::collection::vec(
+            (
+                any::<proptest::sample::Index>(),
+                prop_oneof![
+                    Just('\t'),
+                    Just('x'),
+                    Just('#'),
+                    Just('7'),
+                    Just(','),
+                    Just('\\'),
+                    Just('\u{e9}'),
+                    Just('\u{4e2d}'),
+                    Just('\0'),
+                ],
+            ),
+            0..4,
+        ),
+        filter in 0usize..4,
+    ) {
+        let log = rough_log(&records, seed, &corrupt);
+        check_tsv_paths(&log, &filter_of(filter));
+    }
+}
+
+/// A rough log several worker batches long: every shard sees many
+/// batches, and the second header lands mid-stream.
+#[test]
+fn long_rough_log_matches_the_record_stream() {
+    let pool_chains: [&[u8]; 6] = [&[3, 2, 1], &[4, 2], &[5, 2, 1], &[6], &[9, 2], &[]];
+    let records: Vec<SslRecord> = (0..12_000u32)
+        .map(|i| {
+            let chain = pool_chains[i as usize % pool_chains.len()];
+            SslRecord {
+                ts: Asn1Time::from_unix(1_600_000_000 + u64::from(i)),
+                uid: format!("C{i:06}\t{}", i % 3),
+                orig_h: Ipv4Addr::new(10, 0, (i / 256) as u8, (i % 256) as u8),
+                orig_p: 40_000 + (i % 20_000) as u16,
+                resp_h: Ipv4Addr::new(192, 168, 1, (i % 7) as u8),
+                resp_p: if i % 3 == 0 { 443 } else { 8443 },
+                version: if chain.is_empty() {
+                    TlsVersion::Tls13
+                } else {
+                    TlsVersion::Tls12
+                },
+                server_name: (i % 5 != 0).then(|| format!("svc{}\t.example.org", i % 3)),
+                established: i % 11 != 0,
+                cert_chain_fps: chain.iter().copied().map(fp_of).collect(),
+            }
+        })
+        .collect();
+    let mut rng = TestRng::new(7);
+    let corrupt: Vec<(proptest::sample::Index, char)> = (0..40)
+        .map(|i| {
+            (
+                any::<proptest::sample::Index>().generate(&mut rng),
+                ['x', '\t', '7', '\u{e9}'][i % 4],
+            )
+        })
+        .collect();
+    let log = rough_log(&records, 11, &corrupt);
+    check_tsv_paths(&log, &RowFilter::default());
 }

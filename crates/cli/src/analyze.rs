@@ -5,7 +5,7 @@ use crate::dataset::DatasetFormat;
 use crate::dataset::{colstore_dir, detect_format, load_crosssign, load_ct_index, load_trust};
 use crate::{io_ctx, CliError, CliResult};
 use certchain_chainlab::{Analysis, ChainCategoryLabel, CrossSignRegistry, Pipeline};
-use certchain_chainlab::{PipelineOptions, RowFilter};
+use certchain_chainlab::{PipelineOptions, PipelineState, RowFilter};
 use certchain_colstore::{DatasetReader, MapMode};
 use certchain_netsim::{SslLogStream, StreamStats, X509LogStream};
 use certchain_obs::{Progress, Registry};
@@ -162,11 +162,13 @@ pub fn run_pipeline(dir: &Path) -> CliResult<(Analysis, certchain_trust::TrustDb
 }
 
 /// [`run_pipeline`] with an explicit worker-thread count, applied to both
-/// the log parse and the analysis stages.
+/// the ssl.log parse and the analysis stages.
 ///
 /// The logs are *streamed* off disk into the pipeline — neither file is
 /// ever loaded into a single `String`, so peak memory is bounded by the
 /// number of distinct chains and certificates, not by connection volume.
+/// Strict: the first malformed row (the lowest-numbered one) fails the
+/// run.
 pub fn run_pipeline_with(
     dir: &Path,
     threads: usize,
@@ -183,12 +185,36 @@ pub fn run_pipeline_with(
         ..PipelineOptions::default()
     };
     let pipeline = Pipeline::with_options(&trust, &ct, crosssign, options);
-    let ssl = SslLogStream::new(std::io::BufReader::new(ssl_file))
-        .map(|r| r.map_err(|e| CliError::Invalid(format!("ssl.log: {e}"))));
-    let x509 = X509LogStream::new(std::io::BufReader::new(x509_file))
-        .map(|r| r.map_err(|e| CliError::Invalid(format!("x509.log: {e}"))));
-    let analysis = pipeline.analyze_stream(ssl, x509)?;
+    let analysis = analyze_logs(
+        &pipeline,
+        SslLogStream::new(log_reader(ssl_file)),
+        X509LogStream::new(log_reader(x509_file)),
+    )?;
     Ok((analysis, trust))
+}
+
+/// Buffered reading of one log file, 64 KiB per read: the thread that
+/// frames ssl.log lines is the serial part of the TSV path.
+fn log_reader(file: std::fs::File) -> std::io::BufReader<std::fs::File> {
+    std::io::BufReader::with_capacity(1 << 16, file)
+}
+
+/// Fold x509.log sequentially, then ssl.log on the shard workers, and
+/// finalize: the TSV path.
+fn analyze_logs<R: std::io::BufRead>(
+    pipeline: &Pipeline<'_>,
+    ssl: SslLogStream<R>,
+    x509: X509LogStream<R>,
+) -> CliResult<Analysis> {
+    let mut state = PipelineState::new();
+    pipeline.fold_x509_stream(
+        &mut state,
+        x509.map(|r| r.map_err(|e| CliError::Invalid(format!("x509.log: {e}")))),
+    )?;
+    pipeline
+        .fold_ssl_log(&mut state, ssl)
+        .map_err(|e| CliError::Invalid(format!("ssl.log: {e}")))?;
+    Ok(pipeline.finalize_state(&state))
 }
 
 /// The observed pipeline run behind [`analyze_opts`]: permissive streams
@@ -216,13 +242,11 @@ fn run_observed(
     if opts.progress {
         pipeline = pipeline.with_progress(Arc::new(Progress::stderr("analyze")));
     }
-    let ssl_stream = SslLogStream::permissive(std::io::BufReader::new(ssl_file));
-    let ssl_stats = ssl_stream.stats();
-    let x509_stream = X509LogStream::permissive(std::io::BufReader::new(x509_file));
-    let x509_stats = x509_stream.stats();
-    let ssl = ssl_stream.map(|r| r.map_err(|e| CliError::Invalid(format!("ssl.log: {e}"))));
-    let x509 = x509_stream.map(|r| r.map_err(|e| CliError::Invalid(format!("x509.log: {e}"))));
-    let analysis = pipeline.analyze_stream(ssl, x509)?;
+    let ssl = SslLogStream::permissive(log_reader(ssl_file));
+    let ssl_stats = ssl.stats();
+    let x509 = X509LogStream::permissive(log_reader(x509_file));
+    let x509_stats = x509.stats();
+    let analysis = analyze_logs(&pipeline, ssl, x509)?;
     Ok((
         analysis,
         LossStats::Tsv {

@@ -411,9 +411,10 @@ fn run_cycle(
     Ok(folded)
 }
 
-/// Fold one rotated log file into the state via the permissive streams
-/// (malformed rows are skipped and tallied into the state's persistent
-/// loss map alongside the data they were lost from).
+/// Fold one rotated log file into the state through a permissive stream:
+/// x509 rows sequentially, ssl rows parsed on the shard workers.
+/// Malformed rows are skipped and tallied into the state's persistent
+/// loss map alongside the data they were lost from.
 fn fold_file(
     pipeline: &Pipeline<'_>,
     state: &mut PipelineState,
@@ -427,8 +428,9 @@ fn fold_file(
         LogKind::Ssl => {
             let stream = SslLogStream::permissive(reader);
             let stats = stream.stats();
-            let mapped = stream.map(|r| r.map_err(|e| CliError::Invalid(format!("{name}: {e}"))));
-            pipeline.fold_ssl_stream(state, mapped)?;
+            pipeline
+                .fold_ssl_log(state, stream)
+                .map_err(|e| CliError::Invalid(format!("{name}: {e}")))?;
             stats
         }
         LogKind::X509 => {

@@ -136,3 +136,58 @@ fn malformed_rows_are_tallied_not_fatal() {
     // The strict library path still refuses the corrupted log.
     assert!(analyze::run_pipeline(&dir).is_err());
 }
+
+/// A 64-byte `cert_chain_fps` value that is not ASCII (`a`, 31 × `é`,
+/// `b`) is one malformed row, not a crash: `certchain analyze` tallies it
+/// as `bad fingerprint` and exits 0 at every thread count.
+#[test]
+fn non_ascii_fingerprint_is_a_bad_fingerprint_row() {
+    let dir = fresh_dataset("non-ascii-fp");
+    let ssl_path = dir.join("ssl.log");
+    let log = std::fs::read_to_string(&ssl_path).unwrap();
+    let bad = format!("a{}b", "\u{e9}".repeat(31));
+    assert_eq!(bad.len(), 64);
+    let mut patched = false;
+    let lines: Vec<String> = log
+        .lines()
+        .map(|l| {
+            if patched || l.starts_with('#') || l.ends_with("(empty)") {
+                return l.to_string();
+            }
+            patched = true;
+            let (row, _chain) = l.rsplit_once('\t').expect("tab-separated row");
+            format!("{row}\t{bad}")
+        })
+        .collect();
+    assert!(patched, "found a data row with a chain");
+    std::fs::write(&ssl_path, lines.join("\n") + "\n").unwrap();
+
+    for threads in ["1", "2", "8"] {
+        let metrics_path = dir.join(format!("metrics-{threads}.json"));
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_certchain"))
+            .args(["analyze", "--dir"])
+            .arg(&dir)
+            .args(["--format", "tsv", "--threads", threads, "--metrics-json"])
+            .arg(&metrics_path)
+            .output()
+            .expect("certchain runs");
+        assert!(
+            out.status.success(),
+            "threads {threads}: {:?}\n{}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let report = String::from_utf8(out.stdout).unwrap();
+        assert!(report.contains("(1 malformed)"), "{report}");
+        let snap =
+            certchain_obs::json::parse(&std::fs::read_to_string(&metrics_path).unwrap()).unwrap();
+        let counter = |name: &str| {
+            snap.get("deterministic")
+                .and_then(|d| d.get("counters"))
+                .and_then(|c| c.get(name))
+                .and_then(JsonValue::as_u64)
+        };
+        assert_eq!(counter("zeek.ssl.malformed.bad fingerprint"), Some(1));
+        assert_eq!(counter("records_dropped"), Some(1));
+    }
+}

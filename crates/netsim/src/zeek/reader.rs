@@ -1,138 +1,23 @@
-//! Whole-log Zeek TSV reading — collect-adapters over the streaming
-//! readers in [`crate::zeek::stream`], plus a chunked parallel parse for
-//! callers that already hold the full log text in memory.
+//! Whole-log Zeek TSV reading: thin collect-adapters over the streaming
+//! readers in [`crate::zeek::stream`].
 //!
 //! New code should prefer the streams (bounded memory); these entry points
 //! exist so batch callers migrate incrementally and keep working.
 
 use crate::zeek::record::{SslRecord, X509Record};
-use crate::zeek::stream::{parse_ssl_row, parse_x509_row, FieldMap, SslLogStream, X509LogStream};
+use crate::zeek::stream::{SslLogStream, X509LogStream};
 
 pub use crate::zeek::stream::ReadError;
-
-use crate::zeek::stream::err;
-
-/// Data rows of a Zeek log: (1-based line number, tab-split fields).
-type DataRows<'a> = Vec<(usize, Vec<&'a str>)>;
-
-/// Split a Zeek log into its field-index map and data rows. A data row
-/// before the `#fields` header fails exactly like the streaming readers
-/// (which cannot parse a row whose columns are still unknown), so batch
-/// and stream reads of the same malformed log report the same error.
-fn rows(text: &str) -> Result<(FieldMap, DataRows<'_>), ReadError> {
-    let mut fields: Option<FieldMap> = None;
-    let mut data = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let lineno = i + 1;
-        if let Some(rest) = line.strip_prefix("#fields\t") {
-            fields = Some(
-                rest.split('\t')
-                    .enumerate()
-                    .map(|(idx, name)| (name.to_string(), idx))
-                    .collect(),
-            );
-        } else if line.starts_with('#') || line.is_empty() {
-            continue;
-        } else {
-            if fields.is_none() {
-                return Err(err(0, "missing #fields header"));
-            }
-            data.push((lineno, line.split('\t').collect()));
-        }
-    }
-    let fields = fields.ok_or_else(|| err(0, "missing #fields header"))?;
-    Ok((fields, data))
-}
-
-/// Parse every data row, chunked across `threads` worker threads.
-///
-/// Rows are split into contiguous chunks and results concatenated in chunk
-/// order, so the output order matches the sequential parse. On failure the
-/// error with the smallest line number is reported — each chunk stops at
-/// its first bad row and chunks are contiguous, so that minimum is exactly
-/// the error the sequential parse would have hit first.
-fn parse_rows<T, F>(text: &str, threads: usize, parse_row: F) -> Result<Vec<T>, ReadError>
-where
-    T: Send,
-    F: Fn(usize, &[&str], &FieldMap) -> Result<T, ReadError> + Sync,
-{
-    let (fields, data) = rows(text)?;
-    let threads = if threads == 0 {
-        // srclint: allow(det-thread-sensitivity) -- knob resolution only; rows are reassembled in input order regardless of count
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
-    if threads <= 1 || data.len() < 2 {
-        return data
-            .iter()
-            .map(|(line, row)| parse_row(*line, row, &fields))
-            .collect();
-    }
-    let chunk = data.len().div_ceil(threads);
-    let results: Vec<Result<Vec<T>, ReadError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = data
-            .chunks(chunk)
-            .map(|part| {
-                let (fields, parse_row) = (&fields, &parse_row);
-                scope.spawn(move || {
-                    part.iter()
-                        .map(|(line, row)| parse_row(*line, row, fields))
-                        .collect()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("log parser thread panicked"))
-            .collect()
-    });
-    let mut out = Vec::with_capacity(data.len());
-    let mut first_err: Option<ReadError> = None;
-    for res in results {
-        match res {
-            Ok(mut part) => out.append(&mut part),
-            Err(e) if first_err.as_ref().map_or(true, |f| e.line < f.line) => first_err = Some(e),
-            Err(_) => {}
-        }
-    }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(out),
-    }
-}
 
 /// Parse a complete ssl.log: a thin collect-adapter over [`SslLogStream`].
 pub fn read_ssl_log(text: &str) -> Result<Vec<SslRecord>, ReadError> {
     SslLogStream::new(text.as_bytes()).collect()
 }
 
-/// Parse a complete ssl.log on `threads` worker threads (`0` = available
-/// parallelism, `1` = the streaming collect). Output — including any
-/// reported error — is identical for every thread count.
-pub fn read_ssl_log_with(text: &str, threads: usize) -> Result<Vec<SslRecord>, ReadError> {
-    if threads == 1 {
-        return read_ssl_log(text);
-    }
-    parse_rows(text, threads, parse_ssl_row)
-}
-
 /// Parse a complete x509.log: a thin collect-adapter over
 /// [`X509LogStream`].
 pub fn read_x509_log(text: &str) -> Result<Vec<X509Record>, ReadError> {
     X509LogStream::new(text.as_bytes()).collect()
-}
-
-/// Parse a complete x509.log on `threads` worker threads (`0` = available
-/// parallelism, `1` = the streaming collect). Output — including any
-/// reported error — is identical for every thread count.
-pub fn read_x509_log_with(text: &str, threads: usize) -> Result<Vec<X509Record>, ReadError> {
-    if threads == 1 {
-        return read_x509_log(text);
-    }
-    parse_rows(text, threads, parse_x509_row)
 }
 
 #[cfg(test)]
@@ -227,46 +112,6 @@ mod tests {
             "line numbers should skip headers, got {}",
             e.line
         );
-    }
-
-    #[test]
-    fn parallel_parse_matches_sequential() {
-        // Enough rows that an 8-way chunking actually splits the data.
-        let records: Vec<SslRecord> = (0..64)
-            .map(|i| {
-                let mut r = ssl_samples()[0].clone();
-                r.uid = format!("C{i:04}");
-                r.orig_p = 40_000 + i as u16;
-                r
-            })
-            .collect();
-        let mut buf = Vec::new();
-        write_ssl_log(&mut buf, &records, t()).unwrap();
-        let text = std::str::from_utf8(&buf).unwrap();
-        let seq = read_ssl_log_with(text, 1).unwrap();
-        for threads in [2, 3, 8] {
-            assert_eq!(read_ssl_log_with(text, threads).unwrap(), seq);
-        }
-    }
-
-    #[test]
-    fn parallel_parse_reports_the_earliest_error() {
-        let records: Vec<SslRecord> = (0..32)
-            .map(|i| {
-                let mut r = ssl_samples()[0].clone();
-                r.uid = format!("C{i:04}");
-                r
-            })
-            .collect();
-        let mut buf = Vec::new();
-        write_ssl_log(&mut buf, &records, t()).unwrap();
-        // Corrupt every data row's established column: every chunk fails,
-        // and the reported line must still be the first bad one.
-        let text = String::from_utf8(buf).unwrap().replace("\tT\t", "\tQ\t");
-        let seq = read_ssl_log_with(&text, 1).unwrap_err();
-        for threads in [2, 5, 8] {
-            assert_eq!(read_ssl_log_with(&text, threads).unwrap_err(), seq);
-        }
     }
 
     #[test]

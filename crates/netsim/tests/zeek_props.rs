@@ -90,19 +90,28 @@ proptest! {
         prop_assert_eq!(parsed, records);
     }
 
-    /// Mutating one byte of a valid log never panics the reader: it either
-    /// still parses (the mutation hit a value that stays valid) or returns
-    /// a structured error with a line number.
+    /// Overwriting bytes of a valid log with one character never panics
+    /// the reader: it either still parses (the mutation hit a value that
+    /// stays valid) or returns a structured error with a line number. A
+    /// multi-byte character overwrites as many bytes as it encodes to, so
+    /// a 64-byte fingerprint stays 64 bytes but stops being ASCII.
     #[test]
     fn corrupted_ssl_log_never_panics(
         records in proptest::collection::vec(arb_ssl_record(), 1..8),
         at in any::<proptest::sample::Index>(),
-        new_byte in 0x20u8..0x7f,
+        new_char in prop_oneof![
+            (0x20u8..0x7f).prop_map(char::from),
+            Just('\u{e9}'),
+            Just('\u{4e2d}'),
+            Just('\u{1f512}'),
+        ],
     ) {
         let mut buf = Vec::new();
         write_ssl_log(&mut buf, &records, Asn1Time::from_unix(0)).unwrap();
-        let idx = at.index(buf.len());
-        buf[idx] = new_byte;
+        let mut utf8 = [0u8; 4];
+        let encoded = new_char.encode_utf8(&mut utf8).as_bytes();
+        let idx = at.index(buf.len() - encoded.len() + 1);
+        buf[idx..idx + encoded.len()].copy_from_slice(encoded);
         if let Ok(text) = std::str::from_utf8(&buf) {
             match read_ssl_log(text) {
                 Ok(_) => {}

@@ -1,14 +1,17 @@
-//! Malformed-input parity between the streaming and batch Zeek readers:
-//! for every corruption, both paths must report the *same* error (line
-//! number and message), so callers can switch to bounded-memory streaming
-//! without changing their error handling.
+//! Malformed-input parity between the Zeek readers: the stream, the batch
+//! collect, and the chain analyzer's shard workers (which parse ssl.log
+//! lines framed by the stream) must report the *same* error — line
+//! number and message — for every corruption, at every thread count.
 
 use certchain_asn1::Asn1Time;
+use certchain_chainlab::{CrossSignRegistry, Pipeline, PipelineOptions, PipelineState};
+use certchain_ctlog::DomainIndex;
 use certchain_netsim::handshake::TlsVersion;
-use certchain_netsim::zeek::reader::{read_ssl_log, read_ssl_log_with, read_x509_log};
+use certchain_netsim::zeek::reader::{read_ssl_log, read_x509_log};
 use certchain_netsim::zeek::stream::ReadError;
 use certchain_netsim::zeek::tsv::write_ssl_log;
 use certchain_netsim::{SslLogStream, SslRecord, X509LogStream};
+use certchain_trust::TrustDb;
 use certchain_x509::Fingerprint;
 use std::net::Ipv4Addr;
 
@@ -42,19 +45,36 @@ fn stream_ssl(text: &str) -> Result<Vec<SslRecord>, ReadError> {
     SslLogStream::new(text.as_bytes()).collect()
 }
 
-/// Assert stream, sequential batch, and parallel batch agree exactly.
+/// The error the shard workers return folding `text` in strict mode.
+fn worker_error(text: &str, threads: usize) -> ReadError {
+    let (trust, ct) = (TrustDb::new(), DomainIndex::new());
+    let options = PipelineOptions {
+        threads,
+        ..PipelineOptions::default()
+    };
+    let pipeline = Pipeline::with_options(&trust, &ct, CrossSignRegistry::new(), options);
+    pipeline
+        .fold_ssl_log(
+            &mut PipelineState::new(),
+            SslLogStream::new(text.as_bytes()),
+        )
+        .expect_err("caller passes malformed input")
+}
+
+/// Assert stream, batch, and the shard workers agree exactly.
 fn assert_parity(text: &str) -> ReadError {
     let stream = stream_ssl(text);
     let batch = read_ssl_log(text);
     assert_eq!(stream, batch, "stream vs batch disagree on:\n{text}");
+    let err = batch.expect_err("caller passes malformed input");
     for threads in [2, 8] {
         assert_eq!(
-            read_ssl_log_with(text, threads),
-            batch,
-            "parallel batch ({threads} threads) disagrees on:\n{text}"
+            worker_error(text, threads),
+            err,
+            "shard workers ({threads} threads) disagree on:\n{text}"
         );
     }
-    batch.expect_err("caller passes malformed input")
+    err
 }
 
 #[test]

@@ -69,18 +69,45 @@ impl Fingerprint {
         sha256::hex(&self.0)
     }
 
-    /// Parse lowercase/uppercase hex.
+    /// Parse 64 lowercase/uppercase ASCII hex digits.
     pub fn from_hex(s: &str) -> Option<Fingerprint> {
-        if s.len() != 64 {
+        Fingerprint::from_hex_bytes(s.as_bytes())
+    }
+
+    /// [`Fingerprint::from_hex`] over raw bytes: exactly 64 ASCII hex
+    /// digits, nothing else (no sign, no non-ASCII byte).
+    pub fn from_hex_bytes(hex: &[u8]) -> Option<Fingerprint> {
+        if hex.len() != 64 {
             return None;
         }
         let mut bytes = [0u8; 32];
-        for i in 0..32 {
-            bytes[i] = u8::from_str_radix(&s[i * 2..i * 2 + 2], 16).ok()?;
+        // Branch-free: any non-digit sets a high nibble bit in `bad`.
+        let mut bad = 0u8;
+        for (out, pair) in bytes.iter_mut().zip(hex.chunks_exact(2)) {
+            let (hi, lo) = (
+                HEX_VALUE[usize::from(pair[0])],
+                HEX_VALUE[usize::from(pair[1])],
+            );
+            bad |= hi | lo;
+            *out = (hi << 4) | lo;
         }
-        Some(Fingerprint(bytes))
+        (bad & 0xf0 == 0).then_some(Fingerprint(bytes))
     }
 }
+
+/// The value of each ASCII hex digit, upper- or lowercase; `0xff` for
+/// every other byte.
+const HEX_VALUE: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut d = 0;
+    while d < 16 {
+        let digit = b"0123456789abcdef"[d];
+        table[digit as usize] = d as u8;
+        table[digit.to_ascii_uppercase() as usize] = d as u8;
+        d += 1;
+    }
+    table
+};
 
 impl fmt::Display for Fingerprint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -381,6 +408,28 @@ mod tests {
         assert_eq!(Fingerprint::from_hex(&hex), Some(cert.fingerprint()));
         assert_eq!(Fingerprint::from_hex("zz"), None);
         assert_eq!(Fingerprint::from_hex(&hex[..62]), None);
+    }
+
+    #[test]
+    fn fingerprint_hex_accepts_uppercase() {
+        let fp = sample().fingerprint();
+        assert_eq!(Fingerprint::from_hex(&fp.to_hex().to_uppercase()), Some(fp));
+    }
+
+    #[test]
+    fn fingerprint_hex_rejects_non_ascii_without_panicking() {
+        // 64 bytes, but `é` is two bytes: slicing pairs of bytes as
+        // `str` would split a character.
+        let s = format!("a{}b", "\u{e9}".repeat(31));
+        assert_eq!(s.len(), 64);
+        assert_eq!(Fingerprint::from_hex(&s), None);
+    }
+
+    #[test]
+    fn fingerprint_hex_rejects_signs() {
+        // `u8::from_str_radix` takes `+0` as 0; a fingerprint never has a sign.
+        assert_eq!(Fingerprint::from_hex(&"+0".repeat(32)), None);
+        assert_eq!(Fingerprint::from_hex(&"-0".repeat(32)), None);
     }
 
     #[test]

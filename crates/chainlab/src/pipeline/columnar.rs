@@ -1,19 +1,17 @@
 //! The columnar analyze path: fold straight off a mapped
 //! [`DatasetReader`], no parse stage, workers sharded by row bands.
 //!
-//! The TSV streaming path pays for a text parse of every row and funnels
-//! the whole stream through one dispatch thread (the partition-dispatch
-//! scan in [`super::ingest`]), because a chain's connections must reach
-//! exactly one worker for the f64 fold order to match the sequential
-//! reference. Columnar input removes both costs: fields decode with
-//! offset arithmetic off the mapped columns, and workers take contiguous
-//! *segment ranges* instead of chain shards. Range sharding means one
-//! chain's connections can land in several workers — which is sound here
-//! because every on-disk row folds at weight 1.0, so all the f64
-//! aggregates are exact small integers and merging per-worker partials
-//! (in worker-index order) is bit-identical to the sequential fold. The
-//! batch path's fractional per-record weights are exactly why *it*
-//! cannot shard by range and the columnar path can.
+//! The TSV path pays for reading and parsing the text of every row
+//! ([`super::ingest`]); columnar input decodes fields with offset
+//! arithmetic off the mapped columns instead. Both shard by range: the
+//! TSV workers take blocks of whole lines, and the workers here take
+//! contiguous *segment ranges*. Range sharding means one chain's
+//! connections can land in several workers — which is sound because
+//! every on-disk row folds at weight 1.0, so all the f64 aggregates are
+//! exact small integers and merging per-worker partials (one shared
+//! `merge_into`) is bit-identical to the sequential fold. The record
+//! path's fractional per-record weights are exactly why *it* must shard
+//! by chain instead.
 //!
 //! There is one fold for every store version (a v1 store reaches it as
 //! `plain` bands, see `certchain_colstore::read`). Workers claim whole
@@ -30,7 +28,7 @@
 
 use super::categorize::{self, Prepared};
 use super::enrich::CertIndex;
-use super::ingest::{ChainAccum, IngestCounts};
+use super::ingest::{merge_into, ChainAccum, IngestCounts, Partial};
 use super::{resolve_threads, Analysis, Pipeline, RowFilter};
 use crate::filtercat::{chain_category, CertCat};
 use crate::model::{CertRecord, ChainKey};
@@ -287,8 +285,7 @@ struct CodeAccum {
     sni_codes: BTreeSet<u32>,
 }
 
-impl CodeAccum {
-    /// Commutative merge, same argument as [`ChainAccum::merge`].
+impl Partial for CodeAccum {
     fn merge(&mut self, other: CodeAccum) {
         self.usage.merge(&other.usage);
         self.sni_codes.extend(other.sni_codes);
@@ -460,15 +457,7 @@ fn ingest_segments(
             counts.no_chain += c.no_chain;
             counts.unresolvable += c.unresolvable;
             tally = tally.plus(t);
-            // srclint: commutative -- per-chain merge into a keyed map; CodeAccum::merge is commutative at unit weight, so worker-map iteration order is invisible
-            for (key, accum) in accums {
-                match merged.get_mut(&key) {
-                    Some(existing) => existing.merge(accum),
-                    None => {
-                        merged.insert(key, accum);
-                    }
-                }
-            }
+            merge_into(&mut merged, accums);
         }
         (merged, counts, tally)
     };

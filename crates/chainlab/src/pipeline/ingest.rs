@@ -1,62 +1,69 @@
 //! Stage 1 — ingest: fold ssl.log rows into per-chain accumulators on
-//! shard workers.
+//! worker threads.
 //!
-//! Every chain belongs to exactly one shard, chosen by `shard_of` over
-//! its decoded fingerprints, and each shard's rows reach its worker in
-//! stream order, so every chain's f64 accumulation order equals the
-//! sequential fold — the root of the byte-identical-across-thread-counts
-//! guarantee. The per-shard maps are disjoint, so collecting them is
-//! `extend`, not a merge.
-//!
-//! One worker body, `Shard::fold` (filter → count → fold), serves two
-//! kinds of input:
+//! One fold body, `Shard::fold` (filter → count → fold), serves two kinds
+//! of input, dispatched two ways:
 //!
 //! - **records** (`accumulate`): `SslRecord`s with weights, from memory
 //!   (`Pipeline::analyze`) or from a record iterator
-//!   (`Pipeline::fold_ssl_stream`);
-//! - **ssl.log lines** (`accumulate_log`, the TSV path). The dispatch
-//!   thread only frames: it takes each data line off the `SslLogStream`
-//!   (headers, comments, line counts and io/UTF-8 errors stay there),
-//!   decodes the chain cell in place to pick the shard, and copies the
-//!   line into that shard's byte buffer. Workers parse each line with
-//!   the netsim row kernel and fold from the borrowed view: no
-//!   `SslRecord` is built, the uid is never allocated, and an SNI
-//!   `String` is allocated only the first time a chain sees it.
+//!   (`Pipeline::fold_ssl_stream`). A weight may be fractional, and
+//!   fractional f64 sums are exact only in one order, so rows are sharded
+//!   by chain: every chain belongs to exactly one shard, chosen by
+//!   `shard_of` over its fingerprints, and each shard's rows reach its
+//!   worker in stream order. Every chain's accumulation order then equals
+//!   the sequential fold's, and the shards' maps are disjoint.
+//! - **ssl.log blocks** (`accumulate_log`, the TSV path). The reading
+//!   thread only reads: it fills pooled buffers with whole lines
+//!   (`certchain_netsim::zeek::block`) and hands each to whichever worker
+//!   is free. The worker walks the block's lines, parses each with the
+//!   netsim row kernel, settles it against the block's own tallies and
+//!   folds it from the borrowed view: no `SslRecord` is built, the uid is
+//!   never allocated, and an SNI `String` is allocated only the first
+//!   time a worker's chain sees it. Every TSV row folds at weight 1.0, so
+//!   the f64 sums are exact small integers and the workers' partial maps
+//!   merge exactly in any order (`merge_into`, which the columnar fold
+//!   shares). A `Ledger` settles walked blocks in stream order: their line
+//!   numbers are rebased by the lines of the blocks before them, and the
+//!   stream's tallies stop at its first fatal line.
 //!
-//! Batches travel over depth-1 channels, and their buffers come from a
-//! fixed pool the workers hand back, so the rows in flight stay bounded
-//! however far the workers fall behind: peak memory is O(distinct
-//! chains), not O(connections). `threads = 1` runs the same body inline,
-//! with no threads and no buffers.
+//! Batches and blocks travel over depth-1 channels, and their buffers come
+//! from one fixed pool the workers hand back, so what is in flight stays
+//! bounded however far the workers fall behind: peak memory is
+//! O(distinct chains), not O(connections). `threads = 1` runs the same
+//! body inline, with no threads and no pool.
 
 use super::observe::PipelineObs;
 use super::{Pipeline, RowFilter, SslItem};
 use crate::filtercat::CategoryOracle;
 use crate::model::ChainKey;
 use crate::usage::UsageStats;
+use certchain_netsim::zeek::block::{Block, LineWalk};
 use certchain_netsim::zeek::stream::{ReadError, SslColumns, SslLogStream, StreamStats};
 use certchain_netsim::SslRecord;
 use certchain_x509::Fingerprint;
-use std::collections::{BTreeSet, HashMap};
-use std::io::BufRead;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::Hash;
+use std::io::Read;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-/// Rows per batch handed to a shard worker, and per progress tick on the
-/// inline path. Large enough to amortize channel and scheduling
-/// overhead, small enough that in-flight memory stays negligible next to
-/// the per-chain accumulators.
+/// Rows per record batch handed to a shard worker, and per progress tick
+/// on the inline record path. Large enough to amortize channel and
+/// scheduling overhead, small enough that in-flight memory stays
+/// negligible next to the per-chain accumulators.
 pub(crate) const CHUNK: usize = 1024;
 
-/// Line bytes after which a line batch goes out even if it holds fewer
-/// than [`CHUNK`] lines (very long lines).
-const BATCH_BYTES: usize = 256 * 1024;
+/// Pooled record batches per worker: one being folded, one queued, and
+/// one filling on the feeding thread, which fills one per shard at once.
+const BATCHES_PER_WORKER: usize = 3;
 
-/// Batch buffers per shard in the pool: one filling on the dispatch
-/// thread, one queued, one being folded.
-const BUFFERS_PER_SHARD: usize = 3;
+/// Pooled line blocks per worker: one being folded and one queued. The
+/// reading thread fills one block at a time, in the buffer a worker has
+/// just handed back, long before that worker's queued block is done.
+const BLOCKS_PER_WORKER: usize = 2;
 
 /// Per-chain connection accumulator.
 #[derive(Default, Clone)]
@@ -65,15 +72,43 @@ pub(crate) struct ChainAccum {
     pub(crate) snis: BTreeSet<String>,
 }
 
-impl ChainAccum {
-    /// Merge another accumulator for the same chain. Every field is a
-    /// commutative aggregate (integer-valued f64 sums at unit weight,
-    /// set unions), so merging per-worker partials in any fixed order
-    /// reproduces the sequential fold — the row-range-sharded columnar
-    /// path relies on this.
-    pub(crate) fn merge(&mut self, other: ChainAccum) {
+/// A per-chain aggregate whose partials merge exactly when every row
+/// folded at weight 1.0: each field is an integer-valued f64 sum, an
+/// integer sum or a set union, so any merge order reproduces the
+/// sequential fold.
+pub(crate) trait Partial {
+    /// Merge another partial for the same chain.
+    fn merge(&mut self, other: Self);
+}
+
+impl Partial for ChainAccum {
+    fn merge(&mut self, other: ChainAccum) {
         self.usage.merge(&other.usage);
         self.snis.extend(other.snis);
+    }
+}
+
+/// Merge the partial map `part` into `into`: the one merge of unit-weight
+/// partials, for the TSV block workers' maps, the columnar segment
+/// workers' maps and a fold's map into longer-lived state. Disjoint maps
+/// (the chain-sharded record path's) merge into their union, whatever
+/// their weights. The larger map absorbs the smaller, so merging into an
+/// empty map moves `part` and builds no second table.
+pub(crate) fn merge_into<K: Eq + Hash, A: Partial>(
+    into: &mut HashMap<K, A>,
+    mut part: HashMap<K, A>,
+) {
+    if part.len() > into.len() {
+        std::mem::swap(into, &mut part);
+    }
+    // srclint: commutative -- per-key merge into a keyed map; Partial::merge is exact in any order at unit weight and disjoint maps never merge a key, so iteration order is invisible
+    for (key, accum) in part {
+        match into.entry(key) {
+            Entry::Occupied(mut e) => e.get_mut().merge(accum),
+            Entry::Vacant(e) => {
+                e.insert(accum);
+            }
+        }
     }
 }
 
@@ -190,39 +225,106 @@ impl<'p> Shard<'p> {
     }
 }
 
-/// A shard fed ssl.log lines: the row kernel's parse, settled under the
-/// stream's loss-accounting policy, around [`Shard::fold`].
-struct LineShard<'p> {
+/// A TSV worker: a fold state and the chain scratch its row parse reuses.
+struct BlockWorker<'p> {
     shard: Shard<'p>,
-    /// Chain scratch the kernel decodes into, reused for every row.
     fps: Vec<Fingerprint>,
-    /// This shard's row tallies, added to the stream's at the end.
-    stats: StreamStats,
-    permissive: bool,
-    /// Strict mode: this shard's first bad row, after which it stops.
-    failed: Option<ReadError>,
 }
 
-impl LineShard<'_> {
-    fn line(&mut self, columns: &SslColumns, line: usize, text: &str) {
-        if self.failed.is_some() {
+impl BlockWorker<'_> {
+    /// Walk one block, parse each data row, settle it against the
+    /// block's own tallies and fold it. The walk stops at the block's
+    /// fatal line: a framing error, or in strict mode the first malformed
+    /// row. Line numbers count from the block's start (see [`Ledger`]).
+    fn fold(&mut self, block: &Block<SslColumns>, permissive: bool) -> Walked {
+        let stats = StreamStats::default();
+        let mut walk = LineWalk::start(block, 0);
+        let fatal = loop {
+            let l = match walk.next(block, &stats) {
+                None => break None,
+                Some(Err(e)) => break Some(e),
+                Some(Ok(l)) => l,
+            };
+            match stats.settle(l.columns.parse(l.line, l.text, &mut self.fps), permissive) {
+                Ok(Some(row)) => {
+                    let sni = row.server_name();
+                    self.shard.fold(Conn {
+                        resp_p: row.resp_p,
+                        sni: sni.as_deref(),
+                        fps: row.cert_chain_fps,
+                        established: row.established,
+                        orig_h: row.orig_h,
+                        weight: 1.0,
+                    });
+                }
+                Ok(None) => {}
+                Err(e) => break Some(e),
+            }
+        };
+        Walked { stats, fatal }
+    }
+}
+
+/// A walked block: its tallies, and its fatal line numbered from the
+/// block's start.
+struct Walked {
+    stats: StreamStats,
+    fatal: Option<ReadError>,
+}
+
+impl Walked {
+    /// Data rows walked: the good ones and the malformed ones.
+    fn rows(&self) -> u64 {
+        self.stats.records() + self.stats.malformed()
+    }
+}
+
+/// Settles walked blocks in stream order, whatever order they finish in.
+/// A block's line numbers are rebased by the lines of the blocks before
+/// it, and its tallies join the stream's up to the first fatal line:
+/// every block before that line, plus its own block up to it — what the
+/// stream's iterator counts before it stops.
+struct Ledger {
+    stats: Arc<StreamStats>,
+    /// The block settled next.
+    next: usize,
+    /// Lines of the blocks settled so far.
+    lines: usize,
+    /// Blocks walked ahead of `next`, waiting for it.
+    ahead: BTreeMap<usize, Walked>,
+    /// The stream's first fatal line, rebased.
+    fatal: Option<ReadError>,
+}
+
+impl Ledger {
+    fn new(stats: Arc<StreamStats>) -> Ledger {
+        Ledger {
+            stats,
+            next: 0,
+            lines: 0,
+            ahead: BTreeMap::new(),
+            fatal: None,
+        }
+    }
+
+    fn settle(&mut self, seq: usize, walked: Walked) {
+        if self.fatal.is_some() {
             return;
         }
-        let parsed = columns.parse(line, text, &mut self.fps);
-        match self.stats.settle(parsed, self.permissive) {
-            Ok(Some(row)) => {
-                let sni = row.server_name();
-                self.shard.fold(Conn {
-                    resp_p: row.resp_p,
-                    sni: sni.as_deref(),
-                    fps: row.cert_chain_fps,
-                    established: row.established,
-                    orig_h: row.orig_h,
-                    weight: 1.0,
-                });
+        self.ahead.insert(seq, walked);
+        while let Some(walked) = self.ahead.remove(&self.next) {
+            self.stats.absorb(&walked.stats);
+            if let Some(mut e) = walked.fatal {
+                // Line 0 is a whole-log error, not a place in it.
+                if e.line != 0 {
+                    e.line += self.lines;
+                }
+                self.fatal = Some(e);
+                self.ahead.clear();
+                return;
             }
-            Ok(None) => {}
-            Err(e) => self.failed = Some(e),
+            self.lines += walked.stats.lines() as usize;
+            self.next += 1;
         }
     }
 }
@@ -260,15 +362,28 @@ where
     let (shards, ()) = fan_out(
         pipe,
         shards,
-        |shard, batch: &Vec<(B, f64)>| {
-            for (item, weight) in batch {
-                shard.record(item.borrow(), *weight);
+        BATCHES_PER_WORKER,
+        |shard, batch: &mut Vec<(B, f64)>| {
+            let rows = batch.len() as u64;
+            for (item, weight) in batch.drain(..) {
+                shard.record(item.borrow(), weight);
             }
+            rows
         },
         |fan| {
+            let mut filling: Vec<Vec<(B, f64)>> = (0..threads).map(|_| fan.take()).collect();
             for (item, weight) in records {
                 let shard = shard_of(&item.borrow().cert_chain_fps, threads);
-                fan.push(shard, |batch| batch.push((item, weight)));
+                filling[shard].push((item, weight));
+                if filling[shard].len() >= CHUNK {
+                    let full = std::mem::replace(&mut filling[shard], fan.take());
+                    fan.send(shard, full);
+                }
+            }
+            for (shard, batch) in filling.into_iter().enumerate() {
+                if !batch.is_empty() {
+                    fan.send(shard, batch);
+                }
             }
         },
     );
@@ -276,312 +391,210 @@ where
 }
 
 /// The TSV path: fold the ssl.log behind `log` into per-chain
-/// accumulators, parsing its lines on the shard workers. A framing
-/// error, or in strict mode the first malformed row, is returned; in
-/// strict mode that is the lowest-numbered bad line, the one the fused
-/// stream returns. A permissive fold leaves the stream's tallies as its
-/// own iterator would; after a strict error only the error is defined,
-/// since other shards parse and tally on past the bad line.
-pub(crate) fn accumulate_log<R: BufRead>(
+/// accumulators, its blocks walked, parsed and folded on the workers. The
+/// stream's first fatal line is returned: a framing error, or in strict
+/// mode its first malformed row. Either way the stream's tallies come out
+/// as its own iterator leaves them.
+pub(crate) fn accumulate_log<R: Read>(
     pipe: &Pipeline<'_>,
-    mut log: SslLogStream<R>,
+    log: SslLogStream<R>,
     threads: usize,
     oracle: Option<&CategoryOracle>,
 ) -> Result<(HashMap<ChainKey, ChainAccum>, IngestCounts), ReadError> {
-    let stats = log.stats();
     let permissive = log.is_permissive();
-    let mut shards: Vec<LineShard<'_>> = (0..threads.max(1))
-        .map(|_| LineShard {
-            shard: Shard::new(pipe, oracle),
-            fps: Vec::new(),
-            stats: StreamStats::default(),
-            permissive,
-            failed: None,
-        })
-        .collect();
-    let framed = if threads <= 1 {
-        let shard = &mut shards[0];
-        let mut lines = 0u64;
-        let mut framed = Ok(());
-        while let Some(next) = log.next_line() {
-            match next {
-                Ok(l) => shard.line(l.columns, l.line, l.text),
-                Err(e) => {
-                    framed = Err(e);
-                    break;
-                }
-            }
-            lines += 1;
-            if lines % CHUNK as u64 == 0 {
-                pipe.obs.tick(lines, 0, &[]);
-            }
-            if shard.failed.is_some() {
+    let mut blocks = log.into_blocks();
+    let ledger = Mutex::new(Ledger::new(blocks.stats()));
+    let settle = |seq: usize, walked: Walked| {
+        let mut ledger = ledger.lock().expect("ledger poisoned");
+        ledger.settle(seq, walked);
+        ledger.fatal.is_some()
+    };
+    let worker = || BlockWorker {
+        shard: Shard::new(pipe, oracle),
+        fps: Vec::new(),
+    };
+    let shards = if threads <= 1 {
+        let mut worker = worker();
+        let mut block = Block::default();
+        let mut rows = 0;
+        while blocks.next_block(&mut block) {
+            let walked = worker.fold(&block, permissive);
+            rows += walked.rows();
+            pipe.obs.tick(rows, 0, &[]);
+            if settle(block.seq(), walked) {
                 break;
             }
         }
-        framed
+        vec![worker.shard]
     } else {
-        let stop = AtomicBool::new(false);
-        let (done, framed) = fan_out(
+        // The lowest block known to hold a fatal line: no later block
+        // counts, so none is framed or walked. Only a shortcut: what
+        // counts is the ledger's to say.
+        let stop = AtomicUsize::new(usize::MAX);
+        let (workers, ()) = fan_out(
             pipe,
-            shards,
-            |shard, batch: &LineBatch| {
-                let columns = batch.columns.as_deref().expect("a batch holds lines");
-                let mut start = 0;
-                for &(line, end) in &batch.lines {
-                    shard.line(columns, line, &batch.text[start..end]);
-                    start = end;
+            (0..threads).map(|_| worker()).collect(),
+            BLOCKS_PER_WORKER,
+            |worker, block: &mut Block<SslColumns>| {
+                if block.seq() > stop.load(Relaxed) {
+                    return 0;
                 }
-                if shard.failed.is_some() {
-                    stop.store(true, Relaxed);
+                let walked = worker.fold(block, permissive);
+                let rows = walked.rows();
+                if walked.fatal.is_some() {
+                    stop.fetch_min(block.seq(), Relaxed);
                 }
+                settle(block.seq(), walked);
+                rows
             },
-            |fan| {
-                let mut fps = Vec::new();
-                let mut current: Option<Arc<SslColumns>> = None;
-                while let Some(next) = log.next_line() {
-                    let l = next?;
-                    if !current.as_ref().is_some_and(|c| Arc::ptr_eq(c, l.columns)) {
-                        // A batch holds lines under one header only.
-                        fan.flush_all();
-                        current = Some(Arc::clone(l.columns));
-                    }
-                    // A row whose chain does not decode never parses, so
-                    // its shard does not matter.
-                    let shard = l
-                        .columns
-                        .chain(l.text, &mut fps)
-                        .map_or(0, |fps| shard_of(fps, threads));
-                    fan.push(shard, |batch| batch.push(l.columns, l.line, l.text));
-                    if stop.load(Relaxed) {
-                        break;
-                    }
+            |fan| loop {
+                let mut block = fan.take();
+                if stop.load(Relaxed) != usize::MAX || !blocks.next_block(&mut block) {
+                    break;
                 }
-                Ok(())
+                let to = fan.least_loaded();
+                fan.send(to, block);
             },
         );
-        shards = done;
-        framed
+        workers.into_iter().map(|w| w.shard).collect()
     };
-    for shard in &shards {
-        stats.absorb(&shard.stats);
+    if let Some(e) = ledger.into_inner().expect("ledger poisoned").fatal {
+        return Err(e);
     }
-    // Each shard stops at its own first bad row, and every line before
-    // any of them was framed and dispatched, so the lowest-numbered one
-    // is the stream's first.
-    if let Some(first) = shards
-        .iter_mut()
-        .filter_map(|s| s.failed.take())
-        .min_by_key(|e| e.line)
-    {
-        return Err(first);
-    }
-    framed?;
-    Ok(collect(pipe, shards.into_iter().map(|s| s.shard).collect()))
+    Ok(collect(pipe, shards))
 }
 
-/// Collect the shards' disjoint maps and sum their counts.
+/// Merge the workers' maps and sum their counts.
 fn collect(
     pipe: &Pipeline<'_>,
     shards: Vec<Shard<'_>>,
 ) -> (HashMap<ChainKey, ChainAccum>, IngestCounts) {
     let mut counts = IngestCounts::default();
-    let mut accums = HashMap::with_capacity(shards.iter().map(|s| s.accums.len()).sum());
+    let mut accums = HashMap::new();
     for shard in shards {
         counts.records += shard.counts.records;
         counts.no_chain += shard.counts.no_chain;
-        // srclint: commutative -- disjoint per-shard maps collected into a keyed map; insertion order is invisible
-        accums.extend(shard.accums);
+        merge_into(&mut accums, shard.accums);
     }
     pipe.obs.finish_progress(counts.records);
     (accums, counts)
 }
 
-/// A shard's batch buffer, recycled through the pool once folded.
-trait Batch: Default + Send {
-    /// Rows held.
-    fn rows(&self) -> usize;
-    /// Whether the batch should go out now.
-    fn is_full(&self) -> bool;
-    /// Empty the buffer, keeping its capacity.
-    fn clear(&mut self);
-}
-
-impl<T: Send> Batch for Vec<T> {
-    fn rows(&self) -> usize {
-        self.len()
-    }
-
-    fn is_full(&self) -> bool {
-        self.len() >= CHUNK
-    }
-
-    fn clear(&mut self) {
-        Vec::clear(self);
-    }
-}
-
-/// Whole ssl.log data lines bound for one shard, in stream order, all
-/// under one `#fields` header.
-#[derive(Default)]
-struct LineBatch {
-    text: String,
-    /// Line number and end offset in `text` of each line.
-    lines: Vec<(usize, usize)>,
-    columns: Option<Arc<SslColumns>>,
-}
-
-impl LineBatch {
-    fn push(&mut self, columns: &Arc<SslColumns>, line: usize, text: &str) {
-        if self.columns.is_none() {
-            self.columns = Some(Arc::clone(columns));
-        }
-        self.text.push_str(text);
-        self.lines.push((line, self.text.len()));
-    }
-}
-
-impl Batch for LineBatch {
-    fn rows(&self) -> usize {
-        self.lines.len()
-    }
-
-    fn is_full(&self) -> bool {
-        self.lines.len() >= CHUNK || self.text.len() >= BATCH_BYTES
-    }
-
-    fn clear(&mut self) {
-        self.text.clear();
-        self.lines.clear();
-        self.columns = None;
-    }
-}
-
-/// The dispatch side of [`fan_out`]: one filling batch per shard, sent
-/// when full, replaced from the pool.
+/// The feeding side of [`fan_out`]: buffers out of the pool, filled
+/// buffers to the workers.
 struct Fanout<'f, T> {
     obs: &'f PipelineObs,
     senders: Vec<SyncSender<T>>,
     pool: Receiver<T>,
-    filling: Vec<T>,
     in_flight: &'f [AtomicUsize],
     processed: &'f [AtomicU64],
-    dispatched: u64,
+    sent: u64,
 }
 
-impl<T: Batch> Fanout<'_, T> {
-    /// Add a row to `shard`'s batch; send the batch once it is full.
-    fn push(&mut self, shard: usize, add: impl FnOnce(&mut T)) {
-        add(&mut self.filling[shard]);
-        if self.filling[shard].is_full() {
-            self.flush(shard);
-        }
+impl<T> Fanout<'_, T> {
+    /// A free buffer. Blocks while every pooled buffer is in flight: the
+    /// bound on memory.
+    fn take(&mut self) -> T {
+        self.pool.recv().expect("workers hold the pool open")
     }
 
-    /// Send `shard`'s batch, if it holds anything.
-    fn flush(&mut self, shard: usize) {
-        if self.filling[shard].rows() == 0 {
-            return;
-        }
-        // Blocks while every pooled buffer is in flight: the bound on
-        // memory.
-        let fresh = self.pool.recv().expect("workers hold the pool open");
-        let full = std::mem::replace(&mut self.filling[shard], fresh);
-        self.dispatched += full.rows() as u64;
-        self.in_flight[shard].fetch_add(1, Relaxed);
-        self.senders[shard]
-            .send(full)
+    /// The worker with the fewest buffers in flight: an idle one whenever
+    /// there is one.
+    fn least_loaded(&self) -> usize {
+        (0..self.in_flight.len())
+            .min_by_key(|&w| self.in_flight[w].load(Relaxed))
+            .unwrap_or(0)
+    }
+
+    /// Send a filled buffer to `worker`.
+    fn send(&mut self, worker: usize, batch: T) {
+        self.in_flight[worker].fetch_add(1, Relaxed);
+        self.senders[worker]
+            .send(batch)
             .expect("accumulation worker hung up early");
+        self.sent += 1;
         if self.obs.progress.is_some() {
             let depth = self.in_flight.iter().map(|d| d.load(Relaxed)).sum();
             let per_worker: Vec<u64> = self.processed.iter().map(|w| w.load(Relaxed)).collect();
-            self.obs.tick(self.dispatched, depth, &per_worker);
-        }
-    }
-
-    fn flush_all(&mut self) {
-        for shard in 0..self.filling.len() {
-            self.flush(shard);
+            self.obs.tick(per_worker.iter().sum(), depth, &per_worker);
         }
     }
 }
 
-/// Run `feed` on this thread while one worker per shard folds the
-/// batches it fills, `work` applied to each in arrival order. Returns
-/// the shards (in shard order) and what `feed` returned.
+/// Run `feed` on this thread while one worker per entry of `workers`
+/// folds the buffers it sends, `work` applied to each in arrival order
+/// and returning the rows it folded. The pool holds `buffers_per_worker`
+/// buffers per worker. Returns the workers (in order) and what `feed`
+/// returned.
 ///
-/// Progress instrumentation rides the dispatch loop: each shard carries
-/// an in-flight batch counter (incremented on send, decremented by the
-/// worker) and a processed-row tally, giving the reporter queue depth and
+/// Progress instrumentation rides the feeding loop: each worker carries
+/// an in-flight buffer counter (incremented on send, decremented by the
+/// worker) and a folded-row tally, giving the reporter queue depth and
 /// per-worker throughput without any extra synchronization on the fold
 /// itself. Those values are scheduling-dependent and go only to stderr.
 fn fan_out<S, T, F>(
     pipe: &Pipeline<'_>,
-    shards: Vec<S>,
-    work: impl Fn(&mut S, &T) + Sync,
+    workers: Vec<S>,
+    buffers_per_worker: usize,
+    work: impl Fn(&mut S, &mut T) -> u64 + Sync,
     feed: impl FnOnce(&mut Fanout<'_, T>) -> F,
 ) -> (Vec<S>, F)
 where
     S: Send,
-    T: Batch,
+    T: Default + Send,
 {
-    let n = shards.len();
+    let n = workers.len();
     let trace = pipe.obs.trace_span("pipeline.dispatch");
     let in_flight: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
     let processed: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    let (shards, out, dispatched) = std::thread::scope(|scope| {
+    let (workers, out, sent) = std::thread::scope(|scope| {
         let (pool_tx, pool) = channel::<T>();
-        for _ in 0..n * BUFFERS_PER_SHARD {
+        for _ in 0..n * buffers_per_worker {
             pool_tx.send(T::default()).expect("pool receiver alive");
         }
         let mut senders = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
-        for (i, mut shard) in shards.into_iter().enumerate() {
+        for (i, mut worker) in workers.into_iter().enumerate() {
             let (tx, rx) = sync_channel::<T>(1);
             senders.push(tx);
             let (work, pool_tx) = (&work, pool_tx.clone());
             let (in_flight, processed) = (&in_flight[i], &processed[i]);
             handles.push(scope.spawn(move || {
                 while let Ok(mut batch) = rx.recv() {
-                    work(&mut shard, &batch);
-                    processed.fetch_add(batch.rows() as u64, Relaxed);
-                    batch.clear();
+                    processed.fetch_add(work(&mut worker, &mut batch), Relaxed);
                     in_flight.fetch_sub(1, Relaxed);
-                    // The dispatch thread may already be done with the
+                    // The feeding thread may already be done with the
                     // pool; then the buffer is simply dropped.
                     let _ = pool_tx.send(batch);
                 }
-                shard
+                worker
             }));
         }
         // Only workers hand buffers back from here on: if they all die,
         // waiting on the pool fails instead of hanging.
         drop(pool_tx);
-        let filling = (0..n)
-            .map(|_| pool.recv().expect("the pool starts full"))
-            .collect();
         let mut fan = Fanout {
             obs: &pipe.obs,
             senders,
             pool,
-            filling,
             in_flight: &in_flight,
             processed: &processed,
-            dispatched: 0,
+            sent: 0,
         };
         let out = feed(&mut fan);
-        fan.flush_all();
-        let dispatched = fan.dispatched;
+        let sent = fan.sent;
         drop(fan);
-        let shards = handles
+        let workers = handles
             .into_iter()
             .map(|h| h.join().expect("accumulation worker panicked"))
             .collect();
-        (shards, out, dispatched)
+        (workers, out, sent)
     });
     if let Some(t) = &trace {
         t.attr("shards", n.to_string());
-        t.attr("rows", dispatched.to_string());
+        t.attr("blocks", sent.to_string());
+        let rows: u64 = processed.iter().map(|p| p.load(Relaxed)).sum();
+        t.attr("rows", rows.to_string());
     }
-    (shards, out)
+    (workers, out)
 }

@@ -2,9 +2,9 @@
 //! structure analyzer"), as four explicit stages:
 //!
 //! 1. [`ingest`] — fold ssl.log rows into per-chain accumulators on
-//!    shard workers, a bounded batch at a time, so peak memory is
-//!    O(distinct chains) rather than O(connections); on the TSV path the
-//!    workers also parse the lines;
+//!    worker threads, a bounded batch or block at a time, so peak memory
+//!    is O(distinct chains) rather than O(connections); on the TSV path
+//!    the workers also walk and parse the lines;
 //! 2. [`enrich`] — intern x509.log rows into shared [`CertRecord`]s, one
 //!    `Arc` per distinct fingerprint;
 //! 3. [`categorize`] — interception-entity discovery (pass 1) and
@@ -16,8 +16,9 @@
 //! bounded-memory paths never materialize the connection stream:
 //! [`Pipeline::analyze_stream`] consumes `Result`-yielding record
 //! iterators, and [`Pipeline::fold_ssl_log`] takes an ssl.log stream
-//! (`certchain_netsim::zeek::stream`) and parses its lines on the shard
-//! workers — the TSV path of `certchain analyze` and `serve`.
+//! (`certchain_netsim::zeek::stream`) and walks, parses and folds its
+//! blocks of lines on the workers — the TSV path of `certchain analyze`
+//! and `serve`.
 
 pub mod categorize;
 pub mod columnar;
@@ -164,11 +165,14 @@ pub struct PipelineOptions {
     pub confirmation_min_domains: usize,
     /// Worker threads for the parallel stages. `0` (the default) resolves
     /// to the machine's available parallelism; `1` runs the fully
-    /// sequential path. The output is byte-identical for every value:
-    /// chains are sharded by a stable hash of their fingerprint sequence,
-    /// the record stream is partitioned to workers in order (so each
-    /// chain's connections are folded in global record order), and
-    /// per-chain results merge in `ChainKey` order.
+    /// sequential path. The output is byte-identical for every value. On
+    /// the record paths, chains are sharded by a stable hash of their
+    /// fingerprint sequence and each shard's records reach its worker in
+    /// order, so each chain's connections fold in global record order
+    /// (their weights may be fractional). On the TSV and columnar paths
+    /// every row has weight 1.0, so workers take blocks of lines or
+    /// ranges of segments and their partial maps merge exactly. Per-chain
+    /// results then merge in `ChainKey` order.
     pub threads: usize,
     /// Connection predicate; the default admits everything. See
     /// [`RowFilter`] for the filtered-rows-are-invisible semantics.
@@ -242,9 +246,10 @@ impl<'a> Pipeline<'a> {
         self
     }
 
-    /// Attach a progress reporter, driven from the ingest dispatch loop
-    /// (records/sec, chunk queue depth, per-worker throughput). Progress
-    /// goes to stderr only and never into any emitted artifact.
+    /// Attach a progress reporter, driven from the ingest loop that hands
+    /// out work: records per second, batches or blocks in flight, and
+    /// rows folded per worker. Progress goes to stderr only and never
+    /// into any emitted artifact.
     pub fn with_progress(mut self, progress: Arc<Progress>) -> Pipeline<'a> {
         self.obs.progress = Some(progress);
         self

@@ -52,7 +52,7 @@
 
 use super::categorize::Prepared;
 use super::enrich::CertIndex;
-use super::ingest::{ChainAccum, IngestCounts};
+use super::ingest::{merge_into, ChainAccum, IngestCounts};
 use super::Pipeline;
 use crate::classify::{classify, CertClass};
 use crate::model::{CertRecord, ChainKey};
@@ -258,15 +258,7 @@ impl PipelineState {
     pub(crate) fn absorb(&mut self, accums: HashMap<ChainKey, ChainAccum>, counts: IngestCounts) {
         self.records += counts.records;
         self.no_chain += counts.no_chain;
-        // srclint: commutative -- merging into a keyed map; each chain's merge order is the fold-call order, not the iteration order
-        for (key, accum) in accums {
-            match self.chains.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().merge(accum),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(accum);
-                }
-            }
-        }
+        merge_into(&mut self.chains, accums);
         self.revision += 1;
     }
 
@@ -669,19 +661,19 @@ impl Pipeline<'_> {
         Ok(())
     }
 
-    /// Fold an ssl.log into `state`, parsing its lines on the shard
-    /// workers — the TSV path of `certchain analyze` and `serve`. `log`
-    /// only frames here: rows are parsed with the netsim row kernel on
-    /// the workers and folded straight from the borrowed view, with no
-    /// `SslRecord` built. A permissive stream skips and tallies
-    /// malformed rows; a strict one fails with the stream's first error.
-    /// Short of a strict error, the state and the stream's tallies come
-    /// out as [`Pipeline::fold_ssl_stream`] over the same stream leaves
-    /// them, for every thread count. After a strict error only the error
-    /// is defined: with more than one thread, other shards have parsed
-    /// and tallied rows past the bad line. Same category-filter caveat as
+    /// Fold an ssl.log into `state`, its blocks walked, parsed and folded
+    /// on the workers — the TSV path of `certchain analyze` and `serve`.
+    /// The reading thread only reads blocks of whole lines off `log`;
+    /// rows are parsed with the netsim row kernel on the workers and
+    /// folded straight from the borrowed view, with no `SslRecord` built.
+    /// A permissive stream skips and tallies malformed rows; a strict one
+    /// fails on the first. The state comes out as
+    /// [`Pipeline::fold_ssl_stream`] over the same stream leaves it, for
+    /// every thread count, and so do the stream's tallies, also after the
+    /// stream's first fatal line, which is returned with its number. On
+    /// an error the state is untouched. Same category-filter caveat as
     /// [`Pipeline::fold_ssl_stream`].
-    pub fn fold_ssl_log<R: std::io::BufRead>(
+    pub fn fold_ssl_log<R: std::io::Read>(
         &self,
         state: &mut PipelineState,
         log: certchain_netsim::SslLogStream<R>,

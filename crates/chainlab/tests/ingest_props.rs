@@ -16,19 +16,21 @@
 //! not timing) to be byte-identical across thread counts: observability
 //! must never observe the scheduler.
 //!
-//! The TSV path (`Pipeline::fold_ssl_log`, whose shard workers parse
-//! ssl.log lines themselves) is held to the record-iterator path
-//! (`fold_ssl_stream` over the same permissive stream) on rough logs:
-//! escaped uids and SNIs, uppercase and `\x`-escaped fingerprint hex,
-//! CRLF lines, a second `#fields` header with permuted columns, and
-//! corrupted bytes. Analysis, deterministic metrics and the stream's
-//! tallies must match at threads 1/2/8, and in strict mode the workers
-//! must return the stream's first error.
+//! The TSV path (`Pipeline::fold_ssl_log`, whose workers walk and parse
+//! blocks of ssl.log lines themselves) is held to the record-iterator
+//! path (`fold_ssl_stream` over the same permissive stream) on rough
+//! logs: escaped uids and SNIs, uppercase and `\x`-escaped fingerprint
+//! hex, CRLF lines, a second `#fields` header with permuted columns, and
+//! corrupted bytes, in default-sized and in small blocks. Analysis,
+//! deterministic metrics and the stream's tallies must match at threads
+//! 1/2/8, and in strict mode the workers must return the stream's first
+//! error.
 
 use certchain_asn1::Asn1Time;
 use certchain_chainlab::{Analysis, CrossSignRegistry, Pipeline, PipelineOptions};
 use certchain_chainlab::{PipelineState, RowFilter};
 use certchain_ctlog::DomainIndex;
+use certchain_netsim::zeek::block::{LogBlocks, BLOCK_BYTES};
 use certchain_netsim::zeek::tsv::{write_ssl_log, SSL_FIELDS};
 use certchain_netsim::{SslLogStream, SslRecord, TlsVersion, X509Record};
 use certchain_trust::TrustDb;
@@ -464,10 +466,27 @@ fn rough_log(
     bytes
 }
 
+/// The stream over `log` the TSV path folds, in blocks of about
+/// `block_bytes`.
+fn tsv_stream(log: &[u8], permissive: bool, block_bytes: usize) -> SslLogStream<&[u8]> {
+    SslLogStream::from_blocks(LogBlocks::with_block_bytes(log, permissive, block_bytes))
+}
+
 /// Fold `log` in permissive mode — on the shard workers or through the
 /// record iterator — and render the analysis, the deterministic metrics
 /// and the stream's tallies (or the error).
 fn tsv_outcome(log: &[u8], threads: usize, filter: &RowFilter, workers: bool) -> String {
+    tsv_outcome_at(log, threads, filter, workers, BLOCK_BYTES)
+}
+
+/// [`tsv_outcome`] with the log framed in blocks of about `block_bytes`.
+fn tsv_outcome_at(
+    log: &[u8],
+    threads: usize,
+    filter: &RowFilter,
+    workers: bool,
+    block_bytes: usize,
+) -> String {
     let trust = TrustDb::new();
     let ct = DomainIndex::new();
     let registry = std::sync::Arc::new(certchain_obs::Registry::new());
@@ -482,7 +501,7 @@ fn tsv_outcome(log: &[u8], threads: usize, filter: &RowFilter, workers: bool) ->
     pipeline
         .fold_x509_stream(&mut state, cert_pool().into_iter().map(Ok::<_, ()>))
         .unwrap();
-    let stream = SslLogStream::permissive(log);
+    let stream = tsv_stream(log, true, block_bytes);
     let stats = stream.stats();
     let folded = if workers {
         pipeline.fold_ssl_log(&mut state, stream)
@@ -505,8 +524,9 @@ fn tsv_outcome(log: &[u8], threads: usize, filter: &RowFilter, workers: bool) ->
     )
 }
 
-/// The strict-mode error of the shard workers folding `log`.
-fn strict_worker_error(log: &[u8], threads: usize) -> Option<String> {
+/// The strict-mode error of the shard workers folding `log` in blocks of
+/// about `block_bytes`.
+fn strict_worker_error(log: &[u8], threads: usize, block_bytes: usize) -> Option<String> {
     let trust = TrustDb::new();
     let ct = DomainIndex::new();
     let options = PipelineOptions {
@@ -515,25 +535,34 @@ fn strict_worker_error(log: &[u8], threads: usize) -> Option<String> {
     };
     let pipeline = Pipeline::with_options(&trust, &ct, CrossSignRegistry::new(), options);
     pipeline
-        .fold_ssl_log(&mut PipelineState::new(), SslLogStream::new(log))
+        .fold_ssl_log(
+            &mut PipelineState::new(),
+            tsv_stream(log, false, block_bytes),
+        )
         .err()
         .map(|e| e.to_string())
 }
 
 /// The TSV-path contract on one log: see the module docs.
 fn check_tsv_paths(log: &[u8], filter: &RowFilter) {
+    check_tsv_paths_at(log, filter, BLOCK_BYTES);
+}
+
+/// [`check_tsv_paths`] with the workers' log framed in blocks of about
+/// `block_bytes` (the record iterator keeps the default).
+fn check_tsv_paths_at(log: &[u8], filter: &RowFilter, block_bytes: usize) {
     let want = tsv_outcome(log, 1, filter, false);
     let want_strict = SslLogStream::new(log)
         .find_map(Result::err)
         .map(|e| e.to_string());
     for threads in [1, 2, 8] {
         assert_eq!(
-            tsv_outcome(log, threads, filter, true),
+            tsv_outcome_at(log, threads, filter, true, block_bytes),
             want,
             "shard workers diverged at threads = {threads}"
         );
         assert_eq!(
-            strict_worker_error(log, threads),
+            strict_worker_error(log, threads, block_bytes),
             want_strict,
             "strict error diverged at threads = {threads}"
         );
@@ -608,6 +637,86 @@ proptest! {
         let log = rough_log(&records, seed, &corrupt);
         check_tsv_paths(&log, &filter_of(filter));
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The same contract with the workers' log cut into many small
+    /// blocks, which finish out of order and a header line can fall
+    /// between.
+    #[test]
+    fn tsv_workers_match_the_record_stream_in_small_blocks(
+        records in proptest::collection::vec(arb_rough_conn(), 0..80),
+        seed in any::<u64>(),
+        corrupt in proptest::collection::vec(
+            (
+                any::<proptest::sample::Index>(),
+                prop_oneof![Just('\t'), Just('x'), Just('#'), Just('\u{e9}'), Just('\0')],
+            ),
+            0..4,
+        ),
+        block_bytes in 1usize..2048,
+    ) {
+        let log = rough_log(&records, seed, &corrupt);
+        check_tsv_paths_at(&log, &RowFilter::default(), block_bytes);
+    }
+}
+
+/// A traced threads-2 TSV fold emits the `pipeline.dispatch` span, whose
+/// `rows` counts every data row framed: the stream's records plus its
+/// malformed rows.
+#[test]
+fn traced_tsv_fold_reports_the_rows_it_dispatched() {
+    let records: Vec<SslRecord> = (0..4_000u32)
+        .map(|i| SslRecord {
+            ts: Asn1Time::from_unix(1_600_000_000 + u64::from(i)),
+            uid: format!("C{i:06}"),
+            orig_h: Ipv4Addr::new(10, 0, (i / 256) as u8, (i % 256) as u8),
+            orig_p: 40_000,
+            resp_h: Ipv4Addr::new(192, 168, 1, 1),
+            resp_p: 443,
+            version: TlsVersion::Tls12,
+            server_name: (i % 5 != 0).then(|| "svc0.example.org".to_string()),
+            established: true,
+            cert_chain_fps: vec![fp_of((i % 6) as u8)],
+        })
+        .collect();
+    let mut rng = TestRng::new(3);
+    let corrupt: Vec<(proptest::sample::Index, char)> = (0..20)
+        .map(|_| (any::<proptest::sample::Index>().generate(&mut rng), 'x'))
+        .collect();
+    let log = rough_log(&records, 5, &corrupt);
+    let (trust, ct) = (TrustDb::new(), DomainIndex::new());
+    let journal = std::sync::Arc::new(certchain_obs::TraceJournal::new(64));
+    let options = PipelineOptions {
+        threads: 2,
+        ..PipelineOptions::default()
+    };
+    let pipeline = Pipeline::with_options(&trust, &ct, CrossSignRegistry::new(), options)
+        .with_trace(std::sync::Arc::clone(&journal));
+    let stream = SslLogStream::permissive(&log[..]);
+    let stats = stream.stats();
+    pipeline
+        .fold_ssl_log(&mut PipelineState::new(), stream)
+        .expect("no framing errors");
+    let span = journal
+        .snapshot()
+        .into_iter()
+        .find(|e| {
+            e.kind == certchain_obs::trace::TraceKind::SpanEnd && e.name == "pipeline.dispatch"
+        })
+        .expect("a pipeline.dispatch span");
+    let attr = |key: &str| {
+        span.attrs
+            .iter()
+            .find(|(k, _)| k == key)
+            .and_then(|(_, v)| v.parse::<u64>().ok())
+    };
+    assert!(stats.malformed() > 0, "the log has malformed rows");
+    assert_eq!(attr("shards"), Some(2));
+    assert!(attr("blocks").is_some_and(|n| n > 1), "{:?}", span.attrs);
+    assert_eq!(attr("rows"), Some(stats.records() + stats.malformed()));
 }
 
 /// A rough log several worker batches long: every shard sees many

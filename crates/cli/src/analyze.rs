@@ -187,21 +187,16 @@ pub fn run_pipeline_with(
     let pipeline = Pipeline::with_options(&trust, &ct, crosssign, options);
     let analysis = analyze_logs(
         &pipeline,
-        SslLogStream::new(log_reader(ssl_file)),
-        X509LogStream::new(log_reader(x509_file)),
+        SslLogStream::new(ssl_file),
+        X509LogStream::new(x509_file),
     )?;
     Ok((analysis, trust))
 }
 
-/// Buffered reading of one log file, 64 KiB per read: the thread that
-/// frames ssl.log lines is the serial part of the TSV path.
-fn log_reader(file: std::fs::File) -> std::io::BufReader<std::fs::File> {
-    std::io::BufReader::with_capacity(1 << 16, file)
-}
-
-/// Fold x509.log sequentially, then ssl.log on the shard workers, and
-/// finalize: the TSV path.
-fn analyze_logs<R: std::io::BufRead>(
+/// Fold x509.log sequentially, then ssl.log on the pipeline's workers,
+/// and finalize: the TSV path. Both logs are read in blocks of whole
+/// lines, so they need no buffered reader.
+fn analyze_logs<R: std::io::Read>(
     pipeline: &Pipeline<'_>,
     ssl: SslLogStream<R>,
     x509: X509LogStream<R>,
@@ -242,9 +237,9 @@ fn run_observed(
     if opts.progress {
         pipeline = pipeline.with_progress(Arc::new(Progress::stderr("analyze")));
     }
-    let ssl = SslLogStream::permissive(log_reader(ssl_file));
+    let ssl = SslLogStream::permissive(ssl_file);
     let ssl_stats = ssl.stats();
-    let x509 = X509LogStream::permissive(log_reader(x509_file));
+    let x509 = X509LogStream::permissive(x509_file);
     let x509_stats = x509.stats();
     let analysis = analyze_logs(&pipeline, ssl, x509)?;
     Ok((
@@ -257,7 +252,7 @@ fn run_observed(
 }
 
 /// The columnar counterpart of [`run_observed`]: map the store, fold
-/// straight off the columns — no parse stage, no dispatch thread. The
+/// straight off the columns — no parse stage, no reading thread. The
 /// report is byte-identical to the TSV path over the same records.
 fn run_observed_colstore(
     dir: &Path,

@@ -52,7 +52,7 @@ use crate::{io_ctx, CliError, CliResult};
 use certchain_chainlab::{
     Analysis, AnalysisSummary, CrossSignRegistry, Pipeline, PipelineOptions, PipelineState,
 };
-use certchain_netsim::{order_spool, LogKind, SslLogStream, StreamStats, X509LogStream};
+use certchain_netsim::{order_spool, LogKind, ReadError, SslLogStream, X509LogStream};
 use certchain_obs::clock::Stopwatch;
 use certchain_obs::json::JsonValue;
 use certchain_obs::prom::{to_prometheus, PROMETHEUS_CONTENT_TYPE};
@@ -344,7 +344,8 @@ pub fn serve(
 
 /// One spool scan: order the recognizable rotated logs by rotation
 /// timestamp, fold every file the ledger has not seen, tally the rest.
-/// Returns how many files were folded.
+/// A file that does not frame is tallied as `spool.<kind>.unreadable`
+/// and joins the ledger unfolded. Returns how many files joined it.
 fn run_cycle(
     pipeline: &Pipeline<'_>,
     state: &mut PipelineState,
@@ -398,56 +399,63 @@ fn run_cycle(
         let fold_span = cycle.child("serve.fold");
         fold_span.attr("file", name);
         let rows_before = state.ssl_records() + state.x509_rows();
-        fold_file(pipeline, state, &spool.join(name), name, log.kind)?;
+        match fold_file(pipeline, state, &spool.join(name), log.kind)? {
+            Ok(()) => registry.counter("spool.files_folded").add(1),
+            Err(e) => {
+                // Skipped for good: tallied, and in the ledger below so a
+                // restart does not retry it.
+                eprintln!("serve: skipping unreadable spool file {name:?}: {e}");
+                state.add_loss(&format!("spool.{}.unreadable", log.kind.prefix()), 1);
+                fold_span.attr("unreadable", e.to_string());
+            }
+        }
         fold_span.attr(
             "rows",
             (state.ssl_records() + state.x509_rows() - rows_before).to_string(),
         );
         drop(fold_span);
         state.note_folded(name);
-        registry.counter("spool.files_folded").add(1);
         folded += 1;
     }
     Ok(folded)
 }
 
 /// Fold one rotated log file into the state through a permissive stream:
-/// x509 rows sequentially, ssl rows parsed on the shard workers.
-/// Malformed rows are skipped and tallied into the state's persistent
-/// loss map alongside the data they were lost from.
+/// x509 rows sequentially, ssl rows on the pipeline's workers. Malformed
+/// rows are skipped and tallied into the state's persistent loss map
+/// alongside the data they were lost from. The fold is all-or-nothing: a
+/// file that does not frame (no `#fields` header, a line that is not
+/// UTF-8, a failed read) leaves the state as it was, and its error comes
+/// back as the inner `Err`.
 fn fold_file(
     pipeline: &Pipeline<'_>,
     state: &mut PipelineState,
     path: &Path,
-    name: &str,
     kind: LogKind,
-) -> CliResult<()> {
+) -> CliResult<Result<(), ReadError>> {
     let file = std::fs::File::open(path).map_err(io_ctx(format!("reading {}", path.display())))?;
-    let reader = std::io::BufReader::new(file);
-    let stats: Arc<StreamStats> = match kind {
+    let (stats, folded) = match kind {
         LogKind::Ssl => {
-            let stream = SslLogStream::permissive(reader);
+            let stream = SslLogStream::permissive(file);
             let stats = stream.stats();
-            pipeline
-                .fold_ssl_log(state, stream)
-                .map_err(|e| CliError::Invalid(format!("{name}: {e}")))?;
-            stats
+            (stats, pipeline.fold_ssl_log(state, stream))
         }
         LogKind::X509 => {
-            let stream = X509LogStream::permissive(reader);
+            let stream = X509LogStream::permissive(file);
             let stats = stream.stats();
-            let mapped = stream.map(|r| r.map_err(|e| CliError::Invalid(format!("{name}: {e}"))));
-            pipeline.fold_x509_stream(state, mapped)?;
-            stats
+            // Every row is read before any is interned.
+            let folded = stream
+                .collect::<Result<Vec<_>, _>>()
+                .and_then(|rows| pipeline.fold_x509_stream(state, rows.into_iter().map(Ok)));
+            (stats, folded)
         }
     };
-    let prefix = match kind {
-        LogKind::Ssl => "ssl",
-        LogKind::X509 => "x509",
-    };
-    state.add_loss(&format!("spool.{prefix}.lines"), stats.lines());
-    state.add_loss(&format!("spool.{prefix}.malformed"), stats.malformed());
-    Ok(())
+    if folded.is_ok() {
+        let prefix = kind.prefix();
+        state.add_loss(&format!("spool.{prefix}.lines"), stats.lines());
+        state.add_loss(&format!("spool.{prefix}.malformed"), stats.malformed());
+    }
+    Ok(folded)
 }
 
 /// Finalize the current state and publish every HTTP surface. Uses a

@@ -140,6 +140,82 @@ fn unrecognized_and_compressed_spool_entries_are_skipped() {
     }
 }
 
+/// A spool file that does not frame is skipped, not fatal: the drain
+/// folds everything else, tallies the file in the state's loss map, and
+/// puts it in the ledger so no later session retries it. Its fold is
+/// all-or-nothing: an x509 file that fails part-way interns no row.
+#[test]
+fn unreadable_spool_files_are_skipped_and_tallied() {
+    let spool = fresh("spool-unreadable");
+    let checkpoint = fresh("ckpt-unreadable");
+    serve::spool_split(dataset_dir(), &spool, 2).expect("spool-split");
+    // No `#fields` header at all.
+    std::fs::write(spool.join("ssl.2024-09-01-05.log"), b"").unwrap();
+    // Good rows, then a line that is not UTF-8.
+    let mut x509 = std::fs::read(spool.join("x509.2024-09-01-00.log")).unwrap();
+    let mid = x509.len() / 2
+        + x509[x509.len() / 2..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .unwrap();
+    x509.splice(mid + 1..mid + 1, *b"\xff\n");
+    std::fs::write(spool.join("x509.2024-09-01-06.log"), x509).unwrap();
+
+    let reference = batch_tables(1);
+    assert_eq!(drain(&spool, &checkpoint, 2), reference);
+    let gens = list_gens(&checkpoint);
+    assert_eq!(drain(&spool, &checkpoint, 2), reference, "second drain");
+    assert_eq!(list_gens(&checkpoint), gens, "second drain re-checkpointed");
+
+    // A daemon resuming the checkpoint publishes /status before it listens.
+    let addr_file = fresh("addr-unreadable").with_extension("txt");
+    let opts = serve::ServeOptions {
+        threads: 2,
+        listen: Some("127.0.0.1:0".to_string()),
+        interval_ms: 100,
+        listen_addr_file: Some(addr_file.clone()),
+        ..serve::ServeOptions::default()
+    };
+    let (spool_c, ckpt_c) = (spool.clone(), checkpoint.clone());
+    std::thread::spawn(move || {
+        let _ = serve::serve(dataset_dir(), &spool_c, &ckpt_c, &opts);
+    });
+    let mut tries = 0;
+    let addr = loop {
+        if let Ok(text) = std::fs::read_to_string(&addr_file) {
+            if text.contains(':') {
+                break text;
+            }
+        }
+        tries += 1;
+        assert!(tries < 1500, "serve never published its address");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let (status, body) = http_get(&addr, "/status");
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    let doc = certchain_obs::json::parse(&body).expect("status JSON");
+    let loss = |key: &str| {
+        doc.get("loss")
+            .and_then(|l| l.get(key))
+            .and_then(|v| v.as_u64())
+    };
+    assert_eq!(loss("spool.ssl.unreadable"), Some(1), "{body}");
+    assert_eq!(loss("spool.x509.unreadable"), Some(1), "{body}");
+    let x509_rows = std::fs::read_to_string(dataset_dir().join("x509.log"))
+        .unwrap()
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .count() as u64;
+    assert_eq!(
+        doc.get("x509_rows").and_then(|v| v.as_u64()),
+        Some(x509_rows),
+        "the failed x509 file interned rows"
+    );
+    for dir in [&spool, &checkpoint] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
 fn http_get(addr: &str, path: &str) -> (String, String) {
     http_get_with(addr, path, &[])
 }

@@ -6,6 +6,7 @@
 //! the analysis code reads our synthetic logs exactly as it would read real
 //! ones.
 
+pub mod block;
 pub mod reader;
 pub mod record;
 pub mod rotated;

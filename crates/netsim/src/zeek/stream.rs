@@ -1,16 +1,16 @@
-//! Streaming Zeek TSV log readers: bounded-memory, line-at-a-time over
-//! any [`BufRead`].
+//! Streaming Zeek TSV log readers: bounded-memory record iterators over
+//! any [`Read`].
 //!
 //! This is the ingestion core the analysis pipeline consumes, in three
 //! layers shared by both log types:
 //!
-//! - **Framing**: each line is read into one reused buffer, counted, and
-//!   stripped of its newline (and a trailing CR). `#fields` headers are
-//!   applied, comments and blank lines skipped, and an io or UTF-8
-//!   failure is a fatal error on that line. A data line before any
-//!   `#fields` header, or a log with none at all, fails with `missing
-//!   #fields header` on line 0. A mid-file `#fields` line applies to the
-//!   lines after it.
+//! - **Framing** ([`crate::zeek::block`]): the log is read in blocks of
+//!   whole lines, cut before every `#fields` header, and a shared line
+//!   walk counts each block's lines, checks UTF-8, strips newlines and
+//!   skips comments and blank lines. An io or UTF-8 failure is a fatal
+//!   error on its line. A data line before any `#fields` header, or a log
+//!   with none at all, fails with `missing #fields header` on line 0. A
+//!   mid-file `#fields` line applies to the lines after it.
 //! - **The ssl row kernel**, [`SslColumns`]: each `#fields` header is
 //!   resolved once into column indices, and a data line is parsed in
 //!   place into a borrowed [`SslRow`]. There is no per-row `Vec`, no
@@ -19,12 +19,13 @@
 //!   into a reused buffer. A bad row fails on the first bad field in
 //!   [`SSL_FIELDS`] order. x509.log rows go through the same column
 //!   resolution into owned [`X509Record`]s.
-//! - **Record iterators**: [`SslLogStream`] / [`X509LogStream`] yield
-//!   `Result<Record, ReadError>` per data row, holding one line at a
-//!   time. The first bad row ends a strict stream with its line number
-//!   and message. The chain analyzer's TSV path builds no records: it
-//!   takes the stream's framed lines ([`SslLogStream::next_line`]) and
-//!   parses them on its shard workers with the same kernel
+//! - **Record iterators**: [`SslLogStream`] / [`X509LogStream`] are the
+//!   framer, one block, the walk and the kernel: they yield
+//!   `Result<Record, ReadError>` per data row. The first bad row ends a
+//!   strict stream with its line number and message. The chain
+//!   analyzer's TSV path builds no records: it takes the stream's blocks
+//!   ([`SslLogStream::into_blocks`]) and walks, parses and folds them on
+//!   its workers with the same walk and kernel
 //!   (`chainlab::pipeline::ingest`).
 //!
 //! Real-world logs are messier than the synthetic corpus, and a
@@ -38,6 +39,7 @@
 //! surfaced in its summary line and metrics snapshot.
 
 use crate::handshake::TlsVersion;
+use crate::zeek::block::{Block, LineWalk, LogBlocks, Schema};
 use crate::zeek::record::{SslRecord, X509Record};
 use crate::zeek::tsv::{parse, parse_version, unescape_at, zeek_unescape, SSL_FIELDS, X509_FIELDS};
 use certchain_asn1::Asn1Time;
@@ -45,7 +47,7 @@ use certchain_x509::Fingerprint;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::BufRead;
+use std::io::Read;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
@@ -204,13 +206,6 @@ struct Cells<'c, 'a, const N: usize> {
 }
 
 impl<'a, const N: usize> Cells<'_, 'a, N> {
-    /// Field `field`'s cell, if the header names it and the line is wide
-    /// enough to hold it.
-    fn get(&self, field: usize) -> Option<&'a str> {
-        let col = (*self.columns.index.get(field)?)?;
-        (col < self.width).then(|| self.cells[field])
-    }
-
     /// The next field's cell in schema order, or the error the row fails
     /// with at that field.
     fn take(&mut self) -> Result<&'a str, ReadError> {
@@ -227,20 +222,42 @@ impl<'a, const N: usize> Cells<'_, 'a, N> {
     }
 }
 
-/// Position of `cert_chain_fps` in [`SSL_FIELDS`].
-const CHAIN_FIELD: usize = 9;
-
 /// The ssl row kernel: where the ssl.log fields sit under one `#fields`
 /// header, and the in-place parse of the data lines under it.
 #[derive(Debug, Clone)]
 pub struct SslColumns(Columns<10>);
 
-impl SslColumns {
-    /// Resolve a header: the tab-separated column names after `#fields`.
-    pub fn resolve(header: &str) -> SslColumns {
-        SslColumns(Columns::resolve(SSL_FIELDS, header))
+impl Schema for SslColumns {
+    type Record = SslRecord;
+
+    fn resolve(names: &str) -> SslColumns {
+        SslColumns(Columns::resolve(SSL_FIELDS, names))
     }
 
+    fn record(&self, line: usize, text: &str) -> Result<SslRecord, ReadError> {
+        let mut fps = Vec::new();
+        let row = self.parse(line, text, &mut fps)?;
+        let record = SslRecord {
+            ts: row.ts,
+            uid: row.uid().into_owned(),
+            orig_h: row.orig_h,
+            orig_p: row.orig_p,
+            resp_h: row.resp_h,
+            resp_p: row.resp_p,
+            version: row.version,
+            server_name: row.server_name().map(Cow::into_owned),
+            established: row.established,
+            cert_chain_fps: Vec::new(),
+        };
+        // The row borrows `fps` until here; the record takes it whole.
+        Ok(SslRecord {
+            cert_chain_fps: fps,
+            ..record
+        })
+    }
+}
+
+impl SslColumns {
     /// Parse data line `line` in place. The chain is decoded into `fps`
     /// (cleared first), which the row then borrows. On a bad row, the
     /// error names the first bad field in [`SSL_FIELDS`] order.
@@ -276,19 +293,6 @@ impl SslColumns {
             uid,
             server_name,
         })
-    }
-
-    /// Decode only the line's chain into `fps`, in place: what a
-    /// dispatcher shards rows by without parsing them. `None` when the
-    /// chain cell is missing or holds a bad fingerprint; such a row never
-    /// parses.
-    pub fn chain<'f>(
-        &self,
-        text: &str,
-        fps: &'f mut Vec<Fingerprint>,
-    ) -> Option<&'f [Fingerprint]> {
-        let cell = self.0.split(0, text).get(CHAIN_FIELD)?;
-        decode_chain(cell, fps).then_some(fps.as_slice())
     }
 }
 
@@ -328,22 +332,6 @@ impl<'a> SslRow<'a> {
     /// unless it had one).
     pub fn server_name(&self) -> Option<Cow<'a, str>> {
         self.server_name.map(zeek_unescape)
-    }
-
-    /// The owned record.
-    pub fn to_record(&self) -> SslRecord {
-        SslRecord {
-            ts: self.ts,
-            uid: self.uid().into_owned(),
-            orig_h: self.orig_h,
-            orig_p: self.orig_p,
-            resp_h: self.resp_h,
-            resp_p: self.resp_p,
-            version: self.version,
-            server_name: self.server_name().map(Cow::into_owned),
-            established: self.established,
-            cert_chain_fps: self.cert_chain_fps.to_vec(),
-        }
     }
 }
 
@@ -393,9 +381,14 @@ fn decode_fingerprint(entry: &str) -> Option<Fingerprint> {
 #[derive(Debug, Clone)]
 struct X509Columns(Columns<11>);
 
-impl X509Columns {
-    /// Parse one x509.log data row.
-    fn parse(&self, line: usize, text: &str) -> Result<X509Record, ReadError> {
+impl Schema for X509Columns {
+    type Record = X509Record;
+
+    fn resolve(names: &str) -> X509Columns {
+        X509Columns(Columns::resolve(X509_FIELDS, names))
+    }
+
+    fn record(&self, line: usize, text: &str) -> Result<X509Record, ReadError> {
         let mut cells = self.0.split(line, text);
         let bad = |what: &str| err(line, format!("bad {what}"));
         let ts = parse::ts(cells.take()?).ok_or_else(|| bad("ts"))?;
@@ -502,10 +495,16 @@ impl StreamStats {
         }
     }
 
-    /// Add the rows `other` settled (records and malformed rows by
-    /// reason; not lines) to these tallies: how rows settled on worker
-    /// threads, each against tallies of its own, reach the stream's.
+    /// Count `n` input lines.
+    pub(crate) fn count_lines(&self, n: u64) {
+        self.lines.fetch_add(n, Relaxed);
+    }
+
+    /// Add `other`'s tallies (lines, records, and malformed rows by
+    /// reason) to these: how blocks walked on worker threads, each
+    /// against tallies of its own, reach the stream's.
     pub fn absorb(&self, other: &StreamStats) {
+        self.lines.fetch_add(other.lines(), Relaxed);
         self.records.fetch_add(other.records(), Relaxed);
         self.malformed.fetch_add(other.malformed(), Relaxed);
         let mut by_reason = self.by_reason.lock().expect("stream stats poisoned");
@@ -515,250 +514,148 @@ impl StreamStats {
     }
 }
 
-/// The framing both log types share: reads, counts and strips lines,
-/// reports `#fields` headers, skips comments, and fuses after an error.
-/// Only one line is buffered at a time.
-struct LogLines<R> {
-    reader: R,
-    buf: String,
-    lineno: usize,
-    seen_fields: bool,
+/// A record iterator over one log schema: the framer, the one block it
+/// holds, the walk over that block, and the schema's kernel.
+struct Records<R, C> {
+    blocks: LogBlocks<R, C>,
+    block: Block<C>,
+    walk: LineWalk,
     done: bool,
-    permissive: bool,
-    stats: Arc<StreamStats>,
 }
 
-impl<R: BufRead> LogLines<R> {
+impl<R: Read, C: Schema> Records<R, C> {
     fn new(reader: R, permissive: bool) -> Self {
-        LogLines {
-            reader,
-            buf: String::new(),
-            lineno: 0,
-            seen_fields: false,
+        Records::from_blocks(LogBlocks::new(reader, permissive))
+    }
+
+    fn from_blocks(blocks: LogBlocks<R, C>) -> Self {
+        Records {
+            blocks,
+            block: Block::default(),
+            walk: LineWalk::default(),
             done: false,
-            permissive,
-            stats: Arc::new(StreamStats::default()),
         }
-    }
-
-    /// The next data line and its number, an error (which fuses the
-    /// stream), or `None` at end of input. `on_fields` gets the column
-    /// names of every `#fields` header passed on the way.
-    fn next_data(
-        &mut self,
-        mut on_fields: impl FnMut(&str),
-    ) -> Option<Result<(usize, &str), ReadError>> {
-        if self.done {
-            return None;
-        }
-        let len = loop {
-            self.buf.clear();
-            match self.reader.read_line(&mut self.buf) {
-                Ok(0) => {
-                    self.done = true;
-                    // Empty file, or a log with no `#fields` line at all.
-                    return (!self.seen_fields).then(|| Err(err(0, "missing #fields header")));
-                }
-                Ok(_) => {}
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(err(self.lineno + 1, format!("io error: {e}"))));
-                }
-            }
-            self.lineno += 1;
-            self.stats.lines.fetch_add(1, Relaxed);
-            // `str::lines` semantics: strip the newline and a trailing CR.
-            let line = self.buf.strip_suffix('\n').unwrap_or(&self.buf);
-            let line = line.strip_suffix('\r').unwrap_or(line);
-            if let Some(names) = line.strip_prefix("#fields\t") {
-                self.seen_fields = true;
-                on_fields(names);
-                continue;
-            }
-            if line.starts_with('#') || line.is_empty() {
-                continue;
-            }
-            if !self.seen_fields {
-                self.done = true;
-                return Some(Err(err(0, "missing #fields header")));
-            }
-            break line.len();
-        };
-        Some(Ok((self.lineno, &self.buf[..len])))
-    }
-
-    /// Settle one row's parse outcome ([`StreamStats::settle`]) and
-    /// return what the stream yields for it: the record, nothing (a
-    /// skipped malformed row in permissive mode), or the error, which
-    /// fuses a strict stream.
-    fn settle<T>(&mut self, parsed: Result<T, ReadError>) -> Option<Result<T, ReadError>> {
-        let item = self.stats.settle(parsed, self.permissive).transpose();
-        if matches!(item, Some(Err(_))) {
-            self.done = true;
-        }
-        item
     }
 }
 
-/// An ssl.log data line as framed, not yet parsed.
-#[derive(Debug, Clone, Copy)]
-pub struct SslLine<'a> {
-    /// 1-based line number.
-    pub line: usize,
-    /// The line without its newline.
-    pub text: &'a str,
-    /// The columns of the `#fields` header in effect.
-    pub columns: &'a Arc<SslColumns>,
+impl<R: Read, C: Schema> Iterator for Records<R, C> {
+    type Item = Result<C::Record, ReadError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while !self.done {
+            let stats = &self.blocks.stats;
+            let item = match self.walk.next(&self.block, stats) {
+                Some(Ok(l)) => {
+                    let parsed = l.columns.record(l.line, l.text);
+                    match stats.settle(parsed, self.blocks.is_permissive()) {
+                        Ok(None) => continue,
+                        settled => settled.transpose(),
+                    }
+                }
+                Some(Err(e)) => Some(Err(e)),
+                None => {
+                    if self.blocks.next_block(&mut self.block) {
+                        let first = self.blocks.stats.lines() as usize;
+                        self.walk = LineWalk::start(&self.block, first);
+                        continue;
+                    }
+                    None
+                }
+            };
+            // An error, like the end of the log, fuses the stream.
+            self.done = !matches!(item, Some(Ok(_)));
+            return item;
+        }
+        None
+    }
 }
 
-/// Streaming ssl.log reader: yields one [`SslRecord`] per data row without
-/// ever holding more than the current line in memory.
+/// Streaming ssl.log reader: yields one [`SslRecord`] per data row,
+/// holding one block of lines at a time.
 ///
 /// ```no_run
 /// use certchain_netsim::zeek::stream::SslLogStream;
-/// use std::io::BufReader;
 /// let file = std::fs::File::open("ssl.log").unwrap();
-/// for record in SslLogStream::new(BufReader::new(file)) {
+/// for record in SslLogStream::new(file) {
 ///     let record = record.expect("well-formed row");
 ///     let _ = record.cert_chain_fps;
 /// }
 /// ```
-pub struct SslLogStream<R: BufRead> {
-    lines: LogLines<R>,
-    columns: Option<Arc<SslColumns>>,
-    fps: Vec<Fingerprint>,
-}
+pub struct SslLogStream<R>(Records<R, SslColumns>);
 
-impl<R: BufRead> SslLogStream<R> {
+impl<R: Read> SslLogStream<R> {
     /// Stream records from `reader`.
     pub fn new(reader: R) -> Self {
-        SslLogStream::open(reader, false)
+        SslLogStream(Records::new(reader, false))
     }
 
     /// Stream records from `reader`, skipping (and tallying) malformed
     /// data rows instead of fusing. Header problems stay fatal.
     pub fn permissive(reader: R) -> Self {
-        SslLogStream::open(reader, true)
+        SslLogStream(Records::new(reader, true))
     }
 
-    fn open(reader: R, permissive: bool) -> Self {
-        SslLogStream {
-            lines: LogLines::new(reader, permissive),
-            columns: None,
-            fps: Vec::new(),
-        }
+    /// Stream records from a framer set up by the caller (a block size
+    /// of its choosing, in tests).
+    pub fn from_blocks(blocks: LogBlocks<R, SslColumns>) -> Self {
+        SslLogStream(Records::from_blocks(blocks))
+    }
+
+    /// The stream's framer, for a consumer that walks and parses the
+    /// blocks itself ([`LineWalk`], [`SslColumns::parse`]) and settles
+    /// each row with [`StreamStats::settle`]. Take it before iterating:
+    /// the lines of a block the stream holds go with the stream.
+    pub fn into_blocks(self) -> LogBlocks<R, SslColumns> {
+        self.0.blocks
     }
 
     /// Whether malformed rows are skipped rather than fatal.
     pub fn is_permissive(&self) -> bool {
-        self.lines.permissive
+        self.0.blocks.is_permissive()
     }
 
     /// The stream's loss-accounting tallies (shared; read them after the
     /// stream is consumed).
     pub fn stats(&self) -> Arc<StreamStats> {
-        Arc::clone(&self.lines.stats)
-    }
-
-    /// The next data line, framed but not parsed, for a consumer that
-    /// parses rows itself with [`SslColumns::parse`]. Lines are counted
-    /// here; the consumer settles each row with [`StreamStats::settle`]
-    /// under [`Self::is_permissive`]. Framing errors fuse the stream.
-    pub fn next_line(&mut self) -> Option<Result<SslLine<'_>, ReadError>> {
-        let columns = &mut self.columns;
-        let next = self
-            .lines
-            .next_data(|names| *columns = Some(Arc::new(SslColumns::resolve(names))))?;
-        Some(next.map(|(line, text)| {
-            SslLine {
-                line,
-                text,
-                columns: self
-                    .columns
-                    .as_ref()
-                    .expect("data lines come only after a #fields header"),
-            }
-        }))
+        self.0.blocks.stats()
     }
 }
 
-impl<R: BufRead> Iterator for SslLogStream<R> {
+impl<R: Read> Iterator for SslLogStream<R> {
     type Item = Result<SslRecord, ReadError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        // The scratch leaves `self` while a framed line borrows it.
-        let mut fps = std::mem::take(&mut self.fps);
-        let item = loop {
-            let parsed = match self.next_line() {
-                None => break None,
-                Some(Err(e)) => break Some(Err(e)),
-                Some(Ok(l)) => l
-                    .columns
-                    .parse(l.line, l.text, &mut fps)
-                    .map(|row| row.to_record()),
-            };
-            if let Some(item) = self.lines.settle(parsed) {
-                break Some(item);
-            }
-        };
-        self.fps = fps;
-        item
+        self.0.next()
     }
 }
 
 /// Streaming x509.log reader: yields one [`X509Record`] per data row.
-pub struct X509LogStream<R: BufRead> {
-    lines: LogLines<R>,
-    columns: Option<X509Columns>,
-}
+pub struct X509LogStream<R>(Records<R, X509Columns>);
 
-impl<R: BufRead> X509LogStream<R> {
+impl<R: Read> X509LogStream<R> {
     /// Stream records from `reader`.
     pub fn new(reader: R) -> Self {
-        X509LogStream {
-            lines: LogLines::new(reader, false),
-            columns: None,
-        }
+        X509LogStream(Records::new(reader, false))
     }
 
     /// Stream records from `reader`, skipping (and tallying) malformed
     /// data rows instead of fusing. Header problems stay fatal.
     pub fn permissive(reader: R) -> Self {
-        X509LogStream {
-            lines: LogLines::new(reader, true),
-            columns: None,
-        }
+        X509LogStream(Records::new(reader, true))
     }
 
     /// The stream's loss-accounting tallies (shared; read them after the
     /// stream is consumed).
     pub fn stats(&self) -> Arc<StreamStats> {
-        Arc::clone(&self.lines.stats)
+        self.0.blocks.stats()
     }
 }
 
-impl<R: BufRead> Iterator for X509LogStream<R> {
+impl<R: Read> Iterator for X509LogStream<R> {
     type Item = Result<X509Record, ReadError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let columns = &mut self.columns;
-            let next = self.lines.next_data(|names| {
-                *columns = Some(X509Columns(Columns::resolve(X509_FIELDS, names)))
-            })?;
-            let (line, text) = match next {
-                Ok(data) => data,
-                Err(e) => return Some(Err(e)),
-            };
-            let parsed = self
-                .columns
-                .as_ref()
-                .expect("data lines come only after a #fields header")
-                .parse(line, text);
-            if let Some(item) = self.lines.settle(parsed) {
-                return Some(item);
-            }
-        }
+        self.0.next()
     }
 }
 
@@ -868,15 +765,9 @@ mod tests {
             format!("{escaped},{}", hex.to_uppercase()),
         ] {
             let line = ssl_line(&chain);
-            let mut fps = Vec::new();
-            let rec = columns.parse(8, &line, &mut fps).unwrap().to_record();
+            let rec = columns.record(8, &line).unwrap();
             assert!(!rec.cert_chain_fps.is_empty());
             assert!(rec.cert_chain_fps.iter().all(|f| *f == fp), "{chain}");
-            let mut shard_fps = Vec::new();
-            assert_eq!(
-                columns.chain(&line, &mut shard_fps),
-                Some(&rec.cert_chain_fps[..])
-            );
         }
     }
 
@@ -895,7 +786,6 @@ mod tests {
             let line = ssl_line(&chain);
             let err = columns.parse(8, &line, &mut Vec::new()).unwrap_err();
             assert_eq!(err, super::err(8, "bad fingerprint"), "{chain}");
-            assert_eq!(columns.chain(&line, &mut Vec::new()), None, "{chain}");
         }
     }
 

@@ -1,6 +1,6 @@
 //! Malformed-input parity between the Zeek readers: the stream, the batch
-//! collect, and the chain analyzer's shard workers (which parse ssl.log
-//! lines framed by the stream) must report the *same* error — line
+//! collect, and the chain analyzer's workers (which walk and parse the
+//! stream's blocks of ssl.log lines) must report the *same* error — line
 //! number and message — for every corruption, at every thread count.
 
 use certchain_asn1::Asn1Time;

@@ -12,8 +12,7 @@
 
 use certchain_chainlab::json::JsonValue;
 use certchain_chainlab::{
-    chain_category, Analysis, CertCat, CertRecord, CrossSignRegistry, Pipeline, PipelineOptions,
-    RowFilter,
+    Analysis, CategoryOracle, CertTable, CrossSignRegistry, Pipeline, PipelineOptions, RowFilter,
 };
 use certchain_colstore::codec::Encoding;
 use certchain_colstore::{Category, CategorySet, DatasetReader, DatasetWriter, MapMode, COLUMNS};
@@ -226,29 +225,17 @@ fn main() {
     // from the serialized Zeek logs and once mapped from the columnar
     // store, through an identical sequential analysis. This is the number
     // the columnar store exists for — analyze time with the parse stage
-    // deleted. Fingerprint → structural class table, used both to digest
-    // the store at write time and to pick the rarest category below. First
-    // parseable occurrence of a fingerprint wins — the same intern
-    // semantics as the analysis enrich pass.
-    let cat_codes: std::collections::HashMap<certchain_x509::Fingerprint, CertCat> = {
-        let mut codes = std::collections::HashMap::new();
+    // deleted. The category oracle over the trace's certificate table,
+    // filled under the analysis' intern rule, both digests the store at
+    // write time and picks the rarest category below.
+    let oracle = {
+        let mut table = CertTable::new();
         for rec in &trace.x509_records {
-            if codes.contains_key(&rec.fingerprint) {
-                continue;
-            }
-            if let Some(cert) = CertRecord::from_record(rec) {
-                codes.insert(rec.fingerprint, CertCat::of(&cert, &trace.eco.trust));
-            }
+            table.fold(rec);
         }
-        codes
+        CategoryOracle::new(CategorySet::empty(), &table, &trace.eco.trust)
     };
-    let category_of = |rec: &certchain_netsim::SslRecord| {
-        chain_category(
-            rec.cert_chain_fps
-                .iter()
-                .map(|fp| cat_codes.get(fp).copied().unwrap_or(CertCat::Unresolved)),
-        )
-    };
+    let category_of = |rec: &certchain_netsim::SslRecord| oracle.category(&rec.cert_chain_fps);
     let store =
         std::env::temp_dir().join(format!("certchain-pipeline-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store);
@@ -259,14 +246,7 @@ fn main() {
                 .append_x509(&rec.expect("x509 rows round-trip"))
                 .expect("append x509 row");
         }
-        let codes = cat_codes.clone();
-        writer = writer.with_category_provider(Box::new(move |rec| {
-            chain_category(
-                rec.cert_chain_fps
-                    .iter()
-                    .map(|fp| codes.get(fp).copied().unwrap_or(CertCat::Unresolved)),
-            )
-        }));
+        writer = writer.with_category_provider(oracle.clone().into_provider());
         for rec in SslLogStream::new(&ssl_buf[..]) {
             writer
                 .append_ssl(&rec.expect("ssl rows round-trip"))

@@ -13,13 +13,18 @@
 //! entity-discovery pass and therefore cannot be a row predicate;
 //! interception chains are structurally `non_public_only`.)
 //!
-//! The same fold runs in three places and must stay in lock-step: the
-//! TSV ingest path (via [`CategoryOracle`]), the columnar fold (via
-//! per-fingerprint-code [`CertCat`] tables), and the store writers
-//! (via a digest provider closure). All three call [`chain_category`].
+//! Every path computes a category from a [`CertTable`], filled under its
+//! one intern rule, and the one fold [`chain_category`]: the TSV and
+//! record folds through a [`CategoryOracle`] over the state's table, the
+//! store writers through an oracle over the table of the x509 rows they
+//! wrote ([`CategoryOracle::into_provider`]), and the columnar fold
+//! through a per-fingerprint-code [`CertCat`] vector built from its
+//! table.
 
 use crate::classify::{classify, CertClass};
 use crate::model::CertRecord;
+use crate::pipeline::CertTable;
+use certchain_colstore::write::CategoryProvider;
 use certchain_colstore::{Category, CategorySet};
 use certchain_trust::TrustDb;
 use certchain_x509::Fingerprint;
@@ -82,8 +87,8 @@ pub fn chain_category(codes: impl IntoIterator<Item = CertCat>) -> Category {
     }
 }
 
-/// Resolved category predicate for the record paths: a fingerprint →
-/// [`CertCat`] table plus the admitted [`CategorySet`]. Build it only
+/// Resolved category predicate: a fingerprint → [`CertCat`] map over a
+/// certificate table, plus the admitted [`CategorySet`]. Build it only
 /// after every x509 row has been folded — the structural category of a
 /// row depends on which fingerprints resolve, so an oracle built from a
 /// partial certificate table would disagree with the batch pipeline.
@@ -94,17 +99,20 @@ pub struct CategoryOracle {
 }
 
 impl CategoryOracle {
-    /// Build from resolved `(fingerprint, certificate)` pairs.
-    pub fn new<'a>(
-        set: CategorySet,
-        certs: impl IntoIterator<Item = (Fingerprint, &'a CertRecord)>,
-        trust: &TrustDb,
-    ) -> CategoryOracle {
-        let codes = certs
-            .into_iter()
-            .map(|(fp, cert)| (fp, CertCat::of(cert, trust)))
+    /// Classify every certificate in `table`.
+    pub fn new(set: CategorySet, table: &CertTable, trust: &TrustDb) -> CategoryOracle {
+        let codes = table
+            .certs()
+            .iter()
+            .map(|cert| (cert.fingerprint, CertCat::of(cert, trust)))
             .collect();
         CategoryOracle { set, codes }
+    }
+
+    /// The oracle as a store writer's per-row category digest provider
+    /// (`certchain_colstore::DatasetWriter::with_category_provider`).
+    pub fn into_provider(self) -> CategoryProvider {
+        Box::new(move |rec| self.category(&rec.cert_chain_fps))
     }
 
     /// The admitted categories.

@@ -54,7 +54,7 @@ pub use lint::{lint_chain, Finding, Severity};
 pub use matchpath::{MatchedRun, PathReport, PathVerdict};
 pub use model::{CertRecord, ChainKey};
 pub use pipeline::{
-    Analysis, ChainAnalysis, ChainCategoryLabel, Pipeline, PipelineOptions, PipelineState,
-    RowFilter, StateError,
+    Analysis, CertTable, ChainAnalysis, ChainCategoryLabel, Pipeline, PipelineOptions,
+    PipelineState, RowFilter, StateError,
 };
 pub use summary::AnalysisSummary;

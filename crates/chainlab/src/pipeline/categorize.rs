@@ -1,9 +1,11 @@
-//! Stage 3 — categorize: classify certificates, discover interception
-//! entities (pass 1), and run the per-chain categorization + structure
-//! analysis body (pass 2).
+//! Stages 3 and 4 — resolve and categorize: resolve every folded chain
+//! against the certificate table and classify its certificates, discover
+//! interception entities (pass 1), and run the per-chain categorization +
+//! structure analysis body (pass 2).
 
+use super::enrich::CertTable;
 use super::ingest::ChainAccum;
-use super::{ChainAnalysis, ChainCategoryLabel, Pipeline};
+use super::{concat, par_map, ChainAnalysis, ChainCategoryLabel, Pipeline};
 use crate::classify::{classify, CertClass};
 use crate::crosssign::CrossSignRegistry;
 use crate::dga::is_dga_chain;
@@ -12,7 +14,7 @@ use crate::interception::{detect, InterceptionVerdict};
 use crate::matchpath;
 use crate::model::{CertRecord, ChainKey};
 use crate::usage::UsageStats;
-use certchain_x509::{DistinguishedName, Fingerprint};
+use certchain_x509::DistinguishedName;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -35,33 +37,80 @@ pub fn issuer_entity(dn: &DistinguishedName) -> String {
         .unwrap_or_else(|| dn.to_rfc4514())
 }
 
-/// Turn a shard's accumulators into classified [`Prepared`] chains.
-pub(crate) fn prepare(
+/// A folded chain on its way into [`resolve`], taken by value: an owned
+/// pair (the columnar fold's chains) moves into the result, a borrowed
+/// pair (a [`super::PipelineState`]'s chains, which finalize must not
+/// consume) is cloned, and only once it resolves.
+pub(crate) trait Entry: Send {
+    /// The chain's key and accumulator.
+    fn parts(&self) -> (&ChainKey, &ChainAccum);
+    /// The chain's key and accumulator, owned.
+    fn into_parts(self) -> (ChainKey, ChainAccum);
+}
+
+impl Entry for (ChainKey, ChainAccum) {
+    fn parts(&self) -> (&ChainKey, &ChainAccum) {
+        (&self.0, &self.1)
+    }
+
+    fn into_parts(self) -> (ChainKey, ChainAccum) {
+        self
+    }
+}
+
+impl Entry for (&ChainKey, &ChainAccum) {
+    fn parts(&self) -> (&ChainKey, &ChainAccum) {
+        *self
+    }
+
+    fn into_parts(self) -> (ChainKey, ChainAccum) {
+        (self.0.clone(), self.1.clone())
+    }
+}
+
+/// Resolve each chain's fingerprints against the certificate table and
+/// classify its certificates, on `threads` workers over arbitrary
+/// (unsorted) runs — safe because per-chain work is pure and the caller
+/// sorts. A chain with a fingerprint the table lacks is dropped and its
+/// records tallied as unresolvable (an integer sum, thread-count
+/// invariant); the tally comes back with the resolved chains.
+pub(crate) fn resolve<E: Entry>(
     pipe: &Pipeline<'_>,
-    accums: HashMap<ChainKey, ChainAccum>,
-    cert_index: &HashMap<Fingerprint, Arc<CertRecord>>,
-) -> Vec<Prepared> {
-    accums
-        .into_iter()
-        .map(|(key, accum)| {
-            let certs: Vec<Arc<CertRecord>> =
-                key.0.iter().map(|fp| Arc::clone(&cert_index[fp])).collect();
+    table: &CertTable,
+    entries: Vec<E>,
+    threads: usize,
+) -> (Vec<Prepared>, u64) {
+    let parts = par_map(entries, threads, |part| {
+        let mut prepared = Vec::with_capacity(part.len());
+        let mut unresolvable = 0u64;
+        for entry in part {
+            let (key, accum) = entry.parts();
+            let certs: Option<Vec<Arc<CertRecord>>> =
+                key.0.iter().map(|fp| table.get(fp).cloned()).collect();
+            let Some(certs) = certs else {
+                unresolvable += accum.usage.records;
+                continue;
+            };
             let classes: Vec<CertClass> = certs.iter().map(|c| classify(c, pipe.trust)).collect();
-            Prepared {
+            let (key, accum) = entry.into_parts();
+            prepared.push(Prepared {
                 key,
                 certs,
                 classes,
                 snis: accum.snis,
                 usage: accum.usage,
-            }
-        })
-        .collect()
+            });
+        }
+        (prepared, unresolvable)
+    });
+    let (runs, unresolvable): (Vec<_>, Vec<u64>) = parts.into_iter().unzip();
+    (concat(runs), unresolvable.iter().sum())
 }
 
 /// Pass-1 kernel: candidate entity → forged-domain set over `part`.
 fn scan_entities<'p>(
     pipe: &Pipeline<'_>,
-    part: &'p [Prepared],
+    part: &[&'p Prepared],
 ) -> HashMap<String, BTreeSet<&'p str>> {
     let mut candidates: HashMap<String, BTreeSet<&'p str>> = HashMap::new();
     for p in part {
@@ -85,29 +134,16 @@ pub(crate) fn find_entities(
     prepared: &[Prepared],
     threads: usize,
 ) -> BTreeSet<String> {
-    let candidate_domains = if threads <= 1 || prepared.len() < 2 {
-        scan_entities(pipe, prepared)
-    } else {
-        let chunk = prepared.len().div_ceil(threads);
-        let maps: Vec<HashMap<String, BTreeSet<&str>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = prepared
-                .chunks(chunk)
-                .map(|part| scope.spawn(|| scan_entities(pipe, part)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pass-1 worker panicked"))
-                .collect()
-        });
-        // Entity → domain-set union is order-insensitive.
-        let mut merged: HashMap<String, BTreeSet<&str>> = HashMap::new();
-        for map in maps {
-            for (entity, domains) in map {
-                merged.entry(entity).or_default().extend(domains);
-            }
+    let maps = par_map(prepared.iter().collect(), threads, |part| {
+        scan_entities(pipe, &part)
+    });
+    // Entity → domain-set union is order-insensitive.
+    let mut candidate_domains: HashMap<String, BTreeSet<&str>> = HashMap::new();
+    for map in maps {
+        for (entity, domains) in map {
+            candidate_domains.entry(entity).or_default().extend(domains);
         }
-        merged
-    };
+    }
     candidate_domains
         .into_iter()
         .filter_map(|(entity, domains)| {

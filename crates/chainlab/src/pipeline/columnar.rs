@@ -14,24 +14,28 @@
 //! by chain instead.
 //!
 //! There is one fold for every store version (a v1 store reaches it as
-//! `plain` bands, see `certchain_colstore::read`). Workers claim whole
+//! `plain` bands, see `certchain_colstore::read`). The x509 table folds
+//! first, in row order, into a [`CertTable`] under the same intern rule
+//! as every other reader; a row of an already-interned fingerprint is
+//! not even decoded into a record. The ssl workers then claim whole
 //! *segments*, consult each segment's zone map to skip row bands that
 //! cannot match the active [`super::RowFilter`] (filter predicates are
 //! resolved to dictionary codes once, so the per-row test is two integer
 //! compares), decode only the five columns the fold touches into reused
 //! scratch buffers, and key the per-chain accumulators by
 //! fingerprint-*code* sequences — fingerprints and SNI strings are
-//! resolved once per distinct chain at the end, not once per row.
+//! resolved once per distinct chain at the end, not once per row. The
+//! fold does not check chains against the table: its chains move, owned,
+//! into the same resolve and later stages as every other path's.
 //! Zone-map skip decisions are per-segment properties of the data, so
 //! they are identical for every thread count, which keeps the
 //! `colstore.segments_*` metrics deterministic.
 
-use super::categorize::{self, Prepared};
-use super::enrich::CertIndex;
+use super::enrich::CertTable;
 use super::ingest::{merge_into, ChainAccum, IngestCounts, Partial};
-use super::{resolve_threads, Analysis, Pipeline, RowFilter};
+use super::{par_map, resolve_threads, Analysis, Pipeline, RowFilter};
 use crate::filtercat::{chain_category, CertCat};
-use crate::model::{CertRecord, ChainKey};
+use crate::model::ChainKey;
 use crate::usage::UsageStats;
 use certchain_colstore::{
     CategoryDigest, CategorySet, ColError, ColResult, DatasetReader, SslSegments, X509Segments,
@@ -55,35 +59,37 @@ impl Pipeline<'_> {
         self.obs.set("colstore.bytes_mapped", reader.bytes_mapped());
         let filter = ColFilter::resolve(reader, &self.options.filter)?;
         let x509 = reader.x509_segments()?;
-        let (cert_index, unparseable, x509_tally) = {
-            let _span = self.obs.stage("enrich");
-            enrich_segments(&x509)?
+        let mut table = CertTable::new();
+        let mut tally = {
+            let stage = self.obs.stage("enrich");
+            let tally = enrich_segments(&x509, &mut table)?;
+            stage.attr("rows", table.rows());
+            tally
         };
-        self.record_enrich(reader.x509_rows(), unparseable, cert_index.len());
         let ssl = reader.ssl_segments()?;
-        let (prepared, counts, ssl_tally) = {
-            let _span = self.obs.stage("ingest");
+        let (entries, counts) = {
+            let _stage = self.obs.stage("ingest");
             ingest_segments(
                 self,
                 &ssl,
                 &filter,
                 reader.category_digests(),
-                &cert_index,
+                &table,
                 threads,
+                &mut tally,
             )?
         };
         // Scan accounting. Skip decisions are per-segment data
         // properties, so every value here is thread-count-invariant;
         // `rows_read` counts rows actually decoded (== the table totals
         // when no filter is active, since nothing is skipped then).
-        let tally = x509_tally.plus(ssl_tally);
         self.obs.add("colstore.rows_read", tally.rows);
         self.obs.add("colstore.segments_read", tally.read);
         self.obs.add("colstore.segments_skipped", tally.skipped);
         self.obs
             .add("colstore.segments_skipped_category", tally.skipped_category);
         self.obs.add("colstore.bytes_decoded", tally.bytes);
-        Ok(self.finish(prepared, counts, threads))
+        Ok(self.finish(&table, entries, counts))
     }
 }
 
@@ -173,18 +179,12 @@ impl SegTally {
     }
 }
 
-/// Enrich off the x509 segments: decode a segment's columns once,
-/// then intern each row whose fingerprint *code* is unseen. An interned
-/// code is tracked in a plain bitmap, so duplicate rows — the common
-/// case, since every reappearance of a certificate logs a row — cost one
-/// vector load and no string resolution. A row that fails to parse is
-/// *not* marked seen, so a later duplicate retries it, matching the
-/// streaming enrich semantics exactly.
-fn enrich_segments(cols: &X509Segments<'_>) -> ColResult<(CertIndex, u64, SegTally)> {
-    let mut cert_index: CertIndex = HashMap::new();
-    let mut unparseable = 0u64;
+/// Enrich off the x509 segments: decode a segment's columns once, then
+/// fold each row into `table` in row order. A row's record is built —
+/// its strings resolved out of the dictionary — only while its
+/// fingerprint is still open in the table, so a repeat costs one probe.
+fn enrich_segments(cols: &X509Segments<'_>, table: &mut CertTable) -> ColResult<SegTally> {
     let mut tally = SegTally::default();
-    let mut interned = vec![false; cols.fps.len() / 32];
     let (mut ts, mut fp, mut version) = (Vec::new(), Vec::new(), Vec::new());
     let (mut serial, mut subject, mut issuer) = (Vec::new(), Vec::new(), Vec::new());
     let (mut not_before, mut not_after) = (Vec::new(), Vec::new());
@@ -213,47 +213,35 @@ fn enrich_segments(cols: &X509Segments<'_>) -> ColResult<(CertIndex, u64, SegTal
         let san_base = cols.san_start(seg);
         for i in 0..rows as usize {
             let row = row_start + i as u64;
-            let code = fp[i] as u32;
-            let slot = interned.get_mut(code as usize).ok_or_else(|| {
-                ColError::Corrupt(format!(
-                    "x509.fp row {row}: fingerprint index {code} out of range"
-                ))
-            })?;
-            if *slot {
-                continue;
-            }
-            let san_from = if i == 0 { san_base } else { san_idx[i - 1] };
-            let san_codes = var_codes(cols.san_dat, san_from, san_idx[i], "x509.san", row)?;
-            let mut san_dns = Vec::with_capacity(san_codes.len() / 4);
-            for entry in san_codes.chunks_exact(4) {
-                let c = u32::from_le_bytes(entry.try_into().expect("4-byte slice"));
-                san_dns.push(cols.dict.get(c)?.to_string());
-            }
-            let fl = flags[i] as u8;
-            let rec = certchain_netsim::X509Record {
-                ts: certchain_asn1::Asn1Time::from_unix(ts[i]),
-                fingerprint: cols.fp(code)?,
-                cert_version: version[i],
-                serial: cols.dict.get(serial[i] as u32)?.to_string(),
-                subject: cols.dict.get(subject[i] as u32)?.to_string(),
-                issuer: cols.dict.get(issuer[i] as u32)?.to_string(),
-                not_before: certchain_asn1::Asn1Time::from_unix(not_before[i]),
-                not_after: certchain_asn1::Asn1Time::from_unix(not_after[i]),
-                basic_constraints_ca: (fl & certchain_colstore::write::FLAG_BC_PRESENT != 0)
-                    .then_some(fl & certchain_colstore::write::FLAG_BC_CA != 0),
-                path_len: (fl & certchain_colstore::write::FLAG_PATH_LEN != 0).then(|| path_len[i]),
-                san_dns,
-            };
-            match CertRecord::from_record(&rec) {
-                Some(cert) => {
-                    cert_index.insert(rec.fingerprint, std::sync::Arc::new(cert));
-                    *slot = true;
+            let fingerprint = cols.fp(fp[i] as u32)?;
+            table.fold_with(&fingerprint, || {
+                let san_from = if i == 0 { san_base } else { san_idx[i - 1] };
+                let san_codes = var_codes(cols.san_dat, san_from, san_idx[i], "x509.san", row)?;
+                let mut san_dns = Vec::with_capacity(san_codes.len() / 4);
+                for entry in san_codes.chunks_exact(4) {
+                    let c = u32::from_le_bytes(entry.try_into().expect("4-byte slice"));
+                    san_dns.push(cols.dict.get(c)?.to_string());
                 }
-                None => unparseable += 1,
-            }
+                let fl = flags[i] as u8;
+                Ok::<_, ColError>(certchain_netsim::X509Record {
+                    ts: certchain_asn1::Asn1Time::from_unix(ts[i]),
+                    fingerprint,
+                    cert_version: version[i],
+                    serial: cols.dict.get(serial[i] as u32)?.to_string(),
+                    subject: cols.dict.get(subject[i] as u32)?.to_string(),
+                    issuer: cols.dict.get(issuer[i] as u32)?.to_string(),
+                    not_before: certchain_asn1::Asn1Time::from_unix(not_before[i]),
+                    not_after: certchain_asn1::Asn1Time::from_unix(not_after[i]),
+                    basic_constraints_ca: (fl & certchain_colstore::write::FLAG_BC_PRESENT != 0)
+                        .then_some(fl & certchain_colstore::write::FLAG_BC_CA != 0),
+                    path_len: (fl & certchain_colstore::write::FLAG_PATH_LEN != 0)
+                        .then(|| path_len[i]),
+                    san_dns,
+                })
+            })?;
         }
     }
-    Ok((cert_index, unparseable, tally))
+    Ok(tally)
 }
 
 /// Bounds-check a decoded var-length `start..end` offset pair and return
@@ -292,13 +280,13 @@ impl Partial for CodeAccum {
     }
 }
 
-/// Fold segments `seg_lo..seg_hi` of the ssl table. Category
-/// digests and zone maps veto whole segments first; surviving segments
-/// decode only the five columns the fold touches, into scratch buffers
-/// reused across segments.
+/// Fold segments `segs` of the ssl table. Category digests and zone maps
+/// veto whole segments first; surviving segments decode only the five
+/// columns the fold touches, into scratch buffers reused across
+/// segments.
 ///
-/// `cats` maps every fingerprint code to its [`CertCat`] (with
-/// `Unresolved` doubling as the resolvability bit); `digests` is the
+/// `cats` maps every fingerprint code to its [`CertCat`] when the filter
+/// names categories (and is empty otherwise); `digests` is the
 /// manifest's per-segment category digest array when the store carries
 /// one. A digest veto is sound because the digest was computed by the
 /// same [`chain_category`] fold over the same complete certificate
@@ -307,8 +295,7 @@ impl Partial for CodeAccum {
 /// of its rows.
 fn fold_segments(
     ssl: &SslSegments<'_>,
-    seg_lo: usize,
-    seg_hi: usize,
+    segs: &[usize],
     filter: &ColFilter,
     digests: Option<&[CategoryDigest]>,
     cats: &[CertCat],
@@ -319,7 +306,8 @@ fn fold_segments(
     let (mut resp_p, mut established) = (Vec::new(), Vec::new());
     let (mut sni, mut orig_h, mut chain_idx) = (Vec::new(), Vec::new(), Vec::new());
     let mut codes: Vec<u32> = Vec::new();
-    for seg in seg_lo..seg_hi {
+    let fp_count = ssl.fp_count();
+    for &seg in segs {
         if let (Some(set), Some(digests)) = (filter.categories, digests) {
             // Digest-less segments (None overall) are never skipped.
             if digests.get(seg).is_some_and(|d| !d.intersects(set)) {
@@ -356,16 +344,12 @@ fn fold_segments(
             let from = if i == 0 { chain_base } else { chain_idx[i - 1] };
             let chain_bytes = var_codes(ssl.chain_dat, from, chain_idx[i], "ssl.chain", row)?;
             codes.clear();
-            let mut all_resolvable = true;
             for entry in chain_bytes.chunks_exact(4) {
                 let code = u32::from_le_bytes(entry.try_into().expect("4-byte slice"));
-                match cats.get(code as usize) {
-                    Some(cat) => all_resolvable &= *cat != CertCat::Unresolved,
-                    None => {
-                        return Err(ColError::Corrupt(format!(
-                            "ssl.chain row {row}: fingerprint index {code} out of range"
-                        )))
-                    }
+                if code as usize >= fp_count {
+                    return Err(ColError::Corrupt(format!(
+                        "ssl.chain row {row}: fingerprint index {code} out of range"
+                    )));
                 }
                 codes.push(code);
             }
@@ -382,10 +366,6 @@ fn fold_segments(
             counts.records += 1;
             if codes.is_empty() {
                 counts.no_chain += 1;
-                continue;
-            }
-            if !all_resolvable {
-                counts.unresolvable += 1;
                 continue;
             }
             if !accums.contains_key(codes.as_slice()) {
@@ -409,63 +389,47 @@ fn fold_segments(
     Ok((accums, counts, tally))
 }
 
-/// Ingest the ssl table: contiguous *segment* ranges per worker,
-/// partials merged in worker-index order, code keys resolved once per
-/// distinct chain, then one classification pass.
+/// Ingest the ssl table: contiguous *segment* runs per worker, partials
+/// merged in run order, code keys resolved once per distinct chain into
+/// owned entries for the resolve. The scan accounting adds to `tally`.
 fn ingest_segments(
     pipe: &Pipeline<'_>,
     ssl: &SslSegments<'_>,
     filter: &ColFilter,
     digests: Option<&[CategoryDigest]>,
-    cert_index: &CertIndex,
+    table: &CertTable,
     threads: usize,
-) -> ColResult<(Vec<Prepared>, IngestCounts, SegTally)> {
-    // The category class of every fingerprint code, precomputed once
-    // (`Unresolved` doubles as the resolvability bit): the per-row tests
-    // become vector loads instead of hash probes and classifications.
-    let mut cats = vec![CertCat::Unresolved; ssl.fp_count()];
-    for (code, slot) in cats.iter_mut().enumerate() {
-        if let Some(cert) = cert_index.get(&ssl.fp(code as u32)?) {
-            *slot = CertCat::of(cert, pipe.trust);
+    tally: &mut SegTally,
+) -> ColResult<(Vec<(ChainKey, ChainAccum)>, IngestCounts)> {
+    // Under a category filter, the class of every fingerprint code,
+    // precomputed once: the per-row test becomes vector loads instead of
+    // hash probes and classifications.
+    let mut cats = Vec::new();
+    if filter.categories.is_some() {
+        for code in 0..ssl.fp_count() {
+            cats.push(match table.get(&ssl.fp(code as u32)?) {
+                Some(cert) => CertCat::of(cert, pipe.trust),
+                None => CertCat::Unresolved,
+            });
         }
     }
-    let segs = ssl.segment_count();
-    let (code_accums, counts, tally) = if threads <= 1 || segs < 2 {
-        fold_segments(ssl, 0, segs, filter, digests, &cats)?
-    } else {
-        let per = segs.div_ceil(threads);
-        let cats = &cats;
-        let parts: Vec<ColResult<_>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let lo = (w * per).min(segs);
-                    let hi = ((w + 1) * per).min(segs);
-                    scope.spawn(move || fold_segments(ssl, lo, hi, filter, digests, cats))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("segmented ingest worker panicked"))
-                .collect()
-        });
-        let mut merged: HashMap<Vec<u32>, CodeAccum> = HashMap::new();
-        let mut counts = IngestCounts::default();
-        let mut tally = SegTally::default();
-        for part in parts {
-            let (accums, c, t) = part?;
-            counts.records += c.records;
-            counts.no_chain += c.no_chain;
-            counts.unresolvable += c.unresolvable;
-            tally = tally.plus(t);
-            merge_into(&mut merged, accums);
-        }
-        (merged, counts, tally)
-    };
+    let parts = par_map((0..ssl.segment_count()).collect(), threads, |segs| {
+        fold_segments(ssl, &segs, filter, digests, &cats)
+    });
+    let mut code_accums: HashMap<Vec<u32>, CodeAccum> = HashMap::new();
+    let mut counts = IngestCounts::default();
+    for part in parts {
+        let (accums, c, t) = part?;
+        counts.records += c.records;
+        counts.no_chain += c.no_chain;
+        *tally = tally.plus(t);
+        merge_into(&mut code_accums, accums);
+    }
     // Rekey code sequences to fingerprint chains and SNI codes to
     // strings — once per distinct chain, the only string work in the
     // whole ingest.
-    let mut accums: HashMap<ChainKey, ChainAccum> = HashMap::new();
-    // srclint: commutative -- map-to-map rekeying; the code->fingerprint mapping is injective, so each source entry lands in a distinct key and iteration order is invisible
+    let mut entries = Vec::with_capacity(code_accums.len());
+    // srclint: commutative -- map-to-list rekeying; the code->fingerprint mapping is injective, so each source entry lands in a distinct key, and the resolve's output is sorted
     for (code_key, code_accum) in code_accums {
         let mut fps = Vec::with_capacity(code_key.len());
         for code in &code_key {
@@ -475,14 +439,14 @@ fn ingest_segments(
         for code in &code_accum.sni_codes {
             snis.insert(ssl.dict.get(*code)?.to_string());
         }
-        accums.insert(
+        entries.push((
             ChainKey(fps),
             ChainAccum {
                 usage: code_accum.usage,
                 snis,
             },
-        );
+        ));
     }
     pipe.obs.finish_progress(counts.records);
-    Ok((categorize::prepare(pipe, accums, cert_index), counts, tally))
+    Ok((entries, counts))
 }

@@ -1,23 +1,137 @@
-//! Stage 2 — enrich: the interned certificate index, one shared record
-//! per distinct fingerprint.
+//! Stage 2 — enrich: the certificate table, one shared record per
+//! distinct fingerprint.
 //!
 //! Real campus logs repeat certificates enormously (every connection
-//! re-logs the chain it saw), so the index is the compact side of the
+//! re-logs the chain it saw), so the table is the compact side of the
 //! dataset: O(distinct certificates) regardless of connection volume.
-//! First parseable occurrence wins, so re-logged rows never perturb the
-//! index and every entry point agrees on which row defines a
-//! fingerprint.
 //!
-//! The interning fold itself lives on [`super::state::PipelineState`]
-//! (it is resumable state, folded incrementally from rotated x509
-//! files); the columnar path builds the same index straight from the
-//! store's fingerprint table. Both produce this [`CertIndex`] shape for
-//! the finalize stages.
+//! [`CertTable`] owns the one rule that decides which x509 row defines a
+//! fingerprint, and every x509 reader fills one: the TSV, record and
+//! `serve` folds and checkpoint reload (through
+//! [`super::state::PipelineState`]), the columnar enrich, and the
+//! category digests the store writers compute. Every later stage reads
+//! certificates from it: the category predicate
+//! ([`crate::filtercat::CategoryOracle`]) and the resolve that turns
+//! each chain's fingerprints into records.
 
 use crate::model::CertRecord;
+use certchain_netsim::X509Record;
 use certchain_x509::Fingerprint;
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::Arc;
 
-/// The interned certificate index: fingerprint -> shared record.
-pub(crate) type CertIndex = HashMap<Fingerprint, Arc<CertRecord>>;
+/// The interned certificate table: fingerprint → shared record, in
+/// intern order, with the tallies of the rows folded into it.
+///
+/// The intern rule, the same for every reader:
+/// - the first row of a fingerprint that parses into a [`CertRecord`]
+///   defines it;
+/// - a later row of a fingerprint already interned counts toward
+///   [`CertTable::rows`] and is not parsed;
+/// - a row that fails to parse counts toward [`CertTable::unparseable`]
+///   and leaves its fingerprint open for a later row.
+///
+/// So `rows` is every x509 row folded, and `unparseable` the rows that
+/// were parsed, because their fingerprint was still open, and failed.
+#[derive(Debug, Default, Clone)]
+pub struct CertTable {
+    /// Interned records, in intern order.
+    certs: Vec<Arc<CertRecord>>,
+    /// Fingerprint → index into `certs`.
+    lookup: HashMap<Fingerprint, usize>,
+    rows: u64,
+    unparseable: u64,
+}
+
+impl CertTable {
+    /// An empty table.
+    pub fn new() -> CertTable {
+        CertTable::default()
+    }
+
+    /// Fold one x509 row under the intern rule. Returns whether it
+    /// interned a new certificate.
+    pub fn fold(&mut self, rec: &X509Record) -> bool {
+        match self.fold_with(&rec.fingerprint, || Ok::<_, Infallible>(rec)) {
+            Ok(interned) => interned,
+            Err(never) => match never {},
+        }
+    }
+
+    /// [`CertTable::fold`] for a row of fingerprint `fp` that is costly to
+    /// build: `row` builds it, and runs only while `fp` is still open, so
+    /// a repeat costs one probe. A failure to build is returned as-is.
+    pub(crate) fn fold_with<R, E>(
+        &mut self,
+        fp: &Fingerprint,
+        row: impl FnOnce() -> Result<R, E>,
+    ) -> Result<bool, E>
+    where
+        R: Borrow<X509Record>,
+    {
+        self.rows += 1;
+        if self.lookup.contains_key(fp) {
+            return Ok(false);
+        }
+        match CertRecord::from_record(row()?.borrow()) {
+            Some(cert) => {
+                self.lookup.insert(*fp, self.certs.len());
+                self.certs.push(Arc::new(cert));
+                Ok(true)
+            }
+            None => {
+                self.unparseable += 1;
+                Ok(false)
+            }
+        }
+    }
+
+    /// Rebuild the table a checkpoint persisted from its interned rows,
+    /// in intern order, and its tallies. Each stored row was interned
+    /// once, so a repeated fingerprint or a row that no longer parses is
+    /// corruption, described in the error.
+    pub(crate) fn restore(
+        stored: &[X509Record],
+        rows: u64,
+        unparseable: u64,
+    ) -> Result<CertTable, String> {
+        let mut table = CertTable::new();
+        for rec in stored {
+            if table.get(&rec.fingerprint).is_some() {
+                return Err(format!("duplicate stored certificate {}", rec.fingerprint));
+            }
+            if !table.fold(rec) {
+                return Err(format!(
+                    "stored certificate {} no longer parses",
+                    rec.fingerprint
+                ));
+            }
+        }
+        table.rows = rows;
+        table.unparseable = unparseable;
+        Ok(table)
+    }
+
+    /// The record interned for `fp`, if any.
+    pub(crate) fn get(&self, fp: &Fingerprint) -> Option<&Arc<CertRecord>> {
+        self.lookup.get(fp).map(|&i| &self.certs[i])
+    }
+
+    /// Every interned record, in intern order.
+    pub fn certs(&self) -> &[Arc<CertRecord>] {
+        &self.certs
+    }
+
+    /// x509 rows folded.
+    pub fn rows(&self) -> u64 {
+        self.rows
+    }
+
+    /// Rows parsed, because their fingerprint was still open, that failed
+    /// to parse.
+    pub fn unparseable(&self) -> u64 {
+        self.unparseable
+    }
+}

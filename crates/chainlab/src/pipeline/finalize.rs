@@ -1,19 +1,19 @@
-//! Stage 4 — finalize: pass 2 over the sorted chains and [`Analysis`]
+//! Stage 5 — finalize: pass 2 over the sorted chains and [`Analysis`]
 //! assembly.
 //!
 //! Everything here operates on the `ChainKey`-sorted `Prepared` vector,
 //! which is the single total order the determinism guarantee hangs on:
-//! contiguous chunks concatenate back in order, so the output sequence
+//! contiguous runs concatenate back in order, so the output sequence
 //! equals the sequential one for every thread count.
 
 use super::categorize::{self, Prepared};
-use super::{Analysis, ChainAnalysis, Pipeline};
+use super::{concat, par_map, Analysis, ChainAnalysis, Pipeline};
 use crate::crosssign::CrossSignRegistry;
 use certchain_x509::Fingerprint;
 use std::collections::BTreeSet;
 
 /// Pass 2: per-chain categorization and structure analysis, in parallel
-/// over contiguous chunks of the sorted `prepared` vector.
+/// over contiguous runs of the sorted `prepared` vector.
 pub(crate) fn analyze_chains(
     pipe: &Pipeline<'_>,
     prepared: Vec<Prepared>,
@@ -21,8 +21,7 @@ pub(crate) fn analyze_chains(
     registry: &CrossSignRegistry,
     threads: usize,
 ) -> (Vec<ChainAnalysis>, BTreeSet<Fingerprint>) {
-    let total = prepared.len();
-    let analyze_part = |part: Vec<Prepared>| {
+    let parts = par_map(prepared, threads, |part| {
         let mut chains = Vec::with_capacity(part.len());
         let mut distinct: BTreeSet<Fingerprint> = BTreeSet::new();
         for p in part {
@@ -30,35 +29,13 @@ pub(crate) fn analyze_chains(
             chains.push(categorize::analyze_one(pipe, p, entities, registry));
         }
         (chains, distinct)
-    };
-    if threads <= 1 || total < 2 {
-        return analyze_part(prepared);
-    }
-    let chunk_size = total.div_ceil(threads);
-    let mut parts: Vec<Vec<Prepared>> = Vec::with_capacity(threads);
-    let mut rest = prepared;
-    while rest.len() > chunk_size {
-        let tail = rest.split_off(chunk_size);
-        parts.push(std::mem::replace(&mut rest, tail));
-    }
-    parts.push(rest);
-    let results: Vec<(Vec<ChainAnalysis>, BTreeSet<Fingerprint>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = parts
-            .into_iter()
-            .map(|part| scope.spawn(|| analyze_part(part)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("pass-2 worker panicked"))
-            .collect()
     });
-    let mut chains = Vec::with_capacity(total);
-    let mut distinct = BTreeSet::new();
-    for (part, part_distinct) in results {
-        chains.extend(part);
-        distinct.extend(part_distinct);
-    }
-    (chains, distinct)
+    let (runs, distinct): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+    let distinct = distinct.into_iter().reduce(|mut all, run| {
+        all.extend(run);
+        all
+    });
+    (concat(runs), distinct.unwrap_or_default())
 }
 
 /// Assemble the final [`Analysis`] value.

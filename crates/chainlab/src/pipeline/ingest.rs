@@ -116,21 +116,17 @@ pub(crate) fn merge_into<K: Eq + Hash, A: Partial>(
 /// commutative integer sum over the record stream, so the values are
 /// identical for every thread count.
 ///
-/// The fold core itself only ever moves `records` and `no_chain`:
-/// resolvability against the certificate index is deferred to finalize
-/// (chains referencing unknown fingerprints are folded like any other
-/// and excluded there), which is what lets rotated x509/ssl files
-/// arrive and fold in any interleaving. The columnar path still fills
-/// `unresolvable` during its fold, where the fingerprint table makes
-/// the check free.
+/// No fold checks a chain against the certificate table: every path
+/// folds chains with unknown fingerprints like any other, and the one
+/// resolve after the folds drops them and counts their records as
+/// unresolvable. That is what lets rotated x509/ssl files arrive and fold
+/// in any interleaving.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct IngestCounts {
     /// Total ssl.log records consumed (including skipped ones).
     pub(crate) records: u64,
     /// Records with an empty certificate chain (TLS 1.3 connections).
     pub(crate) no_chain: u64,
-    /// Records referencing fingerprints absent from the x509 index.
-    pub(crate) unresolvable: u64,
 }
 
 /// Stable shard id for a chain: FNV-1a over the fingerprint bytes. Must

@@ -1,16 +1,25 @@
 //! The end-to-end analysis pipeline (Figure 2's "certificate chain
-//! structure analyzer"), as four explicit stages:
+//! structure analyzer"), as five stages, each timed into the metrics
+//! registry and traced as a `pipeline.<stage>` span:
 //!
-//! 1. [`ingest`] — fold ssl.log rows into per-chain accumulators on
-//!    worker threads, a bounded batch or block at a time, so peak memory
-//!    is O(distinct chains) rather than O(connections); on the TSV path
-//!    the workers also walk and parse the lines;
-//! 2. [`enrich`] — intern x509.log rows into shared [`CertRecord`]s, one
-//!    `Arc` per distinct fingerprint;
-//! 3. [`categorize`] — interception-entity discovery (pass 1) and
-//!    per-chain categorization + structure analysis (pass 2);
-//! 4. [`finalize`] — the sorted merge and [`Analysis`] assembly that pin
-//!    the byte-identical-across-thread-counts guarantee.
+//! 1. enrich ([`enrich`]) — fold x509.log rows into the
+//!    [`CertTable`], one shared [`CertRecord`] per distinct
+//!    fingerprint under one intern rule;
+//! 2. ingest ([`ingest`]) — fold ssl.log rows into per-chain
+//!    accumulators on worker threads, a bounded batch or block at a
+//!    time, so peak memory is O(distinct chains) rather than
+//!    O(connections); on the TSV path the workers also walk and parse
+//!    the lines;
+//! 3. resolve (`categorize::resolve`) — look each chain's fingerprints
+//!    up in the table and classify its certificates; a chain with a
+//!    fingerprint the table lacks is dropped and its records counted as
+//!    unresolvable;
+//! 4. categorize ([`categorize`]) — interception-entity discovery
+//!    (pass 1);
+//! 5. finalize ([`finalize`]) — per-chain categorization and structure
+//!    analysis (pass 2) over the sorted chains, and [`Analysis`]
+//!    assembly, which pin the byte-identical-across-thread-counts
+//!    guarantee.
 //!
 //! Batch callers use [`Pipeline::analyze`] over in-memory slices; the
 //! bounded-memory paths never materialize the connection stream:
@@ -18,7 +27,9 @@
 //! iterators, and [`Pipeline::fold_ssl_log`] takes an ssl.log stream
 //! (`certchain_netsim::zeek::stream`) and walks, parses and folds its
 //! blocks of lines on the workers — the TSV path of `certchain analyze`
-//! and `serve`.
+//! and `serve`. The folds fill a [`PipelineState`] (the columnar path
+//! its own table and chain map); every path then runs the same resolve
+//! and the stages after it.
 
 pub mod categorize;
 pub mod columnar;
@@ -40,9 +51,11 @@ use certchain_obs::{Progress, Registry, TraceJournal};
 use certchain_trust::TrustDb;
 use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 pub use categorize::issuer_entity;
+pub use enrich::CertTable;
 pub use state::{PipelineState, StateError};
 
 /// §3.2.2 chain categories.
@@ -202,6 +215,63 @@ pub(crate) fn resolve_threads(requested: usize) -> usize {
     }
 }
 
+/// Map `f` over `items` split into at most `threads` contiguous runs of
+/// near-equal length, one scoped thread per run, and return the results
+/// in run order; one run (a single thread, or fewer than two items) maps
+/// inline. Runs concatenate back in `items` order, so a caller that
+/// merges the results in order gets the sequential result for every
+/// thread count; [`concat`] does that for vectors.
+pub(crate) fn par_map<T, R>(
+    mut items: Vec<T>,
+    threads: usize,
+    f: impl Fn(Vec<T>) -> R + Sync,
+) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+{
+    if threads <= 1 || items.len() < 2 {
+        return vec![f(items)];
+    }
+    let run = items.len().div_ceil(threads);
+    // Split runs off the tail, so each element moves once.
+    let mut runs = Vec::with_capacity(threads);
+    while items.len() > run {
+        let at = (items.len() - 1) / run * run;
+        runs.push(items.split_off(at));
+    }
+    runs.push(items);
+    runs.reverse();
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = runs
+            .into_iter()
+            .map(|run| scope.spawn(move || f(run)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("pipeline worker panicked"))
+            .collect()
+    })
+}
+
+/// Concatenate [`par_map`]'s vectors in run order. One run comes back as
+/// it is; more go into a new vector of the calling thread's, never into a
+/// worker's grown in place: that would leave the result in the worker's
+/// allocator arena, and `serve`, which finalizes every cycle, then
+/// fragments its heap (+2.5 MiB peak RSS over a 100-rotation soak of the
+/// default profile on a 2-core host).
+pub(crate) fn concat<T>(mut runs: Vec<Vec<T>>) -> Vec<T> {
+    if runs.len() == 1 {
+        return runs.swap_remove(0);
+    }
+    let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    for run in runs {
+        out.extend(run);
+    }
+    out
+}
+
 /// The configured analyzer.
 pub struct Pipeline<'a> {
     pub(crate) trust: &'a TrustDb,
@@ -284,12 +354,12 @@ impl<'a> Pipeline<'a> {
         }
         let threads = resolve_threads(self.options.threads);
         let mut state = PipelineState::new();
-        self.fold_x509_slice(&mut state, x509, threads);
+        self.fold_x509_stream(&mut state, x509.iter().map(Ok::<_, Infallible>))
+            .unwrap_or_else(|never| match never {});
         let weight_of = |i: usize| weights.map(|w| w[i]).unwrap_or(1.0);
         let records = ssl.iter().enumerate().map(|(i, rec)| (rec, weight_of(i)));
         {
-            let _span = self.obs.stage("ingest");
-            let _trace = self.obs.trace_span("pipeline.ingest");
+            let _stage = self.obs.stage("ingest");
             let oracle = self.category_oracle(&state);
             let (accums, counts) = ingest::accumulate(self, records, threads, oracle.as_ref());
             state.absorb(accums, counts);
@@ -330,33 +400,42 @@ impl<'a> Pipeline<'a> {
         self.options
             .filter
             .categories
-            .map(|set| state.category_oracle(set, self.trust))
+            .map(|set| crate::filtercat::CategoryOracle::new(set, state.cert_table(), self.trust))
     }
 
-    /// Record enrich-stage accounting: row totals, parse failures, and
-    /// the interned-index size (all thread-count invariant). The intern
-    /// hit rate is derivable as `1 - certs_interned / x509_rows`.
-    fn record_enrich(&self, rows: u64, unparseable: u64, interned: usize) {
-        self.obs.add("pipeline.x509_rows", rows);
-        self.obs.add("pipeline.x509_unparseable_rows", unparseable);
-        self.obs.set("pipeline.certs_interned", interned as u64);
-    }
-
-    /// The stages downstream of accumulation, shared by the batch and
-    /// streaming paths: sorted merge, pass 1, pass 2, assembly.
-    fn finish(
+    /// The stages after the folds, shared by every path: resolve each
+    /// folded chain against the certificate table, then the sorted
+    /// merge, pass 1, pass 2 and assembly. `entries` are the folded
+    /// chains, owned or borrowed (see `categorize::Entry`), and `counts`
+    /// the folds' record tallies.
+    fn finish<E: categorize::Entry>(
         &self,
-        mut prepared: Vec<categorize::Prepared>,
+        table: &CertTable,
+        entries: Vec<E>,
         counts: ingest::IngestCounts,
-        threads: usize,
     ) -> Analysis {
-        // Ingest accounting: commutative integer sums plus the merged
+        let threads = resolve_threads(self.options.threads);
+        // Enrich accounting: row totals, parse failures and the table's
+        // size (all thread-count invariant). The intern hit rate is
+        // derivable as `1 - certs_interned / x509_rows`.
+        self.obs.add("pipeline.x509_rows", table.rows());
+        self.obs
+            .add("pipeline.x509_unparseable_rows", table.unparseable());
+        self.obs
+            .set("pipeline.certs_interned", table.certs().len() as u64);
+        let (mut prepared, unresolvable) = {
+            let stage = self.obs.stage("resolve");
+            stage.attr("chains", entries.len());
+            let resolved = categorize::resolve(self, table, entries, threads);
+            stage.attr("unresolvable", resolved.1);
+            resolved
+        };
+        // Ingest accounting: commutative integer sums plus the resolved
         // chain set's size and length distribution — all invariant across
         // thread counts by the same argument as the tables themselves.
         self.obs.add("pipeline.ssl_records", counts.records);
         self.obs.add("pipeline.no_chain_records", counts.no_chain);
-        self.obs
-            .add("pipeline.unresolvable_records", counts.unresolvable);
+        self.obs.add("pipeline.unresolvable_records", unresolvable);
         self.obs
             .set("pipeline.distinct_chains", prepared.len() as u64);
         if let Some(r) = &self.obs.metrics {
@@ -377,19 +456,15 @@ impl<'a> Pipeline<'a> {
         // corroboration — an entity must be seen forging at least two
         // distinct domains.
         let interception_entities = {
-            let _span = self.obs.stage("categorize");
-            let _trace = self.obs.trace_span("pipeline.categorize");
+            let _stage = self.obs.stage("categorize");
             categorize::find_entities(self, &prepared, threads)
         };
 
         // Pass 2: categorize every chain and run structure analysis. The
         // effective registry is resolved once, outside the per-chain work.
-        let _span = self.obs.stage("finalize");
-        let trace = self.obs.trace_span("pipeline.finalize");
-        if let Some(t) = &trace {
-            t.attr("distinct_chains", prepared.len().to_string());
-            t.attr("threads", threads.to_string());
-        }
+        let stage = self.obs.stage("finalize");
+        stage.attr("distinct_chains", prepared.len());
+        stage.attr("threads", threads);
         let empty_registry = CrossSignRegistry::new();
         let registry = if self.options.honor_cross_signing {
             &self.crosssign
@@ -402,7 +477,7 @@ impl<'a> Pipeline<'a> {
             chains,
             distinct,
             counts.no_chain,
-            counts.unresolvable,
+            unresolvable,
             interception_entities,
         );
         self.obs.set(

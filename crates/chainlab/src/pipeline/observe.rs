@@ -27,14 +27,39 @@ pub(crate) struct PipelineObs {
     pub(crate) trace: Option<Arc<TraceJournal>>,
 }
 
+/// One pipeline stage in flight: its registry timer (wall time into the
+/// `timing` section) and its `pipeline.<name>` root span in the journal,
+/// each there only when its sink is wired, both closed on drop.
+pub(crate) struct Stage<'o> {
+    _timer: Option<StageTimer<'o>>,
+    span: Option<Span>,
+}
+
+impl Stage<'_> {
+    /// Attach an attribute to the stage's span; nothing is formatted when
+    /// tracing is off.
+    pub(crate) fn attr(&self, key: &str, value: impl std::fmt::Display) {
+        if let Some(span) = &self.span {
+            span.attr(key, value.to_string());
+        }
+    }
+}
+
 impl PipelineObs {
-    /// Open a stage span (records wall time into the `timing` section on
-    /// drop).
-    pub(crate) fn stage(&self, name: &str) -> Option<StageTimer<'_>> {
-        self.metrics.as_deref().map(|r| r.stage(name))
+    /// Open stage `name`: the registry's stage timer and the journal's
+    /// `pipeline.<name>` span together.
+    pub(crate) fn stage(&self, name: &str) -> Stage<'_> {
+        Stage {
+            _timer: self.metrics.as_deref().map(|r| r.stage(name)),
+            span: self
+                .trace
+                .as_ref()
+                .map(|j| j.span(&format!("pipeline.{name}"))),
+        }
     }
 
-    /// Open a root trace span in the journal, if tracing is wired.
+    /// Open a journal span that is not a stage of its own: the dispatch
+    /// span inside ingest, which the registry does not time.
     pub(crate) fn trace_span(&self, name: &str) -> Option<Span> {
         self.trace.as_ref().map(|j| j.span(name))
     }

@@ -31,7 +31,9 @@
 //! interleave arbitrarily), and chains still unresolved when a report is
 //! rendered are excluded there, with their record count reported as
 //! `unresolvable_records` — byte-identical to the batch pipeline, which
-//! drains all x509 rows before any ssl record.
+//! drains all x509 rows before any ssl record. x509 rows intern into the
+//! state's [`CertTable`] under its one rule, whichever session folds
+//! them.
 //!
 //! # Checkpoint layout
 //!
@@ -43,30 +45,29 @@
 //!   so the bytes are invariant across thread counts and hash seeds.
 //!   Rewritten per generation: it is a mutable aggregate, O(distinct
 //!   chains).
-//! - `certs-NNNNNN.dat` — the interned certificate table as an
-//!   append-only chunk series: each generation writes only the certs
-//!   interned since the previous checkpoint and *carries* older chunks
-//!   by hard link, so cert persistence costs O(new data).
-//! - counters, loss tallies, and the folded-file ledger ride in the
-//!   manifest's `meta` object.
+//! - `certs-NNNNNN.dat` — the interned x509 rows as an append-only
+//!   chunk series: each generation writes only the rows interned since
+//!   the previous checkpoint and *carries* older chunks by hard link, so
+//!   cert persistence costs O(new data). Reload rebuilds the
+//!   [`CertTable`] from them.
+//! - counters (the table's row tallies among them), loss tallies, and
+//!   the folded-file ledger ride in the manifest's `meta` object.
 
-use super::categorize::Prepared;
-use super::enrich::CertIndex;
+use super::enrich::CertTable;
 use super::ingest::{merge_into, ChainAccum, IngestCounts};
 use super::Pipeline;
-use crate::classify::{classify, CertClass};
-use crate::model::{CertRecord, ChainKey};
+use crate::model::ChainKey;
 use crate::usage::UsageStats;
 use certchain_asn1::Asn1Time;
 use certchain_colstore::{Checkpoint, CheckpointWriter, ColError};
 use certchain_netsim::X509Record;
 use certchain_obs::json::JsonValue;
 use certchain_x509::Fingerprint;
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// The chains field file name.
 const CHAINS_FILE: &str = "chains.dat";
@@ -124,21 +125,15 @@ struct PrevCheckpoint {
 pub struct PipelineState {
     /// Per-chain accumulators.
     pub(crate) chains: HashMap<ChainKey, ChainAccum>,
-    /// Interned x509 rows, global first-parseable-occurrence order.
-    pub(crate) certs: Vec<X509Record>,
-    /// Parsed view of `certs`, index-aligned (every stored row parsed
-    /// once, at intern or reload time).
-    pub(crate) parsed: Vec<Arc<CertRecord>>,
-    /// Fingerprint → index into `certs`.
-    pub(crate) cert_lookup: HashMap<Fingerprint, u32>,
+    /// The raw x509 row that interned each of `table`'s certificates,
+    /// index-aligned with it: what checkpoint chunks persist.
+    certs: Vec<X509Record>,
+    /// The certificate table and its row tallies.
+    table: CertTable,
     /// Total ssl records folded (after row filtering).
     pub(crate) records: u64,
     /// Folded records with an empty chain (TLS 1.3).
     pub(crate) no_chain: u64,
-    /// Total x509 rows folded.
-    pub(crate) x509_rows: u64,
-    /// X509 rows that failed to parse into a [`CertRecord`].
-    pub(crate) x509_unparseable: u64,
     /// Loss-accounting tallies by reason (stream parse losses, skipped
     /// spool files), merged across sessions.
     loss: BTreeMap<String, u64>,
@@ -175,7 +170,12 @@ impl PipelineState {
 
     /// Total x509 rows folded so far.
     pub fn x509_rows(&self) -> u64 {
-        self.x509_rows
+        self.table.rows()
+    }
+
+    /// The certificate table folded so far.
+    pub fn cert_table(&self) -> &CertTable {
+        &self.table
     }
 
     /// Distinct chains accumulated so far.
@@ -230,23 +230,11 @@ impl PipelineState {
         &self.loss
     }
 
-    /// Intern one parse-vetted x509 row (first parseable occurrence of a
-    /// fingerprint wins, matching the batch enrich stage).
-    fn intern(&mut self, rec: &X509Record, cert: CertRecord) {
-        if !self.cert_lookup.contains_key(&rec.fingerprint) {
-            self.cert_lookup
-                .insert(rec.fingerprint, self.certs.len() as u32);
+    /// Fold one x509 row into the table, keeping the raw row when it
+    /// interns a certificate.
+    fn fold_x509_row(&mut self, rec: &X509Record) {
+        if self.table.fold(rec) {
             self.certs.push(rec.clone());
-            self.parsed.push(Arc::new(cert));
-        }
-    }
-
-    /// Fold one x509 row: parse-vet, intern, tally.
-    pub(crate) fn fold_x509_row(&mut self, rec: &X509Record) {
-        self.x509_rows += 1;
-        match CertRecord::from_record(rec) {
-            Some(cert) => self.intern(rec, cert),
-            None => self.x509_unparseable += 1,
         }
         self.revision += 1;
     }
@@ -273,7 +261,11 @@ impl PipelineState {
         &self,
         trust: &certchain_trust::TrustDb,
     ) -> [u64; certchain_colstore::CATEGORY_COUNT] {
-        let oracle = self.category_oracle(certchain_colstore::CategorySet::empty(), trust);
+        let oracle = crate::filtercat::CategoryOracle::new(
+            certchain_colstore::CategorySet::empty(),
+            &self.table,
+            trust,
+        );
         let mut counts = [0u64; certchain_colstore::CATEGORY_COUNT];
         counts[certchain_colstore::Category::NoChain.index()] = self.no_chain;
         // srclint: commutative — u64 additions into per-category slots
@@ -292,35 +284,6 @@ impl PipelineState {
     /// The last noted (or checkpoint-loaded) category census, if any.
     pub fn noted_category_census(&self) -> Option<&[u64; certchain_colstore::CATEGORY_COUNT]> {
         self.category_census.as_ref()
-    }
-
-    /// Build the category row-filter predicate over the interned
-    /// certificate table. Only sound once the x509 side has fully
-    /// folded: fingerprints missing from the table read as unresolved
-    /// and push chains into `incomplete`.
-    pub(crate) fn category_oracle(
-        &self,
-        set: certchain_colstore::CategorySet,
-        trust: &certchain_trust::TrustDb,
-    ) -> crate::filtercat::CategoryOracle {
-        crate::filtercat::CategoryOracle::new(
-            set,
-            self.certs
-                .iter()
-                .zip(&self.parsed)
-                .map(|(rec, cert)| (rec.fingerprint, &**cert)),
-            trust,
-        )
-    }
-
-    /// The certificate index over the interned table — the same
-    /// fingerprint → shared-record map the batch enrich stage builds.
-    pub(crate) fn cert_index(&self) -> CertIndex {
-        self.certs
-            .iter()
-            .zip(&self.parsed)
-            .map(|(rec, cert)| (rec.fingerprint, Arc::clone(cert)))
-            .collect()
     }
 
     // ---- persistence ----------------------------------------------------
@@ -370,10 +333,10 @@ impl PipelineState {
         }
         writer.set_meta("records", JsonValue::Num(self.records as f64));
         writer.set_meta("no_chain", JsonValue::Num(self.no_chain as f64));
-        writer.set_meta("x509_rows", JsonValue::Num(self.x509_rows as f64));
+        writer.set_meta("x509_rows", JsonValue::Num(self.table.rows() as f64));
         writer.set_meta(
             "x509_unparseable",
-            JsonValue::Num(self.x509_unparseable as f64),
+            JsonValue::Num(self.table.unparseable() as f64),
         );
         writer.set_meta("chains", JsonValue::Num(self.chains.len() as f64));
         writer.set_meta("certs", JsonValue::Num(self.certs.len() as f64));
@@ -437,8 +400,6 @@ impl PipelineState {
         let mut state = PipelineState {
             records: meta_u64("records")?,
             no_chain: meta_u64("no_chain")?,
-            x509_rows: meta_u64("x509_rows")?,
-            x509_unparseable: meta_u64("x509_unparseable")?,
             generation: ckpt.generation,
             ..PipelineState::default()
         };
@@ -499,7 +460,7 @@ impl PipelineState {
         for chunk in &chunks {
             let bytes = ckpt.read_field(&chunk.name)?;
             let before = state.certs.len();
-            decode_certs(&bytes, &mut state)?;
+            decode_certs(&bytes, &mut state.certs)?;
             if state.certs.len() - before != chunk.count {
                 return Err(StateError::Corrupt(format!(
                     "cert chunk {:?} decoded {} records, manifest says {}",
@@ -516,6 +477,12 @@ impl PipelineState {
                 meta_u64("certs")?
             )));
         }
+        state.table = CertTable::restore(
+            &state.certs,
+            meta_u64("x509_rows")?,
+            meta_u64("x509_unparseable")?,
+        )
+        .map_err(StateError::Corrupt)?;
         decode_chains(&ckpt.read_field(CHAINS_FILE)?, &mut state.chains)?;
         if state.chains.len() as u64 != meta_u64("chains")? {
             return Err(StateError::Corrupt(format!(
@@ -532,12 +499,18 @@ impl PipelineState {
         Ok(Some(state))
     }
 
+    /// The chain accumulators, in the map's hash order: the checkpoint
+    /// encoder sorts them, and finalize sorts what it derives from them.
+    fn chain_entries(&self) -> Vec<(&ChainKey, &ChainAccum)> {
+        // srclint: commutative -- snapshot of a keyed map; every caller sorts it or its result
+        self.chains.iter().collect()
+    }
+
     /// Encode the chain accumulators, sorted by [`ChainKey`] so the file
     /// bytes are identical regardless of the fold's thread count or the
     /// map's history.
     fn encode_chains(&self) -> Vec<u8> {
-        // srclint: commutative -- snapshot of a keyed map, explicitly sorted before encoding
-        let mut entries: Vec<(&ChainKey, &ChainAccum)> = self.chains.iter().collect();
+        let mut entries = self.chain_entries();
         entries.sort_by_key(|&(key, _)| key);
         let mut out = Vec::new();
         for (key, accum) in entries {
@@ -574,61 +547,21 @@ impl PipelineState {
 // ---- Pipeline: the resumable fold core + pure finalize -----------------
 
 impl Pipeline<'_> {
-    /// Fold a fallible x509 record stream into `state` — the resumable
-    /// form of the enrich stage. Callable any number of times; rows for
-    /// already-interned fingerprints are deduplicated exactly as in the
-    /// batch path (first parseable occurrence wins).
-    pub fn fold_x509_stream<E, J>(&self, state: &mut PipelineState, x509: J) -> Result<(), E>
+    /// Fold a fallible x509 record stream, owned or borrowed rows, into
+    /// `state` — the enrich stage, in order, under the [`CertTable`]
+    /// intern rule. Callable any number of times, in any session.
+    pub fn fold_x509_stream<E, R, J>(&self, state: &mut PipelineState, x509: J) -> Result<(), E>
     where
-        J: Iterator<Item = Result<X509Record, E>>,
+        R: Borrow<X509Record>,
+        J: Iterator<Item = Result<R, E>>,
     {
-        let _span = self.obs.stage("enrich");
-        let trace = self.obs.trace_span("pipeline.enrich");
-        let before = state.x509_rows;
+        let stage = self.obs.stage("enrich");
+        let before = state.x509_rows();
         for rec in x509 {
-            state.fold_x509_row(&rec?);
+            state.fold_x509_row(rec?.borrow());
         }
-        if let Some(t) = &trace {
-            t.attr("rows", (state.x509_rows - before).to_string());
-        }
+        stage.attr("rows", state.x509_rows() - before);
         Ok(())
-    }
-
-    /// Batch variant of [`Pipeline::fold_x509_stream`]: parse rows on
-    /// `threads` workers (DN parsing dominates), then intern in input
-    /// order so the result is byte-identical to the sequential fold.
-    pub(crate) fn fold_x509_slice(
-        &self,
-        state: &mut PipelineState,
-        x509: &[X509Record],
-        threads: usize,
-    ) {
-        let _span = self.obs.stage("enrich");
-        if threads <= 1 || x509.len() < 2 {
-            for rec in x509 {
-                state.fold_x509_row(rec);
-            }
-            return;
-        }
-        let chunk = x509.len().div_ceil(threads);
-        let parsed: Vec<Vec<Option<CertRecord>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = x509
-                .chunks(chunk)
-                .map(|part| scope.spawn(move || part.iter().map(CertRecord::from_record).collect()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("x509 parse worker panicked"))
-                .collect()
-        });
-        for (rec, cert) in x509.iter().zip(parsed.into_iter().flatten()) {
-            state.x509_rows += 1;
-            match cert {
-                Some(cert) => state.intern(rec, cert),
-                None => state.x509_unparseable += 1,
-            }
-        }
-        state.revision += 1;
     }
 
     /// Fold a fallible ssl record stream into `state` — the resumable
@@ -644,8 +577,7 @@ impl Pipeline<'_> {
     where
         I: Iterator<Item = Result<certchain_netsim::SslRecord, E>>,
     {
-        let _span = self.obs.stage("ingest");
-        let _trace = self.obs.trace_span("pipeline.ingest");
+        let _stage = self.obs.stage("ingest");
         let threads = super::resolve_threads(self.options.threads);
         let oracle = self.category_oracle(state);
         let mut first_err: Option<E> = None;
@@ -678,8 +610,7 @@ impl Pipeline<'_> {
         state: &mut PipelineState,
         log: certchain_netsim::SslLogStream<R>,
     ) -> Result<(), certchain_netsim::ReadError> {
-        let _span = self.obs.stage("ingest");
-        let _trace = self.obs.trace_span("pipeline.ingest");
+        let _stage = self.obs.stage("ingest");
         let threads = super::resolve_threads(self.options.threads);
         let oracle = self.category_oracle(state);
         let (accums, counts) = super::ingest::accumulate_log(self, log, threads, oracle.as_ref())?;
@@ -688,97 +619,18 @@ impl Pipeline<'_> {
     }
 
     /// Render an [`super::Analysis`] from `state` without consuming or
-    /// mutating it: resolve chains against the interned certificate
-    /// table (chains with missing fingerprints are excluded and their
-    /// records counted as unresolvable), then run the shared
-    /// categorize/finalize stages. Byte-identical to the one-shot batch
-    /// paths for every thread count.
+    /// mutating it: the shared resolve and the stages after it, over the
+    /// state's chains (cloned as they resolve; chains with missing
+    /// fingerprints are excluded and their records counted as
+    /// unresolvable) and its certificate table. Byte-identical to the
+    /// one-shot batch paths for every thread count.
     pub fn finalize_state(&self, state: &PipelineState) -> super::Analysis {
-        let threads = super::resolve_threads(self.options.threads);
-        let trace = self.obs.trace_span("pipeline.resolve");
-        let cert_index = {
-            let _span = self.obs.stage("resolve");
-            state.cert_index()
-        };
-        self.record_enrich(state.x509_rows, state.x509_unparseable, cert_index.len());
-        let (prepared, unresolvable) = {
-            let _span = self.obs.stage("resolve");
-            prepare_state(self, state, &cert_index, threads)
-        };
-        if let Some(t) = &trace {
-            t.attr("chains", state.chains.len().to_string());
-            t.attr("unresolvable", unresolvable.to_string());
-        }
-        drop(trace);
         let counts = IngestCounts {
             records: state.records,
             no_chain: state.no_chain,
-            unresolvable,
         };
-        self.finish(prepared, counts, threads)
+        self.finish(&state.table, state.chain_entries(), counts)
     }
-}
-
-/// Resolve and classify the state's chains against the certificate
-/// index, on `threads` workers over arbitrary (unsorted) chunks — safe
-/// because per-chain preparation is pure and the caller sorts. Returns
-/// the resolvable chains plus the unresolvable-record tally (an integer
-/// sum, thread-count invariant).
-fn prepare_state(
-    pipe: &Pipeline<'_>,
-    state: &PipelineState,
-    cert_index: &CertIndex,
-    threads: usize,
-) -> (Vec<Prepared>, u64) {
-    // srclint: commutative -- snapshot of a keyed map; workers chunk it arbitrarily and the caller sorts the merged output
-    let entries: Vec<(&ChainKey, &ChainAccum)> = state.chains.iter().collect();
-    let prepare_part = |part: &[(&ChainKey, &ChainAccum)]| {
-        let mut prepared = Vec::with_capacity(part.len());
-        let mut unresolvable = 0u64;
-        for (key, accum) in part {
-            let certs: Option<Vec<Arc<CertRecord>>> = key
-                .0
-                .iter()
-                .map(|fp| cert_index.get(fp).map(Arc::clone))
-                .collect();
-            match certs {
-                Some(certs) => {
-                    let classes: Vec<CertClass> =
-                        certs.iter().map(|c| classify(c, pipe.trust)).collect();
-                    prepared.push(Prepared {
-                        key: (*key).clone(),
-                        certs,
-                        classes,
-                        snis: accum.snis.clone(),
-                        usage: accum.usage.clone(),
-                    });
-                }
-                None => unresolvable += accum.usage.records,
-            }
-        }
-        (prepared, unresolvable)
-    };
-    if threads <= 1 || entries.len() < 2 {
-        return prepare_part(&entries);
-    }
-    let chunk = entries.len().div_ceil(threads);
-    let parts: Vec<(Vec<Prepared>, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = entries
-            .chunks(chunk)
-            .map(|part| scope.spawn(|| prepare_part(part)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("prepare worker panicked"))
-            .collect()
-    });
-    let mut prepared = Vec::with_capacity(entries.len());
-    let mut unresolvable = 0u64;
-    for (part, ur) in parts {
-        prepared.extend(part);
-        unresolvable += ur;
-    }
-    (prepared, unresolvable)
 }
 
 // ---- binary field codecs ----------------------------------------------
@@ -956,10 +808,9 @@ fn encode_certs(certs: &[X509Record]) -> Vec<u8> {
     out
 }
 
-/// Decode one cert chunk, appending to the state's interned table. Every
-/// stored row was parse-vetted at intern time, so a parse failure here
-/// is corruption, not data loss.
-fn decode_certs(bytes: &[u8], state: &mut PipelineState) -> Result<(), StateError> {
+/// Decode one cert chunk, appending its rows to `certs`. The rows are
+/// vetted when the [`CertTable`] is rebuilt from them.
+fn decode_certs(bytes: &[u8], certs: &mut Vec<X509Record>) -> Result<(), StateError> {
     let mut cur = Cur::new(bytes);
     while !cur.done() {
         let fingerprint = cur.fp()?;
@@ -977,7 +828,7 @@ fn decode_certs(bytes: &[u8], state: &mut PipelineState) -> Result<(), StateErro
         for _ in 0..san_count {
             san_dns.push(cur.str_()?);
         }
-        let rec = X509Record {
+        certs.push(X509Record {
             ts,
             fingerprint,
             cert_version,
@@ -989,24 +840,7 @@ fn decode_certs(bytes: &[u8], state: &mut PipelineState) -> Result<(), StateErro
             basic_constraints_ca: (flags & 1 != 0).then_some(flags & 2 != 0),
             path_len: (flags & 4 != 0).then_some(path_len_raw),
             san_dns,
-        };
-        let cert = CertRecord::from_record(&rec).ok_or_else(|| {
-            StateError::Corrupt(format!(
-                "stored certificate {} no longer parses",
-                rec.fingerprint
-            ))
-        })?;
-        if state.cert_lookup.contains_key(&rec.fingerprint) {
-            return Err(StateError::Corrupt(format!(
-                "duplicate stored certificate {}",
-                rec.fingerprint
-            )));
-        }
-        state
-            .cert_lookup
-            .insert(rec.fingerprint, state.certs.len() as u32);
-        state.certs.push(rec);
-        state.parsed.push(Arc::new(cert));
+        });
     }
     Ok(())
 }

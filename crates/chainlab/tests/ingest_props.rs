@@ -757,3 +757,64 @@ fn long_rough_log_matches_the_record_stream() {
     let log = rough_log(&records, 11, &corrupt);
     check_tsv_paths(&log, &RowFilter::default());
 }
+
+/// A traced columnar analysis opens the same `pipeline.<stage>` spans as
+/// the other paths, one per stage and in stage order.
+#[test]
+fn traced_columnar_analysis_spans_every_stage() {
+    let dir = std::env::temp_dir().join(format!("certchain-stage-spans-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut writer = certchain_colstore::DatasetWriter::create(&dir).unwrap();
+    for rec in cert_pool() {
+        writer.append_x509(&rec).unwrap();
+    }
+    for i in 0..500u32 {
+        writer
+            .append_ssl(&SslRecord {
+                ts: Asn1Time::from_unix(1_600_000_000 + u64::from(i)),
+                uid: format!("C{i:06}"),
+                orig_h: Ipv4Addr::new(10, 0, (i / 256) as u8, (i % 256) as u8),
+                orig_p: 40_000,
+                resp_h: Ipv4Addr::new(192, 168, 1, 1),
+                resp_p: 443,
+                version: TlsVersion::Tls12,
+                server_name: (i % 5 != 0).then(|| "svc0.example.org".to_string()),
+                established: true,
+                cert_chain_fps: vec![fp_of((i % 8) as u8), fp_of(1)],
+            })
+            .unwrap();
+    }
+    writer.finish().unwrap();
+    let reader =
+        certchain_colstore::DatasetReader::open(&dir, certchain_colstore::MapMode::Auto).unwrap();
+    let (trust, ct) = (TrustDb::new(), DomainIndex::new());
+    let journal = std::sync::Arc::new(certchain_obs::TraceJournal::new(64));
+    let options = PipelineOptions {
+        threads: 2,
+        ..PipelineOptions::default()
+    };
+    let pipeline = Pipeline::with_options(&trust, &ct, CrossSignRegistry::new(), options)
+        .with_trace(std::sync::Arc::clone(&journal));
+    let analysis = pipeline.analyze_colstore(&reader).unwrap();
+    assert!(
+        analysis.unresolvable_records > 0,
+        "some chains do not resolve"
+    );
+    let ends: Vec<String> = journal
+        .snapshot()
+        .into_iter()
+        .filter(|e| e.kind == certchain_obs::trace::TraceKind::SpanEnd)
+        .map(|e| e.name)
+        .collect();
+    assert_eq!(
+        ends,
+        [
+            "pipeline.enrich",
+            "pipeline.ingest",
+            "pipeline.resolve",
+            "pipeline.categorize",
+            "pipeline.finalize"
+        ]
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}

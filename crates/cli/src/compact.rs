@@ -18,10 +18,10 @@
 //! itself, printing a one-line notice, instead of demanding operator
 //! surgery.
 
-use crate::catdigest::CatCodes;
 use crate::dataset::{colstore_dir, load_trust};
 use crate::{io_ctx, CliError, CliResult};
-use certchain_colstore::{DatasetReader, DatasetWriter, MapMode, WriterOptions};
+use certchain_chainlab::{CategoryOracle, CertTable};
+use certchain_colstore::{CategorySet, DatasetReader, DatasetWriter, MapMode, WriterOptions};
 use certchain_obs::Registry;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -111,17 +111,18 @@ pub fn compact_opts(dir: &Path, opts: &CompactOptions) -> CliResult<String> {
         // interning assigns dictionary and fingerprint codes in the
         // identical sequence and the rewritten store is byte-stable.
         // Streaming x509 first is also what makes the digest backfill
-        // possible: the class table is complete before any ssl row.
-        let mut codes = CatCodes::new();
+        // possible: the certificate table is complete before any ssl row.
+        let mut table = CertTable::new();
         for rec in reader.x509_iter().map_err(col_err)? {
             let rec = rec.map_err(col_err)?;
-            if let Some(trust) = &trust {
-                codes.note(&rec, trust);
+            if trust.is_some() {
+                table.fold(&rec);
             }
             writer.append_x509(&rec).map_err(col_err)?;
         }
-        if trust.is_some() {
-            writer = writer.with_category_provider(codes.into_provider());
+        if let Some(trust) = &trust {
+            let oracle = CategoryOracle::new(CategorySet::empty(), &table, trust);
+            writer = writer.with_category_provider(oracle.into_provider());
         }
         for rec in reader.ssl_iter().map_err(col_err)? {
             writer.append_ssl(&rec.map_err(col_err)?).map_err(col_err)?;

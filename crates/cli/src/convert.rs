@@ -8,10 +8,10 @@
 //! last, so an interrupted conversion never leaves a store that
 //! `analyze` would auto-detect.
 
-use crate::catdigest::CatCodes;
 use crate::dataset::{colstore_dir, load_trust};
 use crate::{io_ctx, CliError, CliResult};
-use certchain_colstore::{DatasetWriter, WriterOptions, MANIFEST_FILE};
+use certchain_chainlab::{CategoryOracle, CertTable};
+use certchain_colstore::{CategorySet, DatasetWriter, WriterOptions, MANIFEST_FILE};
 use certchain_netsim::{SslLogStream, X509LogStream};
 use certchain_obs::Registry;
 use std::path::{Path, PathBuf};
@@ -67,19 +67,21 @@ pub fn convert_opts(dir: &Path, opts: &ConvertOptions) -> CliResult<String> {
             .map_err(io_ctx(format!("reading {}/x509.log", dir.display())))?;
         let x509_stream = X509LogStream::permissive(std::io::BufReader::new(x509_file));
         let x509_stats = x509_stream.stats();
-        let mut codes = CatCodes::new();
+        let mut table = CertTable::new();
         for rec in x509_stream {
             let rec = rec.map_err(|e| CliError::Invalid(format!("x509.log: {e}")))?;
-            if let Some(trust) = &trust {
-                codes.note(&rec, trust);
+            if trust.is_some() {
+                table.fold(&rec);
             }
             writer.append_x509(&rec).map_err(col_err)?;
         }
-        // The x509 table is complete, so the category of any chain is
-        // now decidable — attach the digest provider before the first
-        // ssl row lands.
-        if trust.is_some() {
-            writer = writer.with_category_provider(codes.into_provider());
+        // The certificate table is complete, so the category of any chain
+        // is now decidable — attach the digest provider, the same
+        // category fold `analyze --filter-category` runs per row, before
+        // the first ssl row lands.
+        if let Some(trust) = &trust {
+            let oracle = CategoryOracle::new(CategorySet::empty(), &table, trust);
+            writer = writer.with_category_provider(oracle.into_provider());
         }
 
         let ssl_file = std::fs::File::open(dir.join("ssl.log"))

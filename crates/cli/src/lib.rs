@@ -16,7 +16,6 @@
 //! ```
 
 pub mod analyze;
-pub(crate) mod catdigest;
 pub mod compact;
 pub mod convert;
 pub mod dataset;

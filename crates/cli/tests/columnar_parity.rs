@@ -512,3 +512,107 @@ fn digestless_stores_analyze_correctly_and_never_skip() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Every `pipeline.*` entry of a metrics snapshot's deterministic section,
+/// as canonical JSON, by name.
+fn pipeline_metrics(snap: &JsonValue) -> BTreeMap<String, String> {
+    let mut out = BTreeMap::new();
+    let sections = snap
+        .get("deterministic")
+        .and_then(JsonValue::as_obj)
+        .expect("deterministic section");
+    for (_, section) in sections {
+        for (name, value) in section.as_obj().into_iter().flatten() {
+            if name.starts_with("pipeline.") {
+                out.insert(name.clone(), value.to_pretty());
+            }
+        }
+    }
+    out
+}
+
+/// One rule decides which x509 row defines a fingerprint, on every path.
+/// A copy's x509.log gains a repeat of an existing fingerprint whose
+/// subject does not parse, and a fresh fingerprint whose first row does
+/// not parse and whose second row does. Only that first row is parsed
+/// and fails; the repeat is never parsed. The TSV and columnar analyses
+/// must agree on every `pipeline.*` metric at threads 1/2/8.
+#[test]
+fn x509_rows_intern_under_one_rule_on_every_path() {
+    let dir = copy_dataset("intern");
+    let path = dir.join("x509.log");
+    let log = std::fs::read_to_string(&path).unwrap();
+    let names: Vec<&str> = log
+        .lines()
+        .find_map(|l| l.strip_prefix("#fields\t"))
+        .expect("a #fields header")
+        .split('\t')
+        .collect();
+    let col = |name: &str| names.iter().position(|n| *n == name).unwrap();
+    let first: Vec<&str> = log
+        .lines()
+        .find(|l| !l.starts_with('#'))
+        .expect("a data row")
+        .split('\t')
+        .collect();
+    let row = |fp: &str, subject: &str| {
+        let mut fields = first.clone();
+        fields[col("fingerprint")] = fp;
+        fields[col("certificate.subject")] = subject;
+        fields.join("\t") + "\n"
+    };
+    let fresh = "f00d".repeat(16);
+    assert!(!log.contains(&fresh), "the fresh fingerprint is new");
+    let close = log.rfind("#close").expect("a #close line");
+    let patched = [
+        &log[..close],
+        &row(first[col("fingerprint")], "not a dn"),
+        &row(&fresh, "not a dn"),
+        &row(&fresh, "CN=fresh.example.org"),
+        &log[close..],
+    ]
+    .concat();
+    std::fs::write(&path, patched).unwrap();
+    convert::convert_opts(
+        &dir,
+        &convert::ConvertOptions {
+            force: true,
+            ..convert::ConvertOptions::default()
+        },
+    )
+    .unwrap();
+
+    let metrics_path = dir.join("intern-metrics.json");
+    let metrics_of = |format: DatasetFormat, threads: usize| {
+        analyze::analyze_opts(
+            &dir,
+            &analyze::AnalyzeOptions {
+                threads,
+                format: Some(format),
+                metrics_json: Some(metrics_path.clone()),
+                ..analyze::AnalyzeOptions::default()
+            },
+        )
+        .unwrap();
+        let text = std::fs::read_to_string(&metrics_path).unwrap();
+        pipeline_metrics(&certchain_obs::json::parse(&text).unwrap())
+    };
+    let baseline = metrics_of(DatasetFormat::Tsv, 1);
+    assert_eq!(
+        baseline
+            .get("pipeline.x509_unparseable_rows")
+            .map(String::as_str),
+        Some("1"),
+        "{baseline:?}"
+    );
+    for threads in [1usize, 2, 8] {
+        for format in [DatasetFormat::Tsv, DatasetFormat::Columnar] {
+            assert_eq!(
+                metrics_of(format, threads),
+                baseline,
+                "pipeline metrics diverged for {format:?} at {threads} threads"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -191,3 +191,29 @@ fn non_ascii_fingerprint_is_a_bad_fingerprint_row() {
         assert_eq!(counter("records_dropped"), Some(1));
     }
 }
+
+/// `-v` lists each pipeline stage once per analysis, on the TSV and on
+/// the columnar path alike: one enrich, ingest, resolve, categorize and
+/// finalize.
+#[test]
+fn verbose_summary_times_each_stage_once() {
+    let dir = fresh_dataset("verbose");
+    certchain_cli::convert::convert(&dir).unwrap();
+    for format in ["tsv", "columnar"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_certchain"))
+            .args(["analyze", "--dir"])
+            .arg(&dir)
+            .args(["--format", format, "--threads", "2", "-v"])
+            .output()
+            .expect("certchain runs");
+        assert!(out.status.success(), "{format}: {:?}", out.status);
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        for stage in ["enrich", "ingest", "resolve", "categorize", "finalize"] {
+            let line = stderr
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(stage))
+                .unwrap_or_else(|| panic!("{format}: no {stage} timing in\n{stderr}"));
+            assert!(line.ends_with("(1 invocation)"), "{format}: {line}");
+        }
+    }
+}

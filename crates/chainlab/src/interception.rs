@@ -100,9 +100,8 @@ mod tests {
             .subject(DistinguishedName::cn("bank.example"))
             .validity(window())
             .leaf_for("bank.example")
-            .sign(&kp)
-            .into_arc();
-        ct.add(leaf);
+            .sign(&kp);
+        ct.add(&leaf);
         Fixture { trust, ct }
     }
 

@@ -204,7 +204,7 @@ impl Default for PipelineOptions {
 }
 
 /// Resolve a thread-count knob: `0` means available parallelism.
-pub(crate) fn resolve_threads(requested: usize) -> usize {
+pub fn resolve_threads(requested: usize) -> usize {
     if requested != 0 {
         requested
     } else {
@@ -220,12 +220,9 @@ pub(crate) fn resolve_threads(requested: usize) -> usize {
 /// in run order; one run (a single thread, or fewer than two items) maps
 /// inline. Runs concatenate back in `items` order, so a caller that
 /// merges the results in order gets the sequential result for every
-/// thread count; [`concat`] does that for vectors.
-pub(crate) fn par_map<T, R>(
-    mut items: Vec<T>,
-    threads: usize,
-    f: impl Fn(Vec<T>) -> R + Sync,
-) -> Vec<R>
+/// thread count; `concat` does that for vectors. A panic in `f` panics
+/// the caller.
+pub fn par_map<T, R>(mut items: Vec<T>, threads: usize, f: impl Fn(Vec<T>) -> R + Sync) -> Vec<R>
 where
     T: Send,
     R: Send,

@@ -1,10 +1,9 @@
 //! `certchain analyze`: run the full chain-analysis pipeline over an
 //! on-disk dataset (synthetic or real Zeek logs with the same fields).
 
-use crate::dataset::DatasetFormat;
-use crate::dataset::{colstore_dir, detect_format, load_crosssign, load_ct_index, load_trust};
+use crate::dataset::{colstore_dir, detect_format, Corpus, DatasetFormat};
 use crate::{io_ctx, CliError, CliResult};
-use certchain_chainlab::{Analysis, ChainCategoryLabel, CrossSignRegistry, Pipeline};
+use certchain_chainlab::{Analysis, ChainCategoryLabel, Pipeline};
 use certchain_chainlab::{PipelineOptions, PipelineState, RowFilter};
 use certchain_colstore::{DatasetReader, MapMode};
 use certchain_netsim::{SslLogStream, StreamStats, X509LogStream};
@@ -110,17 +109,26 @@ pub fn analyze_json_with(dir: &Path, threads: usize) -> CliResult<String> {
 /// honors every [`AnalyzeOptions`] knob. The table/JSON report bytes are
 /// identical whatever the observability settings — metrics ride alongside
 /// the analysis, never inside it.
+///
+/// The finished analysis (and the TSV path's folded state) is freed on
+/// a detached thread, so this returns without waiting for the frees.
 pub fn analyze_opts(dir: &Path, opts: &AnalyzeOptions) -> CliResult<String> {
     let format = match opts.format {
         Some(f) => f,
         None => detect_format(dir)?,
     };
     let registry = Arc::new(Registry::new());
-    let (analysis, loss) = {
+    let (analysis, loss, state) = {
         let _total = registry.stage("analyze_total");
         match format {
-            DatasetFormat::Tsv => run_observed(dir, opts, &registry)?,
-            DatasetFormat::Columnar => run_observed_colstore(dir, opts, &registry)?,
+            DatasetFormat::Tsv => {
+                let (analysis, loss, state) = run_observed(dir, opts, &registry)?;
+                (analysis, loss, Some(state))
+            }
+            DatasetFormat::Columnar => {
+                let (analysis, loss) = run_observed_colstore(dir, opts, &registry)?;
+                (analysis, loss, None)
+            }
         }
     };
     let dropped = match &loss {
@@ -153,6 +161,12 @@ pub fn analyze_opts(dir: &Path, opts: &AnalyzeOptions) -> CliResult<String> {
     if opts.verbose {
         eprint!("{}", verbose_summary(&registry));
     }
+    // Free the analysis on a detached thread: `certchain analyze` exits
+    // after printing without waiting for the frees, and a library
+    // caller's process finishes them in the background. Nobody joins it,
+    // as a drop does not panic; a failed spawn drops the closure, and
+    // the analysis with it, here.
+    let _ = std::thread::Builder::new().spawn(move || drop((analysis, state)));
     Ok(out)
 }
 
@@ -177,30 +191,28 @@ pub fn run_pipeline_with(
         .map_err(io_ctx(format!("reading {}/ssl.log", dir.display())))?;
     let x509_file = std::fs::File::open(dir.join("x509.log"))
         .map_err(io_ctx(format!("reading {}/x509.log", dir.display())))?;
-    let trust = load_trust(dir)?;
-    let ct = load_ct_index(dir)?;
-    let crosssign = CrossSignRegistry::from_disclosures(&load_crosssign(dir)?);
+    let corpus = Corpus::load(dir, threads)?;
     let options = PipelineOptions {
         threads,
         ..PipelineOptions::default()
     };
-    let pipeline = Pipeline::with_options(&trust, &ct, crosssign, options);
-    let analysis = analyze_logs(
-        &pipeline,
+    let (analysis, _state) = analyze_logs(
+        &corpus.pipeline(options),
         SslLogStream::new(ssl_file),
         X509LogStream::new(x509_file),
     )?;
-    Ok((analysis, trust))
+    Ok((analysis, corpus.trust))
 }
 
 /// Fold x509.log sequentially, then ssl.log on the pipeline's workers,
 /// and finalize: the TSV path. Both logs are read in blocks of whole
-/// lines, so they need no buffered reader.
+/// lines, so they need no buffered reader. Returns the analysis and the
+/// folded state it was finalized from.
 fn analyze_logs<R: std::io::Read>(
     pipeline: &Pipeline<'_>,
     ssl: SslLogStream<R>,
     x509: X509LogStream<R>,
-) -> CliResult<Analysis> {
+) -> CliResult<(Analysis, PipelineState)> {
     let mut state = PipelineState::new();
     pipeline.fold_x509_stream(
         &mut state,
@@ -209,46 +221,60 @@ fn analyze_logs<R: std::io::Read>(
     pipeline
         .fold_ssl_log(&mut state, ssl)
         .map_err(|e| CliError::Invalid(format!("ssl.log: {e}")))?;
-    Ok(pipeline.finalize_state(&state))
+    Ok((pipeline.finalize_state(&state), state))
 }
 
-/// The observed pipeline run behind [`analyze_opts`]: permissive streams
-/// (malformed rows skipped and tallied, header problems still fatal), the
-/// metrics registry attached, and optional progress reporting.
-fn run_observed(
-    dir: &Path,
+/// Load the dataset's corpus on `opts.threads` workers, timed as the
+/// `load_corpus` stage.
+fn load_corpus(dir: &Path, opts: &AnalyzeOptions, registry: &Registry) -> CliResult<Corpus> {
+    let _stage = registry.stage("load_corpus");
+    Corpus::load(dir, opts.threads)
+}
+
+/// The observed pipeline over `corpus`: `opts`' threads and row filter,
+/// the metrics registry, and progress reporting when asked for.
+fn observed_pipeline<'a>(
+    corpus: &'a Corpus,
     opts: &AnalyzeOptions,
     registry: &Arc<Registry>,
-) -> CliResult<(Analysis, LossStats)> {
-    let ssl_file = std::fs::File::open(dir.join("ssl.log"))
-        .map_err(io_ctx(format!("reading {}/ssl.log", dir.display())))?;
-    let x509_file = std::fs::File::open(dir.join("x509.log"))
-        .map_err(io_ctx(format!("reading {}/x509.log", dir.display())))?;
-    let trust = load_trust(dir)?;
-    let ct = load_ct_index(dir)?;
-    let crosssign = CrossSignRegistry::from_disclosures(&load_crosssign(dir)?);
+) -> Pipeline<'a> {
     let options = PipelineOptions {
         threads: opts.threads,
         filter: opts.row_filter(),
         ..PipelineOptions::default()
     };
-    let mut pipeline =
-        Pipeline::with_options(&trust, &ct, crosssign, options).with_metrics(Arc::clone(registry));
+    let pipeline = corpus.pipeline(options).with_metrics(Arc::clone(registry));
     if opts.progress {
-        pipeline = pipeline.with_progress(Arc::new(Progress::stderr("analyze")));
+        pipeline.with_progress(Arc::new(Progress::stderr("analyze")))
+    } else {
+        pipeline
     }
+}
+
+/// The observed pipeline run behind [`analyze_opts`]: permissive streams
+/// (malformed rows skipped and tallied, header problems still fatal), the
+/// metrics registry attached, and optional progress reporting. Returns
+/// the folded state beside the analysis.
+fn run_observed(
+    dir: &Path,
+    opts: &AnalyzeOptions,
+    registry: &Arc<Registry>,
+) -> CliResult<(Analysis, LossStats, PipelineState)> {
+    let ssl_file = std::fs::File::open(dir.join("ssl.log"))
+        .map_err(io_ctx(format!("reading {}/ssl.log", dir.display())))?;
+    let x509_file = std::fs::File::open(dir.join("x509.log"))
+        .map_err(io_ctx(format!("reading {}/x509.log", dir.display())))?;
+    let corpus = load_corpus(dir, opts, registry)?;
     let ssl = SslLogStream::permissive(ssl_file);
     let ssl_stats = ssl.stats();
     let x509 = X509LogStream::permissive(x509_file);
     let x509_stats = x509.stats();
-    let analysis = analyze_logs(&pipeline, ssl, x509)?;
-    Ok((
-        analysis,
-        LossStats::Tsv {
-            ssl: ssl_stats,
-            x509: x509_stats,
-        },
-    ))
+    let (analysis, state) = analyze_logs(&observed_pipeline(&corpus, opts, registry), ssl, x509)?;
+    let loss = LossStats::Tsv {
+        ssl: ssl_stats,
+        x509: x509_stats,
+    };
+    Ok((analysis, loss, state))
 }
 
 /// The columnar counterpart of [`run_observed`]: map the store, fold
@@ -262,20 +288,8 @@ fn run_observed_colstore(
     let store = colstore_dir(dir);
     let reader = DatasetReader::open(&store, MapMode::Auto)
         .map_err(|e| CliError::Invalid(format!("{}: {e}", store.display())))?;
-    let trust = load_trust(dir)?;
-    let ct = load_ct_index(dir)?;
-    let crosssign = CrossSignRegistry::from_disclosures(&load_crosssign(dir)?);
-    let options = PipelineOptions {
-        threads: opts.threads,
-        filter: opts.row_filter(),
-        ..PipelineOptions::default()
-    };
-    let mut pipeline =
-        Pipeline::with_options(&trust, &ct, crosssign, options).with_metrics(Arc::clone(registry));
-    if opts.progress {
-        pipeline = pipeline.with_progress(Arc::new(Progress::stderr("analyze")));
-    }
-    let analysis = pipeline
+    let corpus = load_corpus(dir, opts, registry)?;
+    let analysis = observed_pipeline(&corpus, opts, registry)
         .analyze_colstore(&reader)
         .map_err(|e| CliError::Invalid(format!("{}: {e}", store.display())))?;
     Ok((

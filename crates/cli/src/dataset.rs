@@ -19,9 +19,12 @@
 //! present (it skips the parse stage entirely); `--format` overrides.
 
 use crate::{io_ctx, CliError, CliResult};
+use certchain_chainlab::pipeline::{par_map, resolve_threads};
+use certchain_chainlab::{CrossSignRegistry, Pipeline, PipelineOptions};
 use certchain_ctlog::DomainIndex;
 use certchain_trust::TrustDb;
 use certchain_x509::{pem, Certificate, DistinguishedName};
+use std::ffi::{OsStr, OsString};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -67,41 +70,102 @@ pub fn detect_format(dir: &Path) -> CliResult<DatasetFormat> {
     Ok(DatasetFormat::Tsv)
 }
 
-/// Read every `*.pem` file under `dir` (non-recursive) into certificates.
+/// Read every `*.pem` file under `dir` (non-recursive) into certificates,
+/// in file-name order, on all available cores.
 pub fn read_pem_dir(dir: &Path) -> CliResult<Vec<Arc<Certificate>>> {
-    let mut certs = Vec::new();
-    let entries = std::fs::read_dir(dir).map_err(io_ctx(format!("reading {}", dir.display())))?;
-    let mut paths: Vec<_> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().map(|e| e == "pem").unwrap_or(false))
+    Ok(parse_pem_dir(dir, 0)?.into_iter().map(Arc::new).collect())
+}
+
+/// Read, decode and parse every `*.pem` file under `dir` (non-recursive)
+/// on `threads` workers (`0` = available parallelism). The certificates
+/// come back in file-name order, and in block order within a file. On
+/// failure the error names the first failing file in that order, so
+/// neither the result nor the error depends on `threads`.
+fn parse_pem_dir(dir: &Path, threads: usize) -> CliResult<Vec<Certificate>> {
+    let entries = std::fs::read_dir(dir)
+        .map_err(|e| CliError::Io(format!("reading {}", dir.display()), e))?;
+    let mut names: Vec<OsString> = entries
+        .filter_map(|e| e.ok().map(|e| e.file_name()))
+        .filter(|name| Path::new(name).extension() == Some(OsStr::new("pem")))
         .collect();
-    paths.sort();
-    for path in paths {
-        let text = std::fs::read_to_string(&path)
-            .map_err(io_ctx(format!("reading {}", path.display())))?;
-        let blocks = pem::decode_all("CERTIFICATE", &text)
-            .map_err(|e| CliError::Invalid(format!("{}: {e}", path.display())))?;
-        for der in blocks {
-            let cert = Certificate::parse(&der)
-                .map_err(|e| CliError::Invalid(format!("{}: {e}", path.display())))?;
-            certs.push(cert.into_arc());
+    names.sort_unstable();
+    // Each run stops at its first failing file, so the first failed run
+    // holds the first failure in file-name order.
+    let runs = par_map(names, resolve_threads(threads), |names| {
+        let mut certs = Vec::new();
+        for name in names {
+            certs.extend(read_pem_file(&dir.join(name))?);
         }
+        Ok(certs)
+    });
+    let mut certs = Vec::new();
+    for run in runs {
+        certs.extend(run?);
     }
     Ok(certs)
 }
 
-/// Load the trust databases from `<dir>/trust/`.
+/// Every certificate of one PEM file, in block order.
+fn read_pem_file(path: &Path) -> CliResult<Vec<Certificate>> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| CliError::Io(format!("reading {}", path.display()), e))?;
+    let invalid = |e: &dyn std::fmt::Display| CliError::Invalid(format!("{}: {e}", path.display()));
+    pem::decode_all("CERTIFICATE", &text)
+        .map_err(|e| invalid(&e))?
+        .iter()
+        .map(|der| Certificate::parse(der).map_err(|e| invalid(&e)))
+        .collect()
+}
+
+/// The reference data every analysis reads beside its logs: the trust
+/// databases, the CT index and the cross-sign registry.
+pub struct Corpus {
+    /// `<dir>/trust/`.
+    pub trust: TrustDb,
+    /// `<dir>/ct/`.
+    pub ct: DomainIndex,
+    /// `<dir>/crosssign.tsv`.
+    pub crosssign: CrossSignRegistry,
+}
+
+impl Corpus {
+    /// Load a dataset's corpus, parsing its PEM files on `threads`
+    /// workers (`0` = available parallelism). The corpus, and the error
+    /// if one file is bad, are the same for every thread count.
+    pub fn load(dir: &Path, threads: usize) -> CliResult<Corpus> {
+        Ok(Corpus {
+            trust: load_trust_with(dir, threads)?,
+            ct: load_ct_index_with(dir, threads)?,
+            crosssign: CrossSignRegistry::from_disclosures(&load_crosssign(dir)?),
+        })
+    }
+
+    /// A pipeline over this corpus.
+    pub fn pipeline(&self, options: PipelineOptions) -> Pipeline<'_> {
+        Pipeline::with_options(&self.trust, &self.ct, self.crosssign.clone(), options)
+    }
+}
+
+/// Load the trust databases from `<dir>/trust/` on all available cores.
 pub fn load_trust(dir: &Path) -> CliResult<TrustDb> {
+    load_trust_with(dir, 0)
+}
+
+/// [`load_trust`] on `threads` workers (`0` = available parallelism).
+pub fn load_trust_with(dir: &Path, threads: usize) -> CliResult<TrustDb> {
     let mut trust = TrustDb::new();
     let roots_dir = dir.join("trust/roots");
-    for root in read_pem_dir(&roots_dir)? {
-        trust.add_root_everywhere(root);
+    for root in parse_pem_dir(&roots_dir, threads)? {
+        trust.add_root_everywhere(Arc::new(root));
     }
     let ccadb_dir = dir.join("trust/ccadb");
     if ccadb_dir.is_dir() {
         // Intermediates may chain through each other; insert in passes so
         // order on disk does not matter.
-        let mut pending = read_pem_dir(&ccadb_dir)?;
+        let mut pending: Vec<_> = parse_pem_dir(&ccadb_dir, threads)?
+            .into_iter()
+            .map(Arc::new)
+            .collect();
         loop {
             let before = pending.len();
             pending.retain(|cert| {
@@ -123,13 +187,21 @@ pub fn load_trust(dir: &Path) -> CliResult<TrustDb> {
     Ok(trust)
 }
 
-/// Load the CT corpus from `<dir>/ct/` into a crt.sh-style index.
+/// Load the CT corpus from `<dir>/ct/` into a crt.sh-style index, on all
+/// available cores.
 pub fn load_ct_index(dir: &Path) -> CliResult<DomainIndex> {
+    load_ct_index_with(dir, 0)
+}
+
+/// [`load_ct_index`] on `threads` workers (`0` = available parallelism).
+/// The files are parsed in parallel and indexed in file-name order; each
+/// certificate is freed once indexed.
+pub fn load_ct_index_with(dir: &Path, threads: usize) -> CliResult<DomainIndex> {
     let mut index = DomainIndex::new();
     let ct_dir = dir.join("ct");
     if ct_dir.is_dir() {
-        for cert in read_pem_dir(&ct_dir)? {
-            index.add(cert);
+        for cert in parse_pem_dir(&ct_dir, threads)? {
+            index.add(&cert);
         }
     }
     Ok(index)

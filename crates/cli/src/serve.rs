@@ -47,11 +47,9 @@
 //!   timing section's `http` block.
 
 use crate::analyze::render;
-use crate::dataset::{load_crosssign, load_ct_index, load_trust};
+use crate::dataset::Corpus;
 use crate::{io_ctx, CliError, CliResult};
-use certchain_chainlab::{
-    Analysis, AnalysisSummary, CrossSignRegistry, Pipeline, PipelineOptions, PipelineState,
-};
+use certchain_chainlab::{Analysis, AnalysisSummary, Pipeline, PipelineOptions, PipelineState};
 use certchain_netsim::{order_spool, LogKind, ReadError, SslLogStream, X509LogStream};
 use certchain_obs::clock::Stopwatch;
 use certchain_obs::json::JsonValue;
@@ -166,13 +164,6 @@ impl ServeHealth {
     }
 }
 
-/// The loaded dataset context every finalize pipeline is built from.
-struct Corpus<'a> {
-    trust: &'a certchain_trust::TrustDb,
-    ct: &'a certchain_ctlog::DomainIndex,
-    crosssign: &'a CrossSignRegistry,
-}
-
 /// What the HTTP endpoint serves. Report/status surfaces are
 /// pre-rendered at publish time; `/metrics` is rendered per request by
 /// merging the stored finalize snapshot with the live serve-loop
@@ -206,9 +197,7 @@ pub fn serve(
     checkpoint: &Path,
     opts: &ServeOptions,
 ) -> CliResult<String> {
-    let trust = load_trust(dir)?;
-    let ct = load_ct_index(dir)?;
-    let crosssign_master = CrossSignRegistry::from_disclosures(&load_crosssign(dir)?);
+    let corpus = Corpus::load(dir, opts.threads)?;
     let registry = Arc::new(Registry::new());
     let journal = Arc::new(TraceJournal::new(opts.trace_capacity.max(16)));
     let health = Arc::new(ServeHealth::new(
@@ -221,7 +210,8 @@ pub fn serve(
         threads: opts.threads,
         ..PipelineOptions::default()
     };
-    let pipeline = Pipeline::with_options(&trust, &ct, crosssign_master.clone(), options)
+    let pipeline = corpus
+        .pipeline(options)
         .with_metrics(Arc::clone(&registry))
         .with_trace(Arc::clone(&journal));
 
@@ -246,11 +236,6 @@ pub fn serve(
         }
     };
 
-    let corpus = Corpus {
-        trust: &trust,
-        ct: &ct,
-        crosssign: &crosssign_master,
-    };
     let published = Arc::new(Mutex::new(Published::default()));
     // Publish the (possibly resumed, possibly empty) state before the
     // endpoint goes live, so no request ever sees an empty document.
@@ -304,7 +289,7 @@ pub fn serve(
             // per-segment category digests. Recomputed every cycle
             // because late-arriving x509 files can migrate chains out of
             // `incomplete`.
-            let census = state.category_census(&trust);
+            let census = state.category_census(&corpus.trust);
             state.note_category_census(census);
             let generation = state
                 .save_checkpoint_traced(checkpoint, Some(&cycle))
@@ -463,7 +448,7 @@ fn fold_file(
 /// publish (see the module doc); the finalize snapshot is stored and
 /// merged with the live serve-loop snapshot per `/metrics` request.
 fn publish(
-    corpus: &Corpus<'_>,
+    corpus: &Corpus,
     state: &PipelineState,
     threads: usize,
     published: &Mutex<Published>,
@@ -475,9 +460,9 @@ fn publish(
         threads,
         ..PipelineOptions::default()
     };
-    let finalize_pipeline =
-        Pipeline::with_options(corpus.trust, corpus.ct, corpus.crosssign.clone(), options)
-            .with_metrics(Arc::clone(&finalize_registry));
+    let finalize_pipeline = corpus
+        .pipeline(options)
+        .with_metrics(Arc::clone(&finalize_registry));
     let analysis = finalize_pipeline.finalize_state(state);
     if let Some(s) = &span {
         s.attr("distinct_chains", state.distinct_chains().to_string());

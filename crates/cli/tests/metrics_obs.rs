@@ -192,9 +192,9 @@ fn non_ascii_fingerprint_is_a_bad_fingerprint_row() {
     }
 }
 
-/// `-v` lists each pipeline stage once per analysis, on the TSV and on
-/// the columnar path alike: one enrich, ingest, resolve, categorize and
-/// finalize.
+/// `-v` lists each stage once per analysis, on the TSV and on the
+/// columnar path alike: one corpus load (trust, CT and cross-sign), and
+/// one enrich, ingest, resolve, categorize and finalize.
 #[test]
 fn verbose_summary_times_each_stage_once() {
     let dir = fresh_dataset("verbose");
@@ -208,7 +208,14 @@ fn verbose_summary_times_each_stage_once() {
             .expect("certchain runs");
         assert!(out.status.success(), "{format}: {:?}", out.status);
         let stderr = String::from_utf8(out.stderr).unwrap();
-        for stage in ["enrich", "ingest", "resolve", "categorize", "finalize"] {
+        for stage in [
+            "load_corpus",
+            "enrich",
+            "ingest",
+            "resolve",
+            "categorize",
+            "finalize",
+        ] {
             let line = stderr
                 .lines()
                 .find(|l| l.split_whitespace().next() == Some(stage))

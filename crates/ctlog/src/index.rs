@@ -7,28 +7,30 @@
 
 use crate::log::CtLog;
 use certchain_x509::{Certificate, DistinguishedName, Fingerprint, Validity};
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{HashMap, HashSet};
 
-/// One indexed record: a certificate known to CT for some domain.
+/// One indexed record: the issuer and validity of a certificate CT
+/// recorded for some domain.
 #[derive(Debug, Clone)]
 pub struct IndexedCert {
-    /// The certificate.
-    pub cert: Arc<Certificate>,
-    /// Issuer DN (denormalized for query speed).
+    /// Issuer DN.
     pub issuer: DistinguishedName,
-    /// Validity window (denormalized).
+    /// Validity window.
     pub validity: Validity,
 }
 
-/// Index from DNS name to the CT-logged certificates covering it.
+/// Index from DNS name to what CT recorded for it.
 ///
 /// Names come from subjectAltName dNSName entries plus the subject CN
-/// (crt.sh indexes both).
+/// (crt.sh indexes both). The index holds no certificate: per domain it
+/// keeps the issuer DN and validity of each certificate naming it, the
+/// two fields interception detection compares, and beside that the set
+/// of indexed fingerprints, which the CT-logging check of §4.2 and the
+/// add-once rule read. A certificate can be freed once it is indexed.
 #[derive(Debug, Default)]
 pub struct DomainIndex {
     by_domain: HashMap<String, Vec<IndexedCert>>,
-    fingerprints: std::collections::HashSet<Fingerprint>,
+    fingerprints: HashSet<Fingerprint>,
 }
 
 impl DomainIndex {
@@ -42,30 +44,31 @@ impl DomainIndex {
         let mut index = DomainIndex::new();
         for log in logs {
             for entry in log.entries() {
-                index.add(Arc::clone(&entry.cert));
+                index.add(&entry.cert);
             }
         }
         index
     }
 
     /// Index one certificate (idempotent by fingerprint).
-    pub fn add(&mut self, cert: Arc<Certificate>) {
+    pub fn add(&mut self, cert: &Certificate) {
         if !self.fingerprints.insert(cert.fingerprint()) {
             return;
         }
-        let mut names: Vec<String> = cert.dns_names().iter().map(|s| s.to_string()).collect();
-        if let Some(cn) = cert.subject.common_name() {
-            if !names.iter().any(|n| n == cn) {
-                names.push(cn.to_string());
-            }
-        }
+        let dns_names = cert.dns_names();
+        let cn = cert
+            .subject
+            .common_name()
+            .filter(|cn| !dns_names.contains(cn));
         let record = IndexedCert {
             issuer: cert.issuer.clone(),
             validity: cert.validity,
-            cert,
         };
-        for name in names {
-            self.by_domain.entry(name).or_default().push(record.clone());
+        for name in dns_names.into_iter().chain(cn) {
+            self.by_domain
+                .entry(name.to_string())
+                .or_default()
+                .push(record.clone());
         }
     }
 
@@ -120,6 +123,7 @@ mod tests {
     use certchain_asn1::Asn1Time;
     use certchain_cryptosim::KeyPair;
     use certchain_x509::CertificateBuilder;
+    use std::sync::Arc;
 
     fn t(y: u64, m: u64, d: u64) -> Asn1Time {
         Asn1Time::from_ymd_hms(y, m, d, 0, 0, 0).unwrap()
@@ -148,9 +152,8 @@ mod tests {
                 "san1.example.org".into(),
                 "san2.example.org".into(),
             ]))
-            .sign(&kp)
-            .into_arc();
-        index.add(cert);
+            .sign(&kp);
+        index.add(&cert);
         assert!(index.knows_domain("cn.example.org"));
         assert!(index.knows_domain("san1.example.org"));
         assert!(index.knows_domain("san2.example.org"));
@@ -162,16 +165,16 @@ mod tests {
     fn add_is_idempotent() {
         let mut index = DomainIndex::new();
         let c = leaf("CA X", "dup.example.org", t(2020, 9, 1), 90);
-        index.add(Arc::clone(&c));
-        index.add(c);
+        index.add(&c);
+        index.add(&c);
         assert_eq!(index.records("dup.example.org").len(), 1);
     }
 
     #[test]
     fn issuer_overlap_query() {
         let mut index = DomainIndex::new();
-        index.add(leaf("Real CA", "site.org", t(2020, 9, 1), 90));
-        index.add(leaf("Old CA", "site.org", t(2019, 1, 1), 90));
+        index.add(&leaf("Real CA", "site.org", t(2020, 9, 1), 90));
+        index.add(&leaf("Old CA", "site.org", t(2019, 1, 1), 90));
 
         // Observed validity overlapping the Real CA window.
         let observed = Validity::days_from(t(2020, 10, 1), 30);
@@ -187,7 +190,7 @@ mod tests {
     #[test]
     fn no_overlap_no_issuers() {
         let mut index = DomainIndex::new();
-        index.add(leaf("CA", "gone.org", t(2018, 1, 1), 30));
+        index.add(&leaf("CA", "gone.org", t(2018, 1, 1), 30));
         let observed = Validity::days_from(t(2021, 1, 1), 30);
         assert!(index
             .recorded_issuers_overlapping("gone.org", observed)

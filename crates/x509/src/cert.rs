@@ -140,7 +140,8 @@ pub struct Certificate {
     pub extensions: Vec<Extension>,
     /// The signature over the TBS bytes.
     pub signature: Signature,
-    /// Cached full-certificate DER.
+    /// Full-certificate DER: as encoded by the builder, or as given to
+    /// [`Certificate::parse`].
     der: Vec<u8>,
     /// Cached fingerprint of `der`.
     fingerprint: Fingerprint,
@@ -277,6 +278,14 @@ impl Certificate {
     }
 
     /// Parse a certificate from DER.
+    ///
+    /// The certificate keeps the bytes it was given: [`Certificate::der`]
+    /// is `der` and [`Certificate::fingerprint`] is its SHA-256, the
+    /// identifier Zeek computed over the same wire bytes. The fields are
+    /// not re-encoded, so a certificate whose encoding differs from the
+    /// one this crate writes (a printable DN value tagged UTF8String,
+    /// say) keeps its own fingerprint. [`Certificate::tbs_der`], and so
+    /// signature checks, still re-encode the parsed fields.
     pub fn parse(der: &[u8]) -> Asn1Result<Certificate> {
         let mut dec = Decoder::new(der);
         let cert = dec.sequence(|outer| {
@@ -306,10 +315,19 @@ impl Certificate {
             let signature =
                 Signature::from_slice(sig_bytes).ok_or(Asn1Error::InvalidLength { offset: 0 })?;
 
-            Ok(Certificate::assemble(
-                version, serial, algorithm, issuer, validity, subject, public_key, extensions,
+            Ok(Certificate {
+                version,
+                serial,
+                algorithm,
+                issuer,
+                validity,
+                subject,
+                public_key,
+                extensions,
                 signature,
-            ))
+                der: der.to_vec(),
+                fingerprint: Fingerprint(Sha256::digest(der)),
+            })
         })?;
         dec.finish()?;
         Ok(cert)
@@ -392,6 +410,28 @@ mod tests {
         let parsed = Certificate::parse(cert.der()).unwrap();
         assert_eq!(parsed, cert);
         assert_eq!(parsed.fingerprint(), cert.fingerprint());
+    }
+
+    #[test]
+    fn parse_keeps_and_fingerprints_the_wire_der() {
+        // Re-tag the subject CN from PrintableString (0x13) to
+        // UTF8String (0x0c): the same value, other bytes than the
+        // builder writes.
+        let cert = sample();
+        let cn = b"host.example.org";
+        let mut tlv = vec![0x13, cn.len() as u8];
+        tlv.extend_from_slice(cn);
+        let mut wire = cert.der().to_vec();
+        let at = wire
+            .windows(tlv.len())
+            .position(|w| w == tlv.as_slice())
+            .expect("the subject CN is a PrintableString");
+        wire[at] = 0x0c;
+        let parsed = Certificate::parse(&wire).unwrap();
+        assert_eq!(parsed.subject, cert.subject);
+        assert_eq!(parsed.der(), wire.as_slice());
+        assert_eq!(parsed.fingerprint().0, Sha256::digest(&wire));
+        assert_ne!(parsed.fingerprint(), cert.fingerprint());
     }
 
     #[test]

@@ -56,42 +56,73 @@ pub fn base64_encode(data: &[u8]) -> String {
     out
 }
 
+/// [`DECODE`] marks for the bytes that are not base64 digits.
+const PAD: u8 = 0x40;
+const SKIP: u8 = 0x80;
+const BAD: u8 = 0xc0;
+
+/// Each byte's base64 digit value (0..=63), or [`PAD`] for `=`, [`SKIP`]
+/// for ASCII whitespace and [`BAD`] for everything else.
+const DECODE: [u8; 256] = {
+    let mut table = [BAD; 256];
+    let mut i = 0;
+    while i < 64 {
+        table[ALPHABET[i] as usize] = i as u8;
+        i += 1;
+    }
+    table[b'=' as usize] = PAD;
+    let mut w = 0;
+    while w < 5 {
+        table[b" \t\n\x0c\r"[w] as usize] = SKIP;
+        w += 1;
+    }
+    table
+};
+
 /// Decode base64 (whitespace tolerated, padding required where applicable).
+///
+/// Whitespace is skipped and the other bytes are taken four at a time.
+/// A group may end in one or two `=`, also in the middle of the text,
+/// and `=` may appear nowhere else; the text must hold whole groups.
 pub fn base64_decode(text: &str) -> Result<Vec<u8>, PemError> {
-    fn value(c: u8) -> Result<u32, PemError> {
-        match c {
-            b'A'..=b'Z' => Ok((c - b'A') as u32),
-            b'a'..=b'z' => Ok((c - b'a' + 26) as u32),
-            b'0'..=b'9' => Ok((c - b'0' + 52) as u32),
-            b'+' => Ok(62),
-            b'/' => Ok(63),
-            _ => Err(PemError::InvalidBase64),
+    let mut out = Vec::with_capacity(text.len() / 4 * 3);
+    let mut quad = [0u8; 4];
+    let mut filled = 0;
+    for &b in text.as_bytes() {
+        let v = DECODE[usize::from(b)];
+        if v == SKIP {
+            continue;
+        }
+        quad[filled] = v;
+        filled += 1;
+        if filled == 4 {
+            decode_quad(quad, &mut out)?;
+            filled = 0;
         }
     }
-    let cleaned: Vec<u8> = text.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
-    if cleaned.len() % 4 != 0 {
+    if filled != 0 {
         return Err(PemError::InvalidBase64);
     }
-    let mut out = Vec::with_capacity(cleaned.len() / 4 * 3);
-    for quad in cleaned.chunks(4) {
-        let pad = quad.iter().rev().take_while(|&&c| c == b'=').count();
-        if pad > 2 || quad[..4 - pad].contains(&b'=') {
-            return Err(PemError::InvalidBase64);
-        }
-        let mut n: u32 = 0;
-        for &c in &quad[..4 - pad] {
-            n = (n << 6) | value(c)?;
-        }
-        n <<= 6 * pad as u32;
-        out.push((n >> 16) as u8);
-        if pad < 2 {
-            out.push((n >> 8) as u8);
-        }
-        if pad < 1 {
-            out.push(n as u8);
-        }
-    }
     Ok(out)
+}
+
+/// Append the bytes of one group of four [`DECODE`] values.
+fn decode_quad(quad: [u8; 4], out: &mut Vec<u8>) -> Result<(), PemError> {
+    let pad = match quad {
+        [_, _, PAD, PAD] => 2,
+        [_, _, _, PAD] => 1,
+        _ => 0,
+    };
+    let digits = &quad[..4 - pad];
+    // A digit is below 0x40; `=`, whitespace and other bytes all set a
+    // high bit.
+    if digits.iter().fold(0, |acc, &v| acc | v) & BAD != 0 {
+        return Err(PemError::InvalidBase64);
+    }
+    let n = digits.iter().fold(0u32, |n, &v| (n << 6) | u32::from(v)) << (6 * pad);
+    let bytes = [(n >> 16) as u8, (n >> 8) as u8, n as u8];
+    out.extend_from_slice(&bytes[..3 - pad]);
+    Ok(())
 }
 
 /// Wrap DER bytes in PEM armor with the given label (e.g. `CERTIFICATE`).

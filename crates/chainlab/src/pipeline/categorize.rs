@@ -4,7 +4,7 @@
 //! structure analysis body (pass 2).
 
 use super::enrich::CertTable;
-use super::ingest::ChainAccum;
+use super::ingest::SharedAccum;
 use super::{concat, par_map, ChainAnalysis, ChainCategoryLabel, Pipeline};
 use crate::classify::{classify, CertClass};
 use crate::crosssign::CrossSignRegistry;
@@ -23,8 +23,8 @@ pub(crate) struct Prepared {
     pub(crate) key: ChainKey,
     pub(crate) certs: Vec<Arc<CertRecord>>,
     pub(crate) classes: Vec<CertClass>,
-    pub(crate) snis: BTreeSet<String>,
-    pub(crate) usage: UsageStats,
+    pub(crate) snis: Arc<BTreeSet<String>>,
+    pub(crate) usage: Arc<UsageStats>,
 }
 
 /// Entity key for an issuer DN: the organization when present, otherwise
@@ -37,54 +37,25 @@ pub fn issuer_entity(dn: &DistinguishedName) -> String {
         .unwrap_or_else(|| dn.to_rfc4514())
 }
 
-/// A folded chain on its way into [`resolve`], taken by value: an owned
-/// pair (the columnar fold's chains) moves into the result, a borrowed
-/// pair (a [`super::PipelineState`]'s chains, which finalize must not
-/// consume) is cloned, and only once it resolves.
-pub(crate) trait Entry: Send {
-    /// The chain's key and accumulator.
-    fn parts(&self) -> (&ChainKey, &ChainAccum);
-    /// The chain's key and accumulator, owned.
-    fn into_parts(self) -> (ChainKey, ChainAccum);
-}
-
-impl Entry for (ChainKey, ChainAccum) {
-    fn parts(&self) -> (&ChainKey, &ChainAccum) {
-        (&self.0, &self.1)
-    }
-
-    fn into_parts(self) -> (ChainKey, ChainAccum) {
-        self
-    }
-}
-
-impl Entry for (&ChainKey, &ChainAccum) {
-    fn parts(&self) -> (&ChainKey, &ChainAccum) {
-        *self
-    }
-
-    fn into_parts(self) -> (ChainKey, ChainAccum) {
-        (self.0.clone(), self.1.clone())
-    }
-}
-
 /// Resolve each chain's fingerprints against the certificate table and
 /// classify its certificates, on `threads` workers over arbitrary
 /// (unsorted) runs — safe because per-chain work is pure and the caller
 /// sorts. A chain with a fingerprint the table lacks is dropped and its
 /// records tallied as unresolvable (an integer sum, thread-count
-/// invariant); the tally comes back with the resolved chains.
-pub(crate) fn resolve<E: Entry>(
+/// invariant); the tally comes back with the resolved chains. Every
+/// path hands its chains over as `(key, accumulators)` pairs whose
+/// accumulators a resolved chain keeps as they are: shared with the
+/// [`super::PipelineState`] a finalize reads, never copied.
+pub(crate) fn resolve(
     pipe: &Pipeline<'_>,
     table: &CertTable,
-    entries: Vec<E>,
+    entries: Vec<(ChainKey, SharedAccum)>,
     threads: usize,
 ) -> (Vec<Prepared>, u64) {
     let parts = par_map(entries, threads, |part| {
         let mut prepared = Vec::with_capacity(part.len());
         let mut unresolvable = 0u64;
-        for entry in part {
-            let (key, accum) = entry.parts();
+        for (key, accum) in part {
             let certs: Option<Vec<Arc<CertRecord>>> =
                 key.0.iter().map(|fp| table.get(fp).cloned()).collect();
             let Some(certs) = certs else {
@@ -92,7 +63,6 @@ pub(crate) fn resolve<E: Entry>(
                 continue;
             };
             let classes: Vec<CertClass> = certs.iter().map(|c| classify(c, pipe.trust)).collect();
-            let (key, accum) = entry.into_parts();
             prepared.push(Prepared {
                 key,
                 certs,
@@ -114,7 +84,7 @@ fn scan_entities<'p>(
 ) -> HashMap<String, BTreeSet<&'p str>> {
     let mut candidates: HashMap<String, BTreeSet<&'p str>> = HashMap::new();
     for p in part {
-        for sni in &p.snis {
+        for sni in p.snis.iter() {
             if detect(&p.certs, Some(sni), pipe.trust, pipe.ct)
                 == InterceptionVerdict::LikelyIntercepted
             {

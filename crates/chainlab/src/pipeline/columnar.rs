@@ -25,14 +25,14 @@
 //! scratch buffers, and key the per-chain accumulators by
 //! fingerprint-*code* sequences — fingerprints and SNI strings are
 //! resolved once per distinct chain at the end, not once per row. The
-//! fold does not check chains against the table: its chains move, owned,
-//! into the same resolve and later stages as every other path's.
+//! fold does not check chains against the table: its chains move into the
+//! same resolve and later stages as every other path's.
 //! Zone-map skip decisions are per-segment properties of the data, so
 //! they are identical for every thread count, which keeps the
 //! `colstore.segments_*` metrics deterministic.
 
 use super::enrich::CertTable;
-use super::ingest::{merge_into, ChainAccum, IngestCounts, Partial};
+use super::ingest::{merge_into, IngestCounts, Partial, SharedAccum};
 use super::{par_map, resolve_threads, Analysis, Pipeline, RowFilter};
 use crate::filtercat::{chain_category, CertCat};
 use crate::model::ChainKey;
@@ -43,6 +43,7 @@ use certchain_colstore::{
 };
 use std::collections::{BTreeSet, HashMap};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 impl Pipeline<'_> {
     /// Run the full analysis over an open columnar store (either format
@@ -264,9 +265,9 @@ fn var_codes<'a>(dat: &'a [u8], start: u64, end: u64, what: &str, row: u64) -> C
 }
 
 /// Per-chain accumulator keyed by fingerprint-*code* sequence. Identical
-/// aggregates to [`ChainAccum`], but nothing is resolved to strings or
-/// 32-byte fingerprints during the fold — codes are rekeyed once per
-/// distinct chain afterwards.
+/// aggregates to the TSV fold's `ChainAccum`, but nothing is resolved to
+/// strings or 32-byte fingerprints during the fold — codes are rekeyed
+/// once per distinct chain afterwards.
 #[derive(Default)]
 struct CodeAccum {
     usage: UsageStats,
@@ -277,6 +278,10 @@ impl Partial for CodeAccum {
     fn merge(&mut self, other: CodeAccum) {
         self.usage.merge(&other.usage);
         self.sni_codes.extend(other.sni_codes);
+    }
+
+    fn first(part: CodeAccum) -> CodeAccum {
+        part
     }
 }
 
@@ -368,12 +373,12 @@ fn fold_segments(
                 counts.no_chain += 1;
                 continue;
             }
-            if !accums.contains_key(codes.as_slice()) {
-                accums.insert(codes.clone(), CodeAccum::default());
-            }
-            let entry = accums
-                .get_mut(codes.as_slice())
-                .expect("present or just inserted");
+            // One probe for a chain already seen; the key is allocated
+            // only the first time.
+            let entry = match accums.get_mut(codes.as_slice()) {
+                Some(entry) => entry,
+                None => accums.entry(codes.clone()).or_default(),
+            };
             entry.usage.add(
                 established[i] != 0,
                 sni_code != NONE_IDX,
@@ -391,7 +396,8 @@ fn fold_segments(
 
 /// Ingest the ssl table: contiguous *segment* runs per worker, partials
 /// merged in run order, code keys resolved once per distinct chain into
-/// owned entries for the resolve. The scan accounting adds to `tally`.
+/// the resolve's entries, their accumulators wrapped in `Arc`s there. The
+/// scan accounting adds to `tally`.
 fn ingest_segments(
     pipe: &Pipeline<'_>,
     ssl: &SslSegments<'_>,
@@ -400,7 +406,7 @@ fn ingest_segments(
     table: &CertTable,
     threads: usize,
     tally: &mut SegTally,
-) -> ColResult<(Vec<(ChainKey, ChainAccum)>, IngestCounts)> {
+) -> ColResult<(Vec<(ChainKey, SharedAccum)>, IngestCounts)> {
     // Under a category filter, the class of every fingerprint code,
     // precomputed once: the per-row test becomes vector loads instead of
     // hash probes and classifications.
@@ -423,7 +429,11 @@ fn ingest_segments(
         counts.records += c.records;
         counts.no_chain += c.no_chain;
         *tally = tally.plus(t);
-        merge_into(&mut code_accums, accums);
+        if code_accums.is_empty() {
+            code_accums = accums;
+        } else {
+            merge_into(&mut code_accums, accums);
+        }
     }
     // Rekey code sequences to fingerprint chains and SNI codes to
     // strings — once per distinct chain, the only string work in the
@@ -441,9 +451,9 @@ fn ingest_segments(
         }
         entries.push((
             ChainKey(fps),
-            ChainAccum {
-                usage: code_accum.usage,
-                snis,
+            SharedAccum {
+                usage: Arc::new(code_accum.usage),
+                snis: Arc::new(snis),
             },
         ));
     }

@@ -65,20 +65,33 @@ const BATCHES_PER_WORKER: usize = 3;
 /// just handed back, long before that worker's queued block is done.
 const BLOCKS_PER_WORKER: usize = 2;
 
-/// Per-chain connection accumulator.
-#[derive(Default, Clone)]
+/// Per-chain connection accumulator: what one fold owns and folds rows
+/// into, with no `Arc` on the per-row path.
+#[derive(Default)]
 pub(crate) struct ChainAccum {
     pub(crate) usage: UsageStats,
     pub(crate) snis: BTreeSet<String>,
 }
 
-/// A per-chain aggregate whose partials merge exactly when every row
-/// folded at weight 1.0: each field is an integer-valued f64 sum, an
-/// integer sum or a set union, so any merge order reproduces the
-/// sequential fold.
-pub(crate) trait Partial {
+/// A chain's accumulators as [`super::PipelineState`] owns them and every
+/// [`super::Analysis`] finalized from it shares them. A fold merges into
+/// them through `Arc::make_mut`, so it copies a chain only while an
+/// analysis from before the fold still holds it.
+#[derive(Clone)]
+pub(crate) struct SharedAccum {
+    pub(crate) usage: Arc<UsageStats>,
+    pub(crate) snis: Arc<BTreeSet<String>>,
+}
+
+/// A per-chain aggregate that partials of type `P` merge into exactly
+/// when every row folded at weight 1.0: each field is an integer-valued
+/// f64 sum, an integer sum or a set union, so any merge order reproduces
+/// the sequential fold.
+pub(crate) trait Partial<P = Self> {
     /// Merge another partial for the same chain.
-    fn merge(&mut self, other: Self);
+    fn merge(&mut self, other: P);
+    /// The aggregate of a chain whose first partial is `part`.
+    fn first(part: P) -> Self;
 }
 
 impl Partial for ChainAccum {
@@ -86,27 +99,45 @@ impl Partial for ChainAccum {
         self.usage.merge(&other.usage);
         self.snis.extend(other.snis);
     }
+
+    fn first(part: ChainAccum) -> ChainAccum {
+        part
+    }
+}
+
+impl Partial<ChainAccum> for SharedAccum {
+    fn merge(&mut self, other: ChainAccum) {
+        Arc::make_mut(&mut self.usage).merge(&other.usage);
+        // A partial that saw no SNI leaves the set shared.
+        if !other.snis.is_empty() {
+            Arc::make_mut(&mut self.snis).extend(other.snis);
+        }
+    }
+
+    fn first(part: ChainAccum) -> SharedAccum {
+        SharedAccum {
+            usage: Arc::new(part.usage),
+            snis: Arc::new(part.snis),
+        }
+    }
 }
 
 /// Merge the partial map `part` into `into`: the one merge of unit-weight
 /// partials, for the TSV block workers' maps, the columnar segment
-/// workers' maps and a fold's map into longer-lived state. Disjoint maps
-/// (the chain-sharded record path's) merge into their union, whatever
-/// their weights. The larger map absorbs the smaller, so merging into an
-/// empty map moves `part` and builds no second table.
-pub(crate) fn merge_into<K: Eq + Hash, A: Partial>(
+/// workers' maps and a fold's map into a [`super::PipelineState`]'s
+/// shared accumulators. Disjoint maps (the chain-sharded record path's)
+/// merge into their union, whatever their weights. A caller merging parts
+/// of one type into an empty map takes the first part as it is instead.
+pub(crate) fn merge_into<K: Eq + Hash, P, A: Partial<P>>(
     into: &mut HashMap<K, A>,
-    mut part: HashMap<K, A>,
+    part: HashMap<K, P>,
 ) {
-    if part.len() > into.len() {
-        std::mem::swap(into, &mut part);
-    }
     // srclint: commutative -- per-key merge into a keyed map; Partial::merge is exact in any order at unit weight and disjoint maps never merge a key, so iteration order is invisible
     for (key, accum) in part {
         match into.entry(key) {
             Entry::Occupied(mut e) => e.get_mut().merge(accum),
             Entry::Vacant(e) => {
-                e.insert(accum);
+                e.insert(A::first(accum));
             }
         }
     }
@@ -470,7 +501,11 @@ fn collect(
     for shard in shards {
         counts.records += shard.counts.records;
         counts.no_chain += shard.counts.no_chain;
-        merge_into(&mut accums, shard.accums);
+        if accums.is_empty() {
+            accums = shard.accums;
+        } else {
+            merge_into(&mut accums, shard.accums);
+        }
     }
     pipe.obs.finish_progress(counts.records);
     (accums, counts)

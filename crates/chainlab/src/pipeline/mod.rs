@@ -73,6 +73,13 @@ pub enum ChainCategoryLabel {
 }
 
 /// Everything the pipeline learned about one distinct delivered chain.
+///
+/// `usage` and `snis` are the accumulators of the [`PipelineState`] the
+/// analysis was finalized from, shared rather than copied, so finalizing
+/// adds no second copy of them. A later fold never mutates an analysis:
+/// it merges into the state's accumulators copy-on-write, so a chain an
+/// analysis still holds is copied first and the analysis keeps the
+/// values it was finalized with.
 #[derive(Debug, Clone)]
 pub struct ChainAnalysis {
     /// Ordered fingerprints (the chain's identity).
@@ -97,9 +104,9 @@ pub struct ChainAnalysis {
     /// The intercepting entity key, when category is Interception.
     pub interception_entity: Option<String>,
     /// SNIs observed with this chain.
-    pub snis: BTreeSet<String>,
+    pub snis: Arc<BTreeSet<String>>,
     /// Aggregated usage over the chain's connections.
-    pub usage: UsageStats,
+    pub usage: Arc<UsageStats>,
 }
 
 /// Pipeline output.
@@ -403,12 +410,11 @@ impl<'a> Pipeline<'a> {
     /// The stages after the folds, shared by every path: resolve each
     /// folded chain against the certificate table, then the sorted
     /// merge, pass 1, pass 2 and assembly. `entries` are the folded
-    /// chains, owned or borrowed (see `categorize::Entry`), and `counts`
-    /// the folds' record tallies.
-    fn finish<E: categorize::Entry>(
+    /// chains and `counts` the folds' record tallies.
+    fn finish(
         &self,
         table: &CertTable,
-        entries: Vec<E>,
+        entries: Vec<(ChainKey, ingest::SharedAccum)>,
         counts: ingest::IngestCounts,
     ) -> Analysis {
         let threads = resolve_threads(self.options.threads);

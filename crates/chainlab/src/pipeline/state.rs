@@ -48,13 +48,15 @@
 //! - `certs-NNNNNN.dat` — the interned x509 rows as an append-only
 //!   chunk series: each generation writes only the rows interned since
 //!   the previous checkpoint and *carries* older chunks by hard link, so
-//!   cert persistence costs O(new data). Reload rebuilds the
-//!   [`CertTable`] from them.
+//!   cert persistence costs O(new data). The state frees those rows once
+//!   the generation commits, and reload rebuilds the [`CertTable`] from
+//!   the chunks and frees the decoded rows, so no session holds a row a
+//!   chunk already has.
 //! - counters (the table's row tallies among them), loss tallies, and
 //!   the folded-file ledger ride in the manifest's `meta` object.
 
 use super::enrich::CertTable;
-use super::ingest::{merge_into, ChainAccum, IngestCounts};
+use super::ingest::{merge_into, ChainAccum, IngestCounts, SharedAccum};
 use super::Pipeline;
 use crate::model::ChainKey;
 use crate::usage::UsageStats;
@@ -68,6 +70,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// The chains field file name.
 const CHAINS_FILE: &str = "chains.dat";
@@ -121,12 +124,24 @@ struct PrevCheckpoint {
 /// fold any number of record streams into it, checkpoint it between
 /// folds, and render reports from it at any point with
 /// [`Pipeline::finalize_state`].
+///
+/// The state is the one owner of the per-chain accumulators. Each chain's
+/// usage stats and SNI set sit behind an `Arc` that every
+/// [`super::Analysis`] finalized from the state shares, and a fold merges
+/// into them with `Arc::make_mut`: it copies a chain only while an
+/// analysis from before the fold still holds it, and never changes what
+/// that analysis reports. Of the raw x509 rows, the state keeps only
+/// those interned since the last checkpoint: a committed checkpoint's
+/// cert chunk holds the rest, and the [`CertTable`] holds every
+/// certificate.
 #[derive(Default)]
 pub struct PipelineState {
-    /// Per-chain accumulators.
-    pub(crate) chains: HashMap<ChainKey, ChainAccum>,
-    /// The raw x509 row that interned each of `table`'s certificates,
-    /// index-aligned with it: what checkpoint chunks persist.
+    /// Per-chain accumulators, shared with the analyses finalized from
+    /// the state.
+    pub(crate) chains: HashMap<ChainKey, SharedAccum>,
+    /// The raw x509 rows that interned certificates since the last
+    /// checkpoint, in intern order: the next checkpoint's cert chunk.
+    /// Freed once that checkpoint commits.
     certs: Vec<X509Record>,
     /// The certificate table and its row tallies.
     table: CertTable,
@@ -147,8 +162,6 @@ pub struct PipelineState {
     category_census: Option<[u64; certchain_colstore::CATEGORY_COUNT]>,
     /// In-memory change counter (bumps on every fold; not persisted).
     revision: u64,
-    /// How many of `certs` are already in persisted chunks.
-    certs_persisted: usize,
     prev: Option<PrevCheckpoint>,
 }
 
@@ -185,7 +198,7 @@ impl PipelineState {
 
     /// Distinct certificates interned so far.
     pub fn distinct_certificates(&self) -> usize {
-        self.certs.len()
+        self.table.certs().len()
     }
 
     /// Generation of the last checkpoint written or loaded (0 = none).
@@ -230,8 +243,8 @@ impl PipelineState {
         &self.loss
     }
 
-    /// Fold one x509 row into the table, keeping the raw row when it
-    /// interns a certificate.
+    /// Fold one x509 row into the table, keeping the raw row for the next
+    /// checkpoint when it interns a certificate.
     fn fold_x509_row(&mut self, rec: &X509Record) {
         if self.table.fold(rec) {
             self.certs.push(rec.clone());
@@ -242,7 +255,7 @@ impl PipelineState {
     /// Absorb one fold's accumulator map and counts. Chain merges are
     /// exact at unit weight (integer-valued sums, set unions), so
     /// absorbing per-file folds reproduces the one-shot batch fold
-    /// bit-for-bit.
+    /// bit-for-bit. Each merge is copy-on-write (see [`PipelineState`]).
     pub(crate) fn absorb(&mut self, accums: HashMap<ChainKey, ChainAccum>, counts: IngestCounts) {
         self.records += counts.records;
         self.no_chain += counts.no_chain;
@@ -320,14 +333,13 @@ impl PipelineState {
                 chunks.push(chunk.clone());
             }
         }
-        let fresh = &self.certs[self.certs_persisted..];
-        if !fresh.is_empty() {
+        if !self.certs.is_empty() {
             let name = format!("certs-{generation:06}.dat");
-            let bytes = encode_certs(fresh);
+            let bytes = encode_certs(&self.certs);
             writer.write_field(&name, &bytes)?;
             chunks.push(ChunkInfo {
                 name,
-                count: fresh.len(),
+                count: self.certs.len(),
                 bytes: bytes.len() as u64,
             });
         }
@@ -339,7 +351,7 @@ impl PipelineState {
             JsonValue::Num(self.table.unparseable() as f64),
         );
         writer.set_meta("chains", JsonValue::Num(self.chains.len() as f64));
-        writer.set_meta("certs", JsonValue::Num(self.certs.len() as f64));
+        writer.set_meta("certs", JsonValue::Num(self.distinct_certificates() as f64));
         if let Some(census) = &self.category_census {
             writer.set_meta(
                 "category_census",
@@ -379,7 +391,9 @@ impl PipelineState {
             dir: sealed.dir().to_path_buf(),
             chunks,
         });
-        self.certs_persisted = self.certs.len();
+        // The new chunk holds these rows now, and the table their
+        // certificates.
+        self.certs = Vec::new();
         self.generation = generation;
         Ok(generation)
     }
@@ -457,32 +471,33 @@ impl PipelineState {
                 });
             }
         }
+        // The rows are needed only to rebuild the table: the chunks keep
+        // them, so they are freed once it stands.
+        let mut rows = Vec::new();
         for chunk in &chunks {
             let bytes = ckpt.read_field(&chunk.name)?;
-            let before = state.certs.len();
-            decode_certs(&bytes, &mut state.certs)?;
-            if state.certs.len() - before != chunk.count {
+            let before = rows.len();
+            decode_certs(&bytes, &mut rows)?;
+            if rows.len() - before != chunk.count {
                 return Err(StateError::Corrupt(format!(
                     "cert chunk {:?} decoded {} records, manifest says {}",
                     chunk.name,
-                    state.certs.len() - before,
+                    rows.len() - before,
                     chunk.count
                 )));
             }
         }
-        if state.certs.len() as u64 != meta_u64("certs")? {
+        if rows.len() as u64 != meta_u64("certs")? {
             return Err(StateError::Corrupt(format!(
                 "decoded {} certificates, meta says {}",
-                state.certs.len(),
+                rows.len(),
                 meta_u64("certs")?
             )));
         }
-        state.table = CertTable::restore(
-            &state.certs,
-            meta_u64("x509_rows")?,
-            meta_u64("x509_unparseable")?,
-        )
-        .map_err(StateError::Corrupt)?;
+        state.table =
+            CertTable::restore(&rows, meta_u64("x509_rows")?, meta_u64("x509_unparseable")?)
+                .map_err(StateError::Corrupt)?;
+        drop(rows);
         decode_chains(&ckpt.read_field(CHAINS_FILE)?, &mut state.chains)?;
         if state.chains.len() as u64 != meta_u64("chains")? {
             return Err(StateError::Corrupt(format!(
@@ -491,7 +506,6 @@ impl PipelineState {
                 meta_u64("chains")?
             )));
         }
-        state.certs_persisted = state.certs.len();
         state.prev = Some(PrevCheckpoint {
             dir: ckpt.dir().to_path_buf(),
             chunks,
@@ -501,7 +515,7 @@ impl PipelineState {
 
     /// The chain accumulators, in the map's hash order: the checkpoint
     /// encoder sorts them, and finalize sorts what it derives from them.
-    fn chain_entries(&self) -> Vec<(&ChainKey, &ChainAccum)> {
+    fn chain_entries(&self) -> Vec<(&ChainKey, &SharedAccum)> {
         // srclint: commutative -- snapshot of a keyed map; every caller sorts it or its result
         self.chains.iter().collect()
     }
@@ -536,7 +550,7 @@ impl PipelineState {
                 put_u32(&mut out, ip);
             }
             put_u32(&mut out, accum.snis.len() as u32);
-            for sni in &accum.snis {
+            for sni in accum.snis.iter() {
                 put_str(&mut out, sni);
             }
         }
@@ -620,16 +634,22 @@ impl Pipeline<'_> {
 
     /// Render an [`super::Analysis`] from `state` without consuming or
     /// mutating it: the shared resolve and the stages after it, over the
-    /// state's chains (cloned as they resolve; chains with missing
-    /// fingerprints are excluded and their records counted as
-    /// unresolvable) and its certificate table. Byte-identical to the
-    /// one-shot batch paths for every thread count.
+    /// state's chains (chains with missing fingerprints are excluded and
+    /// their records counted as unresolvable) and its certificate table.
+    /// The analysis shares each chain's accumulators with the state (see
+    /// [`PipelineState`]). Byte-identical to the one-shot batch paths for
+    /// every thread count.
     pub fn finalize_state(&self, state: &PipelineState) -> super::Analysis {
         let counts = IngestCounts {
             records: state.records,
             no_chain: state.no_chain,
         };
-        self.finish(&state.table, state.chain_entries(), counts)
+        let entries = state
+            .chain_entries()
+            .into_iter()
+            .map(|(key, accum)| (key.clone(), accum.clone()))
+            .collect();
+        self.finish(&state.table, entries, counts)
     }
 }
 
@@ -725,7 +745,7 @@ impl<'a> Cur<'a> {
 /// Decode a `chains.dat` field into a chain map.
 fn decode_chains(
     bytes: &[u8],
-    chains: &mut HashMap<ChainKey, ChainAccum>,
+    chains: &mut HashMap<ChainKey, SharedAccum>,
 ) -> Result<(), StateError> {
     let mut cur = Cur::new(bytes);
     while !cur.done() {
@@ -752,16 +772,16 @@ fn decode_chains(
         for _ in 0..cur.u32_()? {
             snis.insert(cur.str_()?);
         }
-        let accum = ChainAccum {
-            usage: UsageStats {
+        let accum = SharedAccum {
+            usage: Arc::new(UsageStats {
                 connections,
                 established,
                 with_sni,
                 ports,
                 client_ips,
                 records,
-            },
-            snis,
+            }),
+            snis: Arc::new(snis),
         };
         if chains.insert(ChainKey(fps), accum).is_some() {
             return Err(StateError::Corrupt("duplicate chain in chains.dat".into()));

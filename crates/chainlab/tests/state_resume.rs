@@ -13,6 +13,7 @@ use certchain_x509::Fingerprint;
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// A small certificate pool: root, intermediate, three leaves, one
 /// self-signed stray.
@@ -356,4 +357,171 @@ fn checkpoint_growth_is_incremental_for_certs() {
     let reloaded = PipelineState::load_latest(&root).unwrap().unwrap();
     assert_eq!(reloaded.distinct_certificates(), x509.len());
     std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn finalizes_share_the_state_accumulators() {
+    let trust = TrustDb::new();
+    let ct = DomainIndex::new();
+    let x509 = cert_pool();
+    let ssl = conn_stream(1200);
+    let pipe = pipeline(&trust, &ct, 2);
+    let mut state = PipelineState::new();
+    pipe.fold_x509_stream(&mut state, x509.iter().cloned().map(Ok::<_, ()>))
+        .unwrap();
+    pipe.fold_ssl_stream(&mut state, ssl[..600].iter().cloned().map(Ok::<_, ()>))
+        .unwrap();
+    let (first, second) = (pipe.finalize_state(&state), pipe.finalize_state(&state));
+    assert!(!first.chains.is_empty());
+    assert_eq!(first.chains.len(), second.chains.len());
+    for (a, b) in first.chains.iter().zip(&second.chains) {
+        assert!(Arc::ptr_eq(&a.usage, &b.usage), "{:?}: usage copied", a.key);
+        assert!(Arc::ptr_eq(&a.snis, &b.snis), "{:?}: SNI set copied", a.key);
+    }
+    // With no analysis alive, a fold merges in place: the next finalize
+    // hands out the same allocations, now holding the merged values.
+    let before: Vec<(*const _, u64)> = first
+        .chains
+        .iter()
+        .map(|c| (Arc::as_ptr(&c.usage), c.usage.records))
+        .collect();
+    drop((first, second));
+    pipe.fold_ssl_stream(&mut state, ssl[600..].iter().cloned().map(Ok::<_, ()>))
+        .unwrap();
+    let after = pipe.finalize_state(&state);
+    assert_eq!(after.chains.len(), before.len());
+    for (chain, (ptr, records)) in after.chains.iter().zip(before) {
+        assert_eq!(Arc::as_ptr(&chain.usage), ptr, "{:?}: copied", chain.key);
+        assert!(chain.usage.records > records, "{:?}: not folded", chain.key);
+    }
+}
+
+#[test]
+fn an_analysis_is_unchanged_by_later_folds() {
+    let trust = TrustDb::new();
+    let ct = DomainIndex::new();
+    let x509 = cert_pool();
+    let ssl = conn_stream(3000);
+    let reference = canon(&pipeline(&trust, &ct, 1).analyze(&ssl, &x509, None));
+    for threads in [1usize, 2, 8] {
+        let pipe = pipeline(&trust, &ct, threads);
+        let mut state = PipelineState::new();
+        pipe.fold_x509_stream(&mut state, x509[..4].iter().cloned().map(Ok::<_, ()>))
+            .unwrap();
+        pipe.fold_ssl_stream(&mut state, ssl[..1000].iter().cloned().map(Ok::<_, ()>))
+            .unwrap();
+        let early = pipe.finalize_state(&state);
+        let rendered = canon(&early);
+        // More rows for the chains the early analysis holds, and the
+        // certificates that resolve more chains.
+        pipe.fold_ssl_stream(&mut state, ssl[1000..].iter().cloned().map(Ok::<_, ()>))
+            .unwrap();
+        pipe.fold_x509_stream(&mut state, x509[4..].iter().cloned().map(Ok::<_, ()>))
+            .unwrap();
+        assert_eq!(
+            canon(&early),
+            rendered,
+            "threads={threads}: a fold changed an analysis taken before it"
+        );
+        let late = pipe.finalize_state(&state);
+        assert_ne!(
+            canon(&late),
+            rendered,
+            "the later folds must change the state"
+        );
+        assert_eq!(
+            canon(&late),
+            reference,
+            "threads={threads}: finalize after copy-on-write folds diverged from batch"
+        );
+    }
+}
+
+/// The raw bytes of every cert chunk of the newest generation under
+/// `root`, and the manifest's certificate count.
+fn newest_cert_chunks(root: &std::path::Path) -> (Vec<u8>, u64) {
+    let ckpt = certchain_colstore::Checkpoint::load_latest(root)
+        .unwrap()
+        .expect("checkpoint");
+    let mut names: Vec<&String> = ckpt
+        .files
+        .keys()
+        .filter(|n| n.starts_with("certs-"))
+        .collect();
+    names.sort();
+    let mut bytes = Vec::new();
+    for name in names {
+        bytes.extend(ckpt.read_field(name).unwrap());
+    }
+    let certs = ckpt
+        .meta
+        .get("certs")
+        .and_then(certchain_obs::json::JsonValue::as_u64)
+        .expect("meta certs");
+    (bytes, certs)
+}
+
+#[test]
+fn checkpoints_free_persisted_rows_and_lose_none() {
+    let trust = TrustDb::new();
+    let ct = DomainIndex::new();
+    let x509 = cert_pool();
+    let ssl = conn_stream(2000);
+    let pipe = pipeline(&trust, &ct, 2);
+
+    // Reference: one uninterrupted fold, checkpointed once.
+    let reference_root = tmp_root("rows-reference");
+    let mut whole = PipelineState::new();
+    pipe.fold_x509_stream(&mut whole, x509.iter().cloned().map(Ok::<_, ()>))
+        .unwrap();
+    pipe.fold_ssl_stream(&mut whole, ssl.iter().cloned().map(Ok::<_, ()>))
+        .unwrap();
+    whole.save_checkpoint(&reference_root).unwrap();
+    let reference = canon(&pipe.finalize_state(&whole));
+    let (_, reference_certs) = newest_cert_chunks(&reference_root);
+    assert_eq!(reference_certs, x509.len() as u64);
+
+    let root = tmp_root("rows-resumed");
+    let mut state = PipelineState::new();
+    pipe.fold_x509_stream(&mut state, x509[..3].iter().cloned().map(Ok::<_, ()>))
+        .unwrap();
+    pipe.fold_ssl_stream(&mut state, ssl[..700].iter().cloned().map(Ok::<_, ()>))
+        .unwrap();
+    state.save_checkpoint(&root).unwrap();
+    assert_eq!(state.distinct_certificates(), 3);
+    // Two new certificates, and repeats of rows a chunk already holds.
+    pipe.fold_x509_stream(&mut state, x509[..5].iter().cloned().map(Ok::<_, ()>))
+        .unwrap();
+    state.save_checkpoint(&root).unwrap();
+    assert_eq!(state.distinct_certificates(), 5);
+    let (_, certs) = newest_cert_chunks(&root);
+    assert_eq!(certs, 5);
+    // Restart, then fold the rest, repeats included.
+    let mut state = PipelineState::load_latest(&root)
+        .unwrap()
+        .expect("checkpoint");
+    assert_eq!(state.distinct_certificates(), 5);
+    pipe.fold_x509_stream(&mut state, x509.iter().cloned().map(Ok::<_, ()>))
+        .unwrap();
+    pipe.fold_ssl_stream(&mut state, ssl[700..].iter().cloned().map(Ok::<_, ()>))
+        .unwrap();
+    state.save_checkpoint(&root).unwrap();
+    assert_eq!(state.distinct_certificates(), whole.distinct_certificates());
+    assert_eq!(state.x509_rows(), 3 + 5 + x509.len() as u64);
+    assert_eq!(canon(&pipe.finalize_state(&state)), reference);
+    let (chunks, certs) = newest_cert_chunks(&root);
+    assert_eq!(certs, reference_certs);
+    // Every pool certificate's fingerprint (32 equal bytes) is in the
+    // chunk series exactly once: none lost, none written twice.
+    for rec in &x509 {
+        let hits = chunks
+            .windows(32)
+            .filter(|w| *w == rec.fingerprint.0.as_slice())
+            .count();
+        assert_eq!(hits, 1, "{}", rec.fingerprint);
+    }
+    let reloaded = PipelineState::load_latest(&root).unwrap().unwrap();
+    assert_eq!(canon(&pipe.finalize_state(&reloaded)), reference);
+    std::fs::remove_dir_all(&root).unwrap();
+    std::fs::remove_dir_all(&reference_root).unwrap();
 }

@@ -14,7 +14,7 @@ use certchain_netsim::{SimClock, SslRecord, X509Record};
 use certchain_obs::{Progress, Registry};
 use certchain_workload::{CampusProfile, CampusTrace, ConnMeta, TraceSink};
 use certchain_x509::pem;
-use std::collections::HashSet;
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -285,22 +285,30 @@ fn write_sidecars(
         certchain_x509::DistinguishedName,
     )],
 ) -> CliResult<()> {
-    // Trust material: roots (deduplicated across programs) and CCADB.
-    let mut seen = HashSet::new();
-    let mut root_idx = 0usize;
-    for store in eco.trust.stores().values() {
-        for root in store.iter() {
-            if seen.insert(root.fingerprint()) {
-                let path = out.join(format!("trust/roots/root-{root_idx:03}.pem"));
-                std::fs::write(&path, pem::encode("CERTIFICATE", root.der()))
-                    .map_err(io_ctx(format!("writing {}", path.display())))?;
-                root_idx += 1;
-            }
-        }
+    // Trust material: roots (deduplicated across programs) and CCADB,
+    // each numbered in fingerprint order, so a seed always writes the
+    // same files whatever order the stores hash them in.
+    let roots: BTreeMap<_, _> = eco
+        .trust
+        .stores()
+        .values()
+        .flat_map(|store| store.iter())
+        .map(|root| (root.fingerprint(), root))
+        .collect();
+    for (i, root) in roots.values().enumerate() {
+        let path = out.join(format!("trust/roots/root-{i:03}.pem"));
+        std::fs::write(&path, pem::encode("CERTIFICATE", root.der()))
+            .map_err(io_ctx(format!("writing {}", path.display())))?;
     }
-    for (i, entry) in eco.trust.ccadb().iter().enumerate() {
+    let icas: BTreeMap<_, _> = eco
+        .trust
+        .ccadb()
+        .iter()
+        .map(|entry| (entry.cert.fingerprint(), &entry.cert))
+        .collect();
+    for (i, ica) in icas.values().enumerate() {
         let path = out.join(format!("trust/ccadb/ica-{i:03}.pem"));
-        std::fs::write(&path, pem::encode("CERTIFICATE", entry.cert.der()))
+        std::fs::write(&path, pem::encode("CERTIFICATE", ica.der()))
             .map_err(io_ctx(format!("writing {}", path.display())))?;
     }
 

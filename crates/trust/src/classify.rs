@@ -3,8 +3,8 @@
 use crate::ccadb::Ccadb;
 use crate::store::{RootProgram, RootStore};
 use certchain_x509::{Certificate, DistinguishedName, Fingerprint};
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::collections::{BTreeMap, HashSet};
+use std::sync::{Arc, OnceLock};
 
 /// Classification of who issued a certificate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -22,6 +22,17 @@ pub enum IssuerClass {
 pub struct TrustDb {
     stores: BTreeMap<RootProgram, RootStore>,
     ccadb: Ccadb,
+    /// Everything listed in any store or CCADB, built on the first
+    /// listing query and dropped by every mutation.
+    listed: OnceLock<Listed>,
+}
+
+/// The union of the stores' and CCADB's listings, so each listing query
+/// is one lookup however many databases there are.
+#[derive(Debug, Default)]
+struct Listed {
+    fingerprints: HashSet<Fingerprint>,
+    subjects: HashSet<DistinguishedName>,
 }
 
 impl TrustDb {
@@ -32,6 +43,7 @@ impl TrustDb {
 
     /// Mutable access to one program's store (created on demand).
     pub fn store_mut(&mut self, program: RootProgram) -> &mut RootStore {
+        self.listed.take();
         self.stores.entry(program).or_default()
     }
 
@@ -53,6 +65,7 @@ impl TrustDb {
     /// Add a root to every major Web PKI store at once (the common case for
     /// broadly trusted roots).
     pub fn add_root_everywhere(&mut self, root: Arc<Certificate>) {
+        self.listed.take();
         for program in RootProgram::major_web_pki() {
             self.store_mut(program).add(Arc::clone(&root));
         }
@@ -62,6 +75,7 @@ impl TrustDb {
     /// rules reject it — generation code must only feed valid entries; the
     /// fallible path is [`Ccadb::add_intermediate`]).
     pub fn add_ccadb_intermediate(&mut self, cert: Arc<Certificate>) {
+        self.listed.take();
         self.ccadb
             .add_intermediate(cert, &self.stores, false, true)
             .expect("generated CCADB intermediate must satisfy inclusion rules");
@@ -74,6 +88,7 @@ impl TrustDb {
         technically_constrained: bool,
         audited: bool,
     ) -> Result<(), crate::ccadb::CcadbRejection> {
+        self.listed.take();
         self.ccadb
             .add_intermediate(cert, &self.stores, technically_constrained, audited)
     }
@@ -81,12 +96,28 @@ impl TrustDb {
     /// Whether a subject DN is listed anywhere (store root or CCADB
     /// intermediate) — the "issuer is in a public database" test.
     pub fn is_listed_subject(&self, dn: &DistinguishedName) -> bool {
-        self.stores.values().any(|s| s.has_subject(dn)) || self.ccadb.has_subject(dn)
+        self.listed().subjects.contains(dn)
     }
 
     /// Whether this exact certificate is listed anywhere.
     pub fn is_listed_certificate(&self, fingerprint: &Fingerprint) -> bool {
-        self.stores.values().any(|s| s.contains(fingerprint)) || self.ccadb.contains(fingerprint)
+        self.listed().fingerprints.contains(fingerprint)
+    }
+
+    /// The listing union, built on first use after a mutation.
+    fn listed(&self) -> &Listed {
+        self.listed.get_or_init(|| {
+            let mut listed = Listed::default();
+            for root in self.stores.values().flat_map(RootStore::iter) {
+                listed.fingerprints.insert(root.fingerprint());
+                listed.subjects.insert(root.subject.clone());
+            }
+            for entry in self.ccadb.iter() {
+                listed.fingerprints.insert(entry.cert.fingerprint());
+                listed.subjects.insert(entry.cert.subject.clone());
+            }
+            listed
+        })
     }
 
     /// Trusted roots matching a subject DN across all stores (deduplicated
@@ -260,6 +291,91 @@ mod tests {
         let w = world();
         // The root was added to all 3 major stores; dedup yields one.
         assert_eq!(w.db.roots_for_subject(&w.root_dn).len(), 1);
+    }
+
+    fn root(name: &str, kp: &KeyPair) -> Arc<Certificate> {
+        let dn = DistinguishedName::cn_o(name, "Public CA LLC");
+        CertificateBuilder::new()
+            .issuer(dn.clone())
+            .subject(dn)
+            .validity(long())
+            .ca(None)
+            .sign(kp)
+            .into_arc()
+    }
+
+    fn ica(name: &str, w: &World) -> Arc<Certificate> {
+        CertificateBuilder::new()
+            .issuer(w.root_dn.clone())
+            .subject(DistinguishedName::cn_o(name, "Public CA LLC"))
+            .validity(long())
+            .public_key(KeyPair::derive(8, name).public().clone())
+            .ca(Some(0))
+            .sign(&w.root_kp)
+            .into_arc()
+    }
+
+    /// The listing queries answer as a probe of every store and CCADB
+    /// does, for each DN as built and as re-parsed from its log string,
+    /// and for each fingerprint.
+    fn assert_listing_matches_probe(db: &TrustDb, certs: &[Arc<Certificate>]) {
+        let mut dns = vec![DistinguishedName::cn("Nobody CA")];
+        for cert in certs {
+            dns.push(cert.subject.clone());
+            dns.push(cert.issuer.clone());
+        }
+        for dn in &dns {
+            let reparsed = DistinguishedName::parse_rfc4514(&dn.to_rfc4514()).unwrap();
+            for dn in [dn, &reparsed] {
+                let probe =
+                    db.stores().values().any(|s| s.has_subject(dn)) || db.ccadb().has_subject(dn);
+                assert_eq!(db.is_listed_subject(dn), probe, "{}", dn.to_rfc4514());
+            }
+        }
+        for cert in certs {
+            let fp = cert.fingerprint();
+            let probe = db.stores().values().any(|s| s.contains(&fp)) || db.ccadb().contains(&fp);
+            assert_eq!(db.is_listed_certificate(&fp), probe, "{fp}");
+        }
+    }
+
+    #[test]
+    fn listing_queries_follow_every_mutation() {
+        let mut w = world();
+        let apple_only = root("Apple Only Root", &KeyPair::derive(9, "apple-only"));
+        let everywhere = root("Second Root", &KeyPair::derive(10, "second"));
+        let audited = ica("Audited ICA", &w);
+        let constrained = ica("Constrained ICA", &w);
+        let rejected = ica("Rejected ICA", &w);
+        let certs = [
+            Arc::clone(&apple_only),
+            Arc::clone(&everywhere),
+            Arc::clone(&audited),
+            Arc::clone(&constrained),
+            Arc::clone(&rejected),
+        ];
+        // Each check before a mutation fills the union the mutation must
+        // drop.
+        assert_listing_matches_probe(&w.db, &certs);
+        w.db.store_mut(RootProgram::Apple).add(apple_only);
+        assert_listing_matches_probe(&w.db, &certs);
+        assert!(w.db.is_listed_subject(&certs[0].subject));
+        w.db.add_root_everywhere(everywhere);
+        assert_listing_matches_probe(&w.db, &certs);
+        assert!(w.db.is_listed_certificate(&certs[1].fingerprint()));
+        w.db.add_ccadb_intermediate(audited);
+        assert_listing_matches_probe(&w.db, &certs);
+        assert!(w.db.is_listed_subject(&certs[2].subject));
+        w.db.try_add_ccadb_intermediate(constrained, true, false)
+            .unwrap();
+        assert_listing_matches_probe(&w.db, &certs);
+        assert!(w.db.is_listed_certificate(&certs[3].fingerprint()));
+        assert!(w
+            .db
+            .try_add_ccadb_intermediate(rejected, false, false)
+            .is_err());
+        assert_listing_matches_probe(&w.db, &certs);
+        assert!(!w.db.is_listed_subject(&certs[4].subject));
     }
 
     #[test]

@@ -357,7 +357,7 @@ impl<'a> Pipeline<'a> {
             assert_eq!(w.len(), ssl.len(), "weights must align with ssl records");
         }
         let threads = resolve_threads(self.options.threads);
-        let mut state = PipelineState::new();
+        let mut state = PipelineState::one_shot();
         self.fold_x509_stream(&mut state, x509.iter().map(Ok::<_, Infallible>))
             .unwrap_or_else(|never| match never {});
         let weight_of = |i: usize| weights.map(|w| w[i]).unwrap_or(1.0);
@@ -387,7 +387,7 @@ impl<'a> Pipeline<'a> {
         I: Iterator<Item = Result<SslRecord, E>>,
         J: Iterator<Item = Result<X509Record, E>>,
     {
-        let mut state = PipelineState::new();
+        let mut state = PipelineState::one_shot();
         self.fold_x509_stream(&mut state, x509)?;
         self.fold_ssl_stream(&mut state, ssl)?;
         Ok(self.finalize_state(&state))

@@ -51,9 +51,12 @@
 //!   cert persistence costs O(new data). The state frees those rows once
 //!   the generation commits, and reload rebuilds the [`CertTable`] from
 //!   the chunks and frees the decoded rows, so no session holds a row a
-//!   chunk already has.
+//!   chunk already has. A one-shot state ([`PipelineState::one_shot`])
+//!   keeps no rows at all and refuses to be checkpointed.
 //! - counters (the table's row tallies among them), loss tallies, and
 //!   the folded-file ledger ride in the manifest's `meta` object.
+//!   Generations written by older builds may also carry a
+//!   `category_census` there; the loader checks its shape and drops it.
 
 use super::enrich::CertTable;
 use super::ingest::{merge_into, ChainAccum, IngestCounts, SharedAccum};
@@ -84,6 +87,9 @@ pub enum StateError {
     /// A field file decoded inconsistently (bad lengths, counts
     /// disagreeing with the manifest, unparseable stored rows).
     Corrupt(String),
+    /// The state keeps no x509 rows ([`PipelineState::one_shot`]), so a
+    /// checkpoint of it would lose certificates.
+    NoRows,
 }
 
 impl fmt::Display for StateError {
@@ -91,6 +97,9 @@ impl fmt::Display for StateError {
         match self {
             StateError::Store(e) => write!(f, "checkpoint store: {e}"),
             StateError::Corrupt(msg) => write!(f, "corrupt checkpoint state: {msg}"),
+            StateError::NoRows => {
+                write!(f, "a one-shot state keeps no x509 rows to checkpoint")
+            }
         }
     }
 }
@@ -133,7 +142,8 @@ struct PrevCheckpoint {
 /// that analysis reports. Of the raw x509 rows, the state keeps only
 /// those interned since the last checkpoint: a committed checkpoint's
 /// cert chunk holds the rest, and the [`CertTable`] holds every
-/// certificate.
+/// certificate. A one-shot state ([`PipelineState::one_shot`]) keeps
+/// none.
 #[derive(Default)]
 pub struct PipelineState {
     /// Per-chain accumulators, shared with the analyses finalized from
@@ -143,6 +153,9 @@ pub struct PipelineState {
     /// checkpoint, in intern order: the next checkpoint's cert chunk.
     /// Freed once that checkpoint commits.
     certs: Vec<X509Record>,
+    /// Set in a one-shot state: `certs` stays empty, and the state
+    /// cannot be checkpointed.
+    one_shot: bool,
     /// The certificate table and its row tallies.
     table: CertTable,
     /// Total ssl records folded (after row filtering).
@@ -156,10 +169,6 @@ pub struct PipelineState {
     folded: Vec<String>,
     /// Generation of the last checkpoint written or loaded (0 = none).
     generation: u64,
-    /// Aggregate record counts per structural chain category, noted by
-    /// the caller (the category fold needs the trust DBs, which the
-    /// state does not hold). Persisted into checkpoint meta when set.
-    category_census: Option<[u64; certchain_colstore::CATEGORY_COUNT]>,
     /// In-memory change counter (bumps on every fold; not persisted).
     revision: u64,
     prev: Option<PrevCheckpoint>,
@@ -169,6 +178,19 @@ impl PipelineState {
     /// Fresh, empty state.
     pub fn new() -> PipelineState {
         PipelineState::default()
+    }
+
+    /// Fresh, empty state for an analysis that is never checkpointed
+    /// (`certchain analyze`, [`Pipeline::analyze`],
+    /// [`Pipeline::analyze_stream`]). It folds and finalizes exactly as
+    /// [`PipelineState::new`]'s does, but keeps no raw x509 rows, so
+    /// [`PipelineState::save_checkpoint`] refuses it with
+    /// [`StateError::NoRows`].
+    pub fn one_shot() -> PipelineState {
+        PipelineState {
+            one_shot: true,
+            ..PipelineState::default()
+        }
     }
 
     /// Total ssl records folded so far (post-filter).
@@ -244,9 +266,10 @@ impl PipelineState {
     }
 
     /// Fold one x509 row into the table, keeping the raw row for the next
-    /// checkpoint when it interns a certificate.
+    /// checkpoint when it interns a certificate (unless the state is
+    /// one-shot).
     fn fold_x509_row(&mut self, rec: &X509Record) {
-        if self.table.fold(rec) {
+        if self.table.fold(rec) && !self.one_shot {
             self.certs.push(rec.clone());
         }
         self.revision += 1;
@@ -267,9 +290,9 @@ impl PipelineState {
     /// far — the checkpoint-level analogue of the columnar store's
     /// per-segment category digests. Chainless records count as `none`;
     /// chains with unresolved fingerprints as `incomplete` (they may
-    /// migrate to a resolved category once more x509 files fold, which
-    /// is why the census is recomputed at every checkpoint rather than
-    /// accumulated incrementally).
+    /// migrate to a resolved category once more x509 files fold). A
+    /// pass over every chain: `serve` does not compute it, and no
+    /// checkpoint stores it.
     pub fn category_census(
         &self,
         trust: &certchain_trust::TrustDb,
@@ -288,36 +311,36 @@ impl PipelineState {
         counts
     }
 
-    /// Note a computed [`PipelineState::category_census`] for
-    /// persistence: the next checkpoint carries it in its meta block.
-    pub fn note_category_census(&mut self, census: [u64; certchain_colstore::CATEGORY_COUNT]) {
-        self.category_census = Some(census);
-    }
-
-    /// The last noted (or checkpoint-loaded) category census, if any.
-    pub fn noted_category_census(&self) -> Option<&[u64; certchain_colstore::CATEGORY_COUNT]> {
-        self.category_census.as_ref()
-    }
+    /// Drops a computed [`PipelineState::category_census`]: no
+    /// checkpoint stores the census. Kept so that callers noting one
+    /// still build.
+    pub fn note_category_census(&mut self, _census: [u64; certchain_colstore::CATEGORY_COUNT]) {}
 
     // ---- persistence ----------------------------------------------------
 
     /// Write a new checkpoint generation under `root` and prune all but
     /// the two newest complete generations. Returns the generation
     /// number. Field files land before the manifest, so a crash
-    /// mid-write leaves the previous generation as the loadable one.
+    /// mid-write leaves the previous generation as the loadable one. A
+    /// one-shot state writes nothing and fails with
+    /// [`StateError::NoRows`].
     pub fn save_checkpoint(&mut self, root: &Path) -> Result<u64, StateError> {
         self.save_checkpoint_traced(root, None)
     }
 
     /// [`PipelineState::save_checkpoint`], with an optional parent trace
     /// span: the commit then runs under a `checkpoint.commit` child span
-    /// whose events record every field write/carry and the manifest
-    /// fsync (see [`CheckpointWriter::attach_trace`]).
+    /// whose events record every field write, the carried chunks and the
+    /// manifest fsync (see [`CheckpointWriter::attach_trace`]), and the
+    /// prune of old generations under a `checkpoint.prune` one.
     pub fn save_checkpoint_traced(
         &mut self,
         root: &Path,
         trace: Option<&certchain_obs::Span>,
     ) -> Result<u64, StateError> {
+        if self.one_shot {
+            return Err(StateError::NoRows);
+        }
         let generation = Checkpoint::next_generation(root)?;
         let mut writer = CheckpointWriter::begin(root, generation)?;
         if let Some(parent) = trace {
@@ -352,12 +375,6 @@ impl PipelineState {
         );
         writer.set_meta("chains", JsonValue::Num(self.chains.len() as f64));
         writer.set_meta("certs", JsonValue::Num(self.distinct_certificates() as f64));
-        if let Some(census) = &self.category_census {
-            writer.set_meta(
-                "category_census",
-                JsonValue::Arr(census.iter().map(|&n| JsonValue::Num(n as f64)).collect()),
-            );
-        }
         writer.set_meta(
             "loss",
             JsonValue::Obj(
@@ -386,7 +403,9 @@ impl PipelineState {
             ),
         );
         let sealed = writer.commit()?;
+        let prune = trace.map(|t| t.child("checkpoint.prune"));
         Checkpoint::prune(root, 2)?;
+        drop(prune);
         self.prev = Some(PrevCheckpoint {
             dir: sealed.dir().to_path_buf(),
             chunks,
@@ -417,22 +436,21 @@ impl PipelineState {
             generation: ckpt.generation,
             ..PipelineState::default()
         };
-        // Optional: checkpoints from before category digests carry none.
+        // Older builds stored a category census, which nothing reads:
+        // its shape is still checked, and it is not carried forward.
         if let Some(arr) = ckpt.meta.get("category_census").and_then(JsonValue::as_arr) {
-            let mut census = [0u64; certchain_colstore::CATEGORY_COUNT];
-            if arr.len() != census.len() {
+            if arr.len() != certchain_colstore::CATEGORY_COUNT {
                 return Err(StateError::Corrupt(format!(
                     "category census has {} entries, expected {}",
                     arr.len(),
-                    census.len()
+                    certchain_colstore::CATEGORY_COUNT
                 )));
             }
-            for (slot, value) in census.iter_mut().zip(arr) {
-                *slot = value.as_u64().ok_or_else(|| {
-                    StateError::Corrupt("category census entry is not an integer".into())
-                })?;
+            if arr.iter().any(|value| value.as_u64().is_none()) {
+                return Err(StateError::Corrupt(
+                    "category census entry is not an integer".into(),
+                ));
             }
-            state.category_census = Some(census);
         }
         if let Some(obj) = ckpt.meta.get("loss").and_then(JsonValue::as_obj) {
             for (reason, count) in obj {

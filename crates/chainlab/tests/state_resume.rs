@@ -5,7 +5,9 @@
 //! batch run, at every thread count.
 
 use certchain_asn1::Asn1Time;
-use certchain_chainlab::{Analysis, CrossSignRegistry, Pipeline, PipelineOptions, PipelineState};
+use certchain_chainlab::{
+    Analysis, CrossSignRegistry, Pipeline, PipelineOptions, PipelineState, StateError,
+};
 use certchain_ctlog::DomainIndex;
 use certchain_netsim::{SslRecord, TlsVersion, X509Record};
 use certchain_trust::TrustDb;
@@ -524,4 +526,40 @@ fn checkpoints_free_persisted_rows_and_lose_none() {
     assert_eq!(canon(&pipe.finalize_state(&reloaded)), reference);
     std::fs::remove_dir_all(&root).unwrap();
     std::fs::remove_dir_all(&reference_root).unwrap();
+}
+
+#[test]
+fn a_one_shot_state_finalizes_the_same_and_refuses_a_checkpoint() {
+    let trust = TrustDb::new();
+    let ct = DomainIndex::new();
+    let x509 = cert_pool();
+    let ssl = conn_stream(1200);
+    let pipe = pipeline(&trust, &ct, 2);
+    let fold = |mut state: PipelineState| {
+        pipe.fold_x509_stream(&mut state, x509.iter().map(Ok::<_, ()>))
+            .unwrap();
+        pipe.fold_x509_stream(&mut state, x509.iter().map(Ok::<_, ()>))
+            .unwrap();
+        pipe.fold_ssl_stream(&mut state, ssl.iter().cloned().map(Ok::<_, ()>))
+            .unwrap();
+        state
+    };
+    let kept = fold(PipelineState::new());
+    let mut one_shot = fold(PipelineState::one_shot());
+    assert_eq!(
+        canon(&pipe.finalize_state(&one_shot)),
+        canon(&pipe.finalize_state(&kept))
+    );
+    assert_eq!(one_shot.x509_rows(), kept.x509_rows());
+    assert_eq!(
+        one_shot.distinct_certificates(),
+        kept.distinct_certificates()
+    );
+    let root = tmp_root("one-shot");
+    match one_shot.save_checkpoint(&root) {
+        Err(StateError::NoRows) => {}
+        Err(e) => panic!("expected a no-rows error, got {e}"),
+        Ok(gen) => panic!("a one-shot state wrote generation {gen}"),
+    }
+    assert!(!root.exists(), "the refused checkpoint left a directory");
 }

@@ -3,6 +3,7 @@
 
 use crate::dataset::{colstore_dir, detect_format, Corpus, DatasetFormat};
 use crate::{io_ctx, CliError, CliResult};
+use certchain_chainlab::usage::UsageStats;
 use certchain_chainlab::{Analysis, ChainCategoryLabel, Pipeline};
 use certchain_chainlab::{PipelineOptions, PipelineState, RowFilter};
 use certchain_colstore::{DatasetReader, MapMode};
@@ -207,13 +208,14 @@ pub fn run_pipeline_with(
 /// Fold x509.log sequentially, then ssl.log on the pipeline's workers,
 /// and finalize: the TSV path. Both logs are read in blocks of whole
 /// lines, so they need no buffered reader. Returns the analysis and the
-/// folded state it was finalized from.
+/// folded state it was finalized from, a one-shot state that keeps no
+/// x509 rows.
 fn analyze_logs<R: std::io::Read>(
     pipeline: &Pipeline<'_>,
     ssl: SslLogStream<R>,
     x509: X509LogStream<R>,
 ) -> CliResult<(Analysis, PipelineState)> {
-    let mut state = PipelineState::new();
+    let mut state = PipelineState::one_shot();
     pipeline.fold_x509_stream(
         &mut state,
         x509.map(|r| r.map_err(|e| CliError::Invalid(format!("x509.log: {e}")))),
@@ -392,8 +394,17 @@ pub(crate) fn render(analysis: &Analysis) -> String {
         ("Hybrid", ChainCategoryLabel::Hybrid),
         ("TLS interception", ChainCategoryLabel::Interception),
     ] {
-        let chains = analysis.chains_in(cat).count();
-        let usage = analysis.usage_of(|c| c.category == cat);
+        // Only the three weighted sums, added in chain order as
+        // `Analysis::usage_of` adds them: the client-IP union it also
+        // builds is not shown here.
+        let mut chains = 0usize;
+        let mut usage = UsageStats::default();
+        for chain in analysis.chains_in(cat) {
+            chains += 1;
+            usage.connections += chain.usage.connections;
+            usage.established += chain.usage.established;
+            usage.with_sni += chain.usage.with_sni;
+        }
         census.row(&[
             name.to_string(),
             num(chains as f64, 0),

@@ -74,6 +74,11 @@ USAGE:
       that checkpoint had not covered. --drain scans once, prints the
       report tables, and exits — over the same records those tables are
       byte-identical to `analyze` (minus its loss-accounting line).
+      Watch mode rescans as soon as the spool directory changes;
+      --interval-ms (default 1000, at least 50) is the longest a change
+      its timestamp does not show waits, and how often an idle cycle
+      completes. Rotated files must appear complete, by rename: a file
+      written in place under a recognized name can be folded half-done.
       --watchdog-cycles sets how many missed intervals flip /healthz to
       503 (default 5); --trace-capacity sizes the /trace.json ring
       journal (default 1024 records, oldest evicted).

@@ -9,6 +9,20 @@
 //! cycle that ingested data, and exposes the live report tables plus a
 //! `certchain-metrics/v1` snapshot over a tiny HTTP endpoint.
 //!
+//! In watch mode a cycle starts as soon as the spool changes. Between
+//! cycles the loop probes the spool directory's modification time every
+//! `--interval-ms / 25` and rescans once it differs from the time read
+//! just before the previous scan listed the directory, so a file renamed
+//! in during a scan costs one more cheap scan, never a missed file. A
+//! change the probe cannot see (a coarse directory timestamp, a
+//! filesystem that does not update it) waits at most `--interval-ms`,
+//! which is also how often an idle cycle completes. `--drain` scans once.
+//!
+//! The spool contract: a rotated file appears complete, by rename, under
+//! its recognized name. A writer that fills a recognized name in place
+//! can have its file folded half-written, and with the wake that happens
+//! within milliseconds rather than at the next interval.
+//!
 //! The defining invariant is inherited from the state layer: folding a
 //! trace across any number of serve cycles — including process restarts
 //! that resume from the checkpoint — finalizes to tables byte-identical
@@ -33,8 +47,10 @@
 //!
 //! - every scan/fold/checkpoint/publish cycle runs under a
 //!   `serve.cycle` trace span (children: `serve.scan`, one `serve.fold`
-//!   per file, `checkpoint.commit` with per-field fsync events,
-//!   `serve.publish`) in a bounded ring journal served at `/trace.json`;
+//!   per file, `checkpoint.commit` with per-field fsync events and one
+//!   event for all carried chunks, `checkpoint.prune`, `serve.publish`
+//!   with `serve.finalize` and `serve.render` children) in a bounded
+//!   ring journal served at `/trace.json`;
 //! - `/metrics` negotiates JSON (default) or Prometheus text format via
 //!   `?format=prometheus` / `Accept: text/plain`;
 //! - `/report` negotiates text (default) or the `/report.json` body via
@@ -60,6 +76,7 @@ use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, SystemTime};
 
 /// Knobs for `certchain serve`.
 #[derive(Debug, Clone)]
@@ -73,7 +90,11 @@ pub struct ServeOptions {
     /// print the report tables to stdout, exit. This is the batch-
     /// equivalent mode the CI smoke test compares against `analyze`.
     pub drain_once: bool,
-    /// Milliseconds between spool scans in watch mode.
+    /// The longest watch mode waits between spool scans, in
+    /// milliseconds (at least 50). A scan starts as soon as the spool
+    /// directory's modification time changes, probed every
+    /// `interval_ms / 25`; this bounds the wait for a change the probe
+    /// cannot see, and is how often an idle cycle completes.
     pub interval_ms: u64,
     /// Write the bound HTTP address (e.g. `127.0.0.1:41873`) to this
     /// file once listening — how scripts and tests discover a `:0` bind.
@@ -271,6 +292,9 @@ pub fn serve(
     let mut noted_skips: BTreeSet<String> = BTreeSet::new();
     let mut first_cycle = true;
     loop {
+        // Read before the scan lists the spool, so a file renamed in
+        // during the scan moves it and wakes the wait below.
+        let listed_at = spool_mtime(spool);
         // The per-cycle health timeline: one root span per scan cycle,
         // children for scan / fold / checkpoint / publish, summary attrs
         // on the cycle itself.
@@ -284,13 +308,6 @@ pub fn serve(
             &cycle,
         )?;
         if folded > 0 {
-            // Persist the aggregate category census alongside the counts
-            // — the checkpoint-level analogue of the columnar store's
-            // per-segment category digests. Recomputed every cycle
-            // because late-arriving x509 files can migrate chains out of
-            // `incomplete`.
-            let census = state.category_census(&corpus.trust);
-            state.note_category_census(census);
             let generation = state
                 .save_checkpoint_traced(checkpoint, Some(&cycle))
                 .map_err(|e| {
@@ -323,7 +340,32 @@ pub fn serve(
             }
         }
         first_cycle = false;
-        std::thread::sleep(std::time::Duration::from_millis(opts.interval_ms.max(50)));
+        wait_for_spool(spool, listed_at, opts.interval_ms.max(50));
+    }
+}
+
+/// The spool directory's modification time, `None` where it cannot be
+/// read.
+fn spool_mtime(spool: &Path) -> Option<SystemTime> {
+    std::fs::metadata(spool).and_then(|m| m.modified()).ok()
+}
+
+/// Watch mode's wait between cycles: return once the spool's
+/// modification time differs from `listed_at`, probing every
+/// `interval_ms / 25`, or once `interval_ms` has passed.
+fn wait_for_spool(spool: &Path, listed_at: Option<SystemTime>, interval_ms: u64) {
+    let waited = Stopwatch::start();
+    let budget_us = interval_ms.saturating_mul(1000);
+    let probe_us = budget_us / 25;
+    loop {
+        let left_us = budget_us.saturating_sub(waited.elapsed_micros());
+        if left_us == 0 {
+            return;
+        }
+        std::thread::sleep(Duration::from_micros(probe_us.min(left_us)));
+        if spool_mtime(spool) != listed_at {
+            return;
+        }
     }
 }
 
@@ -447,6 +489,8 @@ fn fold_file(
 /// fresh registry + pipeline so finalize-side counters are absolute per
 /// publish (see the module doc); the finalize snapshot is stored and
 /// merged with the live serve-loop snapshot per `/metrics` request.
+/// Traced as `serve.publish`, with `serve.finalize` and `serve.render`
+/// (report, JSON summary and status) children.
 fn publish(
     corpus: &Corpus,
     state: &PipelineState,
@@ -455,6 +499,8 @@ fn publish(
     trace: Option<&Span>,
 ) -> Analysis {
     let span = trace.map(|t| t.child("serve.publish"));
+    let pass = |name: &str| span.as_ref().map(|s| s.child(name));
+    let finalize_span = pass("serve.finalize");
     let finalize_registry = Arc::new(Registry::new());
     let options = PipelineOptions {
         threads,
@@ -464,17 +510,19 @@ fn publish(
         .pipeline(options)
         .with_metrics(Arc::clone(&finalize_registry));
     let analysis = finalize_pipeline.finalize_state(state);
+    drop(finalize_span);
     if let Some(s) = &span {
         s.attr("distinct_chains", state.distinct_chains().to_string());
         s.attr("generation", state.generation().to_string());
     }
-    drop(span);
+    let render_span = pass("serve.render");
     let next = Published {
         report: render(&analysis),
         report_json: AnalysisSummary::from_analysis(&analysis).to_json() + "\n",
         status_json: status_json(state).to_pretty() + "\n",
         finalize: finalize_registry.snapshot(),
     };
+    drop(render_span);
     // A poisoned lock must not kill the daemon: `Published` is only ever
     // replaced wholesale with a fully-built value, so the data under a
     // poison flag is still the last complete publish. Recover and go on.

@@ -176,21 +176,7 @@ fn unreadable_spool_files_are_skipped_and_tallied() {
         listen_addr_file: Some(addr_file.clone()),
         ..serve::ServeOptions::default()
     };
-    let (spool_c, ckpt_c) = (spool.clone(), checkpoint.clone());
-    std::thread::spawn(move || {
-        let _ = serve::serve(dataset_dir(), &spool_c, &ckpt_c, &opts);
-    });
-    let mut tries = 0;
-    let addr = loop {
-        if let Ok(text) = std::fs::read_to_string(&addr_file) {
-            if text.contains(':') {
-                break text;
-            }
-        }
-        tries += 1;
-        assert!(tries < 1500, "serve never published its address");
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    };
+    let addr = spawn_daemon(&spool, &checkpoint, opts);
     let (status, body) = http_get(&addr, "/status");
     assert_eq!(status, "HTTP/1.1 200 OK");
     let doc = certchain_obs::json::parse(&body).expect("status JSON");
@@ -212,6 +198,173 @@ fn unreadable_spool_files_are_skipped_and_tallied() {
         "the failed x509 file interned rows"
     );
     for dir in [&spool, &checkpoint] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// Run a watch-mode daemon on a thread (watch mode blocks forever; the
+/// harness tears the thread down with the process) and return its HTTP
+/// address once it listens.
+fn spawn_daemon(spool: &Path, checkpoint: &Path, opts: serve::ServeOptions) -> String {
+    let addr_file = opts.listen_addr_file.clone().expect("an address file");
+    let (spool, checkpoint) = (spool.to_path_buf(), checkpoint.to_path_buf());
+    std::thread::spawn(move || {
+        let _ = serve::serve(dataset_dir(), &spool, &checkpoint, &opts);
+    });
+    let mut tries = 0;
+    loop {
+        if let Ok(text) = std::fs::read_to_string(&addr_file) {
+            if text.contains(':') {
+                return text;
+            }
+        }
+        tries += 1;
+        assert!(tries < 1500, "serve never published its address");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+}
+
+/// The `folded_files` ledger of the daemon's `/status`.
+fn folded_files(addr: &str) -> Vec<String> {
+    let (status, body) = http_get(addr, "/status");
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    let doc = certchain_obs::json::parse(&body).expect("status JSON");
+    doc.get("folded_files")
+        .and_then(certchain_obs::json::JsonValue::as_arr)
+        .expect("a folded_files array")
+        .iter()
+        .filter_map(|f| f.as_str().map(String::from))
+        .collect()
+}
+
+/// Watch mode rescans as soon as the spool changes: with a 30 s
+/// interval, a rotation pair renamed in after the first cycle is folded
+/// within seconds, not at the next interval.
+#[test]
+fn a_rotation_renamed_in_is_folded_before_the_interval_ends() {
+    let spool = fresh("spool-wake");
+    let held = fresh("held-wake");
+    let checkpoint = fresh("ckpt-wake");
+    serve::spool_split(dataset_dir(), &spool, 4).expect("spool-split");
+    std::fs::create_dir_all(&held).unwrap();
+    let pair = ["x509.2024-09-01-03.log", "ssl.2024-09-01-03.log"];
+    for name in pair {
+        std::fs::rename(spool.join(name), held.join(name)).unwrap();
+    }
+    let addr = spawn_daemon(
+        &spool,
+        &checkpoint,
+        serve::ServeOptions {
+            threads: 2,
+            listen: Some("127.0.0.1:0".to_string()),
+            interval_ms: 30_000,
+            listen_addr_file: Some(fresh("addr-wake").with_extension("txt")),
+            ..serve::ServeOptions::default()
+        },
+    );
+    // The first cycle folds the six files present at start.
+    let mut tries = 0;
+    while folded_files(&addr).len() < 6 {
+        tries += 1;
+        assert!(tries < 1500, "the first cycle never published");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let renamed = certchain_obs::clock::Stopwatch::start();
+    for name in pair {
+        std::fs::rename(held.join(name), spool.join(name)).unwrap();
+    }
+    loop {
+        let folded = folded_files(&addr);
+        if pair.iter().all(|name| folded.iter().any(|f| f == name)) {
+            break;
+        }
+        assert!(
+            renamed.elapsed_secs() < 5.0,
+            "the renamed pair was not folded within 5 s: {folded:?}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    for dir in [&spool, &held, &checkpoint] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// Add (or replace) a `category_census` entry in the meta of the
+/// checkpoint generation at `gen_dir`, as older builds wrote one.
+fn set_census(gen_dir: &Path, census: certchain_obs::json::JsonValue) {
+    use certchain_obs::json::JsonValue;
+    let path = gen_dir.join(certchain_colstore::CHECKPOINT_MANIFEST_FILE);
+    let mut doc = certchain_obs::json::parse(&std::fs::read_to_string(&path).unwrap())
+        .expect("manifest JSON");
+    let JsonValue::Obj(fields) = &mut doc else {
+        panic!("manifest is not an object")
+    };
+    let Some((_, JsonValue::Obj(meta))) = fields.iter_mut().find(|(k, _)| k == "meta") else {
+        panic!("manifest has no meta object")
+    };
+    meta.retain(|(k, _)| k != "category_census");
+    meta.push(("category_census".into(), census));
+    std::fs::write(&path, doc.to_pretty() + "\n").unwrap();
+}
+
+/// Generations written by older builds carry a `category_census` in
+/// their meta. Such a generation still resumes to the batch drain, the
+/// generation after it carries no census, and a malformed census is
+/// still a corrupt checkpoint.
+#[test]
+fn a_generation_with_a_category_census_resumes_without_it() {
+    use certchain_chainlab::{PipelineState, StateError};
+    use certchain_obs::json::JsonValue;
+    let spool = fresh("spool-census");
+    let hidden = fresh("hidden-census");
+    let checkpoint = fresh("ckpt-census");
+    serve::spool_split(dataset_dir(), &spool, 4).expect("spool-split");
+    std::fs::create_dir_all(&hidden).unwrap();
+    let later = ["ssl.2024-09-01-02.log", "ssl.2024-09-01-03.log"];
+    for name in later {
+        std::fs::rename(spool.join(name), hidden.join(name)).unwrap();
+    }
+    drain(&spool, &checkpoint, 2);
+    let newest = || {
+        certchain_colstore::Checkpoint::load_latest(&checkpoint)
+            .unwrap()
+            .expect("a checkpoint")
+    };
+    let gen_dir = newest().dir().to_path_buf();
+    let census = {
+        let state = PipelineState::load_latest(&checkpoint).unwrap().unwrap();
+        state.category_census(&dataset::load_trust(dataset_dir()).unwrap())
+    };
+    let as_json =
+        |values: &[u64]| JsonValue::Arr(values.iter().map(|&n| JsonValue::Num(n as f64)).collect());
+
+    for (bad, why) in [
+        (as_json(&census[1..]), "entries"),
+        (
+            JsonValue::Arr(vec![JsonValue::Str("6".into()); census.len()]),
+            "not an integer",
+        ),
+    ] {
+        set_census(&gen_dir, bad);
+        match PipelineState::load_latest(&checkpoint) {
+            Err(StateError::Corrupt(msg)) => assert!(msg.contains(why), "{msg}"),
+            Err(e) => panic!("expected a corrupt census, got {e}"),
+            Ok(_) => panic!("a malformed census loaded"),
+        }
+    }
+    set_census(&gen_dir, as_json(&census));
+
+    for name in later {
+        std::fs::rename(hidden.join(name), spool.join(name)).unwrap();
+    }
+    assert_eq!(drain(&spool, &checkpoint, 2), batch_tables(1));
+    let resumed = newest();
+    assert_ne!(resumed.dir(), gen_dir, "the drain wrote no new generation");
+    assert!(
+        resumed.meta.get("category_census").is_none(),
+        "the census was persisted again"
+    );
+    for dir in [&spool, &hidden, &checkpoint] {
         let _ = std::fs::remove_dir_all(dir);
     }
 }
@@ -303,24 +456,7 @@ fn http_endpoints_expose_report_and_thread_invariant_metrics() {
             trace_capacity: 8192,
             ..serve::ServeOptions::default()
         };
-        let spool_c = spool.clone();
-        let ckpt_c = checkpoint.clone();
-        // Watch mode blocks forever; park it on a thread the harness
-        // will tear down with the process.
-        std::thread::spawn(move || {
-            let _ = serve::serve(dataset_dir(), &spool_c, &ckpt_c, &opts);
-        });
-        let mut tries = 0;
-        let addr = loop {
-            if let Ok(text) = std::fs::read_to_string(&addr_file) {
-                if text.contains(':') {
-                    break text;
-                }
-            }
-            tries += 1;
-            assert!(tries < 1500, "serve never published its address");
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        };
+        let addr = spawn_daemon(&spool, &checkpoint, opts);
         // Wait until the first publish covered the whole spool.
         let mut tries = 0;
         loop {
@@ -413,7 +549,9 @@ fn http_endpoints_expose_report_and_thread_invariant_metrics() {
 
 /// Assert a `/trace.json` document contains one *complete* fold cycle:
 /// a `serve.cycle` span that both started and ended, with `serve.scan`,
-/// `serve.fold`, `checkpoint.commit`, and `serve.publish` children.
+/// `serve.fold`, `checkpoint.commit`, `checkpoint.prune` and
+/// `serve.publish` children, the publish with `serve.finalize` and
+/// `serve.render` children.
 fn assert_complete_fold_cycle(trace_body: &str) {
     use certchain_obs::json::JsonValue;
     let doc = certchain_obs::json::parse(trace_body).expect("trace parses as JSON");
@@ -452,18 +590,29 @@ fn assert_complete_fold_cycle(trace_body: &str) {
                 && field(ev, "span") == Some(cycle_id)),
         "cycle {cycle_id} has no span_start — journal truncated the tree"
     );
+    let child_of = |parent: u64, child: &str| {
+        events
+            .iter()
+            .find(|ev| name_of(ev).as_deref() == Some(child) && field(ev, "parent") == Some(parent))
+            .and_then(|ev| field(ev, "span"))
+    };
     for child in [
         "serve.scan",
         "serve.fold",
         "checkpoint.commit",
+        "checkpoint.prune",
         "serve.publish",
     ] {
         assert!(
-            events
-                .iter()
-                .any(|ev| name_of(ev).as_deref() == Some(child)
-                    && field(ev, "parent") == Some(cycle_id)),
+            child_of(cycle_id, child).is_some(),
             "cycle {cycle_id} lacks a {child} child span"
+        );
+    }
+    let publish = child_of(cycle_id, "serve.publish").unwrap_or_default();
+    for pass in ["serve.finalize", "serve.render"] {
+        assert!(
+            child_of(publish, pass).is_some(),
+            "publish {publish} lacks a {pass} child span"
         );
     }
 }
@@ -496,22 +645,7 @@ fn healthz_flips_to_503_on_stall_and_recovers() {
         watchdog_cycles: 3, // stall window: 150 ms
         ..serve::ServeOptions::default()
     };
-    let spool_c = spool.clone();
-    let ckpt_c = checkpoint.clone();
-    std::thread::spawn(move || {
-        let _ = serve::serve(dataset_dir(), &spool_c, &ckpt_c, &opts);
-    });
-    let mut tries = 0;
-    let addr = loop {
-        if let Ok(text) = std::fs::read_to_string(&addr_file) {
-            if text.contains(':') {
-                break text;
-            }
-        }
-        tries += 1;
-        assert!(tries < 1500, "serve never published its address");
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    };
+    let addr = spawn_daemon(&spool, &checkpoint, opts);
 
     let poll_status = |want: &str, why: &str| {
         let mut tries = 0;

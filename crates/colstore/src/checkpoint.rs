@@ -86,6 +86,16 @@ pub struct CheckpointWriter {
     files: BTreeMap<String, u64>,
     meta: Vec<(String, JsonValue)>,
     trace: Option<Span>,
+    carried: Carried,
+}
+
+/// What [`CheckpointWriter::carry_field`] has carried so far: the commit
+/// traces it as one event, whatever the number of files.
+#[derive(Debug, Default)]
+struct Carried {
+    files: u64,
+    bytes: u64,
+    copied: u64,
 }
 
 impl CheckpointWriter {
@@ -102,13 +112,16 @@ impl CheckpointWriter {
             files: BTreeMap::new(),
             meta: Vec::new(),
             trace: None,
+            carried: Carried::default(),
         })
     }
 
-    /// Attach a trace span: field writes and the manifest commit then
-    /// emit phase events (file name, bytes, fsync/hardlink mode) on it.
-    /// The span ends when the writer commits or is dropped, so an
-    /// aborted generation still closes its span.
+    /// Attach a trace span: each field write and the manifest commit
+    /// then emit a phase event (file name, bytes, fsync) on it, and the
+    /// commit one `checkpoint.carry` event for all carried files (count,
+    /// bytes, and how many were hard-linked or copied). The span ends
+    /// when the writer commits or is dropped, so an aborted generation
+    /// still closes its span.
     pub fn attach_trace(&mut self, span: Span) {
         self.trace = Some(span);
     }
@@ -164,16 +177,9 @@ impl CheckpointWriter {
                 to.display()
             )))?;
         }
-        if let Some(t) = &self.trace {
-            t.event(
-                "checkpoint.carry",
-                &[
-                    ("file", name.to_string()),
-                    ("bytes", expected.to_string()),
-                    ("mode", if linked { "hardlink" } else { "copy" }.to_string()),
-                ],
-            );
-        }
+        self.carried.files += 1;
+        self.carried.bytes += expected;
+        self.carried.copied += u64::from(!linked);
         self.files.insert(name.to_string(), expected);
         Ok(())
     }
@@ -187,6 +193,18 @@ impl CheckpointWriter {
     /// Write the manifest and seal the generation. Until this returns,
     /// the generation is invisible to [`Checkpoint::load_latest`].
     pub fn commit(self) -> ColResult<Checkpoint> {
+        let c = &self.carried;
+        if let Some(t) = self.trace.as_ref().filter(|_| c.files > 0) {
+            t.event(
+                "checkpoint.carry",
+                &[
+                    ("files", c.files.to_string()),
+                    ("bytes", c.bytes.to_string()),
+                    ("hardlinked", (c.files - c.copied).to_string()),
+                    ("copied", c.copied.to_string()),
+                ],
+            );
+        }
         let files_json = self
             .files
             .iter()
@@ -546,6 +564,56 @@ mod tests {
             .map(|e| e.seq)
             .unwrap();
         assert!(manifest_seq < end_seq, "span must end after the manifest");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_commit_traces_all_its_carries_as_one_event() {
+        use certchain_obs::TraceJournal;
+        use std::sync::Arc;
+        let root = tmp_root("carry-event");
+        let journal = Arc::new(TraceJournal::new(64));
+        let mut first = CheckpointWriter::begin(&root, 1).unwrap();
+        for (name, bytes) in [("a.dat", &b"aa"[..]), ("b.dat", b"bbb"), ("c.dat", b"c")] {
+            first.write_field(name, bytes).unwrap();
+        }
+        let first = first.commit().unwrap();
+        let mut w = CheckpointWriter::begin(&root, 2).unwrap();
+        w.attach_trace(journal.span("checkpoint.commit"));
+        for (name, &bytes) in &first.files {
+            w.carry_field(name, &first.field_path(name).unwrap(), bytes)
+                .unwrap();
+        }
+        w.write_field("fresh.dat", b"new").unwrap();
+        w.commit().unwrap();
+        let carries: Vec<_> = journal
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.name == "checkpoint.carry")
+            .collect();
+        assert_eq!(carries.len(), 1, "one carry event per commit");
+        let attr = |key: &str| {
+            carries[0]
+                .attrs
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.clone())
+        };
+        assert_eq!(attr("files").as_deref(), Some("3"));
+        assert_eq!(attr("bytes").as_deref(), Some("6"));
+        let linked: u64 = attr("hardlinked").unwrap().parse().unwrap();
+        let copied: u64 = attr("copied").unwrap().parse().unwrap();
+        assert_eq!(linked + copied, 3);
+        // A commit that carries nothing traces no carry event.
+        let journal = Arc::new(TraceJournal::new(64));
+        let mut w = CheckpointWriter::begin(&root, 3).unwrap();
+        w.attach_trace(journal.span("checkpoint.commit"));
+        w.write_field("only.dat", b"x").unwrap();
+        w.commit().unwrap();
+        assert!(journal
+            .snapshot()
+            .iter()
+            .all(|e| e.name != "checkpoint.carry"));
         std::fs::remove_dir_all(&root).unwrap();
     }
 

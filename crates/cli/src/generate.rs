@@ -231,51 +231,8 @@ impl TraceSink for ColumnarSink {
     }
 }
 
-/// Write an already-generated trace as an on-disk dataset (the batch
-/// counterpart of [`generate_with`], kept for callers that already hold a
-/// [`CampusTrace`]; both produce byte-identical datasets).
-pub fn write_dataset(out: &Path, trace: &CampusTrace) -> CliResult<()> {
-    for sub in ["trust/roots", "trust/ccadb", "ct"] {
-        std::fs::create_dir_all(out.join(sub))
-            .map_err(io_ctx(format!("creating {}", out.join(sub).display())))?;
-    }
-    let open = SimClock::campus_window_start().now();
-    let mut ssl = SslLogWriter::new(
-        std::io::BufWriter::new(
-            std::fs::File::create(out.join("ssl.log")).map_err(io_ctx("creating ssl.log"))?,
-        ),
-        open,
-    )
-    .map_err(io_ctx("writing ssl.log"))?;
-    for rec in &trace.ssl_records {
-        ssl.record(rec).map_err(io_ctx("writing ssl.log"))?;
-    }
-    ssl.finish()
-        .and_then(|mut w| w.flush())
-        .map_err(io_ctx("closing ssl.log"))?;
-    let mut x509 = X509LogWriter::new(
-        std::io::BufWriter::new(
-            std::fs::File::create(out.join("x509.log")).map_err(io_ctx("creating x509.log"))?,
-        ),
-        open,
-    )
-    .map_err(io_ctx("writing x509.log"))?;
-    for rec in &trace.x509_records {
-        x509.record(rec).map_err(io_ctx("writing x509.log"))?;
-    }
-    x509.finish()
-        .and_then(|mut w| w.flush())
-        .map_err(io_ctx("closing x509.log"))?;
-    write_sidecars(
-        out,
-        &trace.servers,
-        &trace.eco,
-        &trace.cross_sign_disclosures,
-    )
-}
-
-/// The non-log dataset files shared by the streaming and batch writers:
-/// trust material, CT corpus, cross-signing disclosures, sample chain.
+/// The non-log dataset files, the same for either log format: trust
+/// material, CT corpus, cross-signing disclosures, sample chain.
 fn write_sidecars(
     out: &Path,
     servers: &[certchain_workload::servers::GeneratedServer],

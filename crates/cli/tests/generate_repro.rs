@@ -1,7 +1,9 @@
 //! `certchain generate` is byte-reproducible: one seed writes one
-//! dataset, down to the file names of the trust material.
+//! dataset, down to the file names of the trust material, at every
+//! thread count, and its logs are pinned to known digests.
 
 use certchain_cli::generate;
+use certchain_cryptosim::{sha256, Sha256};
 use certchain_workload::CampusProfile;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -24,6 +26,13 @@ fn tree(root: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
     files
 }
 
+/// SHA-256 of the quick profile's seed-7 logs. A change to the generated
+/// bytes, even one every run repeats, must update these on purpose.
+const QUICK_SEED7_SSL_SHA256: &str =
+    "51ac8716a8c42691ca804451567f217293f8e6475743f4c43436c9fd480c0796";
+const QUICK_SEED7_X509_SHA256: &str =
+    "ca64edca2963930067814d6a9b86feb1402a820438bbdae3425a68d29b7f3d51";
+
 #[test]
 fn two_generates_of_one_seed_write_identical_trees() {
     let base = std::env::temp_dir().join(format!("certchain-gen-repro-{}", std::process::id()));
@@ -33,8 +42,8 @@ fn two_generates_of_one_seed_write_identical_trees() {
         ..CampusProfile::quick()
     };
     let (a, b) = (base.join("a"), base.join("b"));
-    generate::generate(&a, profile.clone()).unwrap();
-    generate::generate(&b, profile).unwrap();
+    generate::generate_with(&a, profile.clone(), 1).unwrap();
+    generate::generate_with(&b, profile, 8).unwrap();
     let (first, second) = (tree(&a), tree(&b));
     assert_eq!(
         first.keys().collect::<Vec<_>>(),
@@ -47,10 +56,17 @@ fn two_generates_of_one_seed_write_identical_trees() {
         .collect();
     assert!(
         differ.is_empty(),
-        "files differ between two runs: {differ:?}"
+        "files differ between threads 1 and 8: {differ:?}"
     );
     for dir in ["trust/roots", "trust/ccadb", "ct"] {
         assert!(first.keys().any(|p| p.starts_with(dir)), "{dir} is empty");
+    }
+    for (log, want) in [
+        ("ssl.log", QUICK_SEED7_SSL_SHA256),
+        ("x509.log", QUICK_SEED7_X509_SHA256),
+    ] {
+        let digest = sha256::hex(&Sha256::digest(&first[Path::new(log)]));
+        assert_eq!(digest, want, "{log} changed bytes");
     }
     std::fs::remove_dir_all(&base).unwrap();
 }

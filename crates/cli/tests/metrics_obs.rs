@@ -73,6 +73,53 @@ fn snapshot_parses_and_loss_accounting_balances() {
         .is_some());
 }
 
+/// `generate --metrics-json` times where generation goes: the population
+/// build and the emission (with the log writes) inside `generate_total`,
+/// then the sidecar files.
+#[test]
+fn generate_snapshot_times_population_emit_and_sidecars() {
+    let dir = std::env::temp_dir().join(format!("certchain-obs-gen-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let metrics_path = dir.with_extension("json");
+    let opts = generate::GenerateOptions {
+        metrics_json: Some(metrics_path.clone()),
+        ..generate::GenerateOptions::default()
+    };
+    generate::generate_opts(&dir, tiny_profile(), &opts).expect("generate succeeds");
+    let snap =
+        certchain_obs::json::parse(&std::fs::read_to_string(&metrics_path).unwrap()).unwrap();
+    let stages = snap
+        .get("timing")
+        .and_then(|t| t.get("stages"))
+        .expect("timing stages present");
+    let wall_ms = |stage: &str| {
+        let entry = stages
+            .get(stage)
+            .unwrap_or_else(|| panic!("no {stage} stage in {snap:?}"));
+        assert_eq!(
+            entry.get("invocations").and_then(JsonValue::as_u64),
+            Some(1),
+            "{stage}"
+        );
+        entry
+            .get("wall_ms")
+            .and_then(JsonValue::as_f64)
+            .unwrap_or_else(|| panic!("{stage} has no wall_ms"))
+    };
+    let (population, emit, total) = (
+        wall_ms("population"),
+        wall_ms("emit"),
+        wall_ms("generate_total"),
+    );
+    assert!(
+        population + emit <= total,
+        "{population} + {emit} > {total}"
+    );
+    wall_ms("write_sidecars");
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_file(&metrics_path).unwrap();
+}
+
 #[test]
 fn report_bytes_are_identical_with_metrics_on_or_off() {
     let dir = fresh_dataset("bytes");

@@ -170,14 +170,33 @@ impl Sha256 {
     }
 }
 
+/// The two lowercase hex digits of every byte value, indexed by the byte.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    let digits = b"0123456789abcdef";
+    let mut pairs = [[0u8; 2]; 256];
+    let mut b = 0;
+    while b < 256 {
+        pairs[b] = [digits[b >> 4], digits[b & 0xf]];
+        b += 1;
+    }
+    pairs
+};
+
+/// Append the lowercase hex of `bytes` to `out`, two ASCII digits per
+/// byte: the one hex kernel behind [`hex`] and the Zeek log writers'
+/// fingerprint columns.
+pub fn hex_into(bytes: &[u8], out: &mut Vec<u8>) {
+    out.reserve(bytes.len() * 2);
+    for &b in bytes {
+        out.extend_from_slice(&HEX_PAIRS[usize::from(b)]);
+    }
+}
+
 /// Render a digest as lowercase hex (Zeek's fingerprint format).
 pub fn hex(digest: &[u8]) -> String {
-    let mut s = String::with_capacity(digest.len() * 2);
-    for b in digest {
-        use std::fmt::Write;
-        write!(s, "{b:02x}").expect("writing to String cannot fail");
-    }
-    s
+    let mut out = Vec::with_capacity(digest.len() * 2);
+    hex_into(digest, &mut out);
+    String::from_utf8(out).expect("hex digits are ASCII")
 }
 
 #[cfg(test)]
@@ -263,5 +282,18 @@ mod tests {
     fn hex_rendering() {
         assert_eq!(hex(&[0x00, 0xff, 0x1a]), "00ff1a");
         assert_eq!(hex(&[]), "");
+    }
+
+    #[test]
+    fn hex_kernel_matches_format_for_every_byte() {
+        let mut out = b"keep:".to_vec();
+        for b in 0..=255u8 {
+            out.truncate(5);
+            hex_into(&[b], &mut out);
+            assert_eq!(&out[5..], format!("{b:02x}").as_bytes(), "byte {b:#04x}");
+        }
+        let all: Vec<u8> = (0..=255u8).collect();
+        let expected: String = all.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex(&all), expected);
     }
 }

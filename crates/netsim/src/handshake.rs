@@ -30,12 +30,15 @@ impl TlsVersion {
     }
 }
 
-/// The result of one simulated connection.
+/// The result of one simulated connection: what [`simulate_connection`]
+/// returns. Trace generators call [`record_connection`] instead, which
+/// yields the ssl row alone.
 #[derive(Debug, Clone)]
 pub struct ConnectionOutcome {
     /// The ssl.log record.
     pub ssl: SslRecord,
-    /// x509.log records for each delivered certificate (empty for TLS 1.3).
+    /// x509.log records for each delivered certificate (empty for TLS 1.3),
+    /// projected from the server's chain by [`simulate_connection`].
     pub x509: Vec<X509Record>,
     /// Validation verdict (None when the client accepted without
     /// validating, i.e. the permissive policy).
@@ -65,15 +68,29 @@ pub fn simulate_connection(
         at,
         sni.as_deref(),
     );
-    let mut outcome = record_connection(uid, at, client, server, verdict.is_ok(), version);
-    outcome.validation_error = verdict.err();
-    outcome
+    let ssl = record_connection(uid, at, client, server, verdict.is_ok(), version);
+    // The passive monitor sees the certificates only below TLS 1.3.
+    let x509 = match version {
+        TlsVersion::Tls13 => Vec::new(),
+        TlsVersion::Tls12 => server
+            .chain
+            .iter()
+            .map(|c| X509Record::from_certificate(at, c))
+            .collect(),
+    };
+    ConnectionOutcome {
+        ssl,
+        x509,
+        validation_error: verdict.err(),
+    }
 }
 
-/// Build the log records for a connection whose validation outcome is
+/// Build the ssl.log record for a connection whose validation outcome is
 /// already known. Trace generators use this with a per-(server, policy)
 /// outcome cache so signature verification runs once, not once per
-/// connection.
+/// connection. It yields the ssl row alone: a generator writes an x509
+/// row only at a certificate's first sighting, so it projects those
+/// itself.
 pub fn record_connection(
     uid: u64,
     at: Asn1Time,
@@ -81,32 +98,18 @@ pub fn record_connection(
     server: &ServerEndpoint,
     established: bool,
     version: TlsVersion,
-) -> ConnectionOutcome {
+) -> SslRecord {
     let sni = if client.policy.sends_sni {
         server.domain.clone()
     } else {
         None
     };
-
     // What the passive monitor captures depends on the TLS version.
-    let (fingerprints, x509) = match version {
-        TlsVersion::Tls13 => (Vec::new(), Vec::new()),
-        TlsVersion::Tls12 => {
-            let fps = server
-                .chain
-                .iter()
-                .map(|c| c.fingerprint())
-                .collect::<Vec<_>>();
-            let records = server
-                .chain
-                .iter()
-                .map(|c| X509Record::from_certificate(at, c))
-                .collect();
-            (fps, records)
-        }
+    let cert_chain_fps = match version {
+        TlsVersion::Tls13 => Vec::new(),
+        TlsVersion::Tls12 => server.chain.iter().map(|c| c.fingerprint()).collect(),
     };
-
-    let ssl = SslRecord {
+    SslRecord {
         ts: at,
         uid: format!("C{uid:016x}"),
         orig_h: client.ip,
@@ -116,13 +119,7 @@ pub fn record_connection(
         version,
         server_name: sni,
         established,
-        cert_chain_fps: fingerprints,
-    };
-
-    ConnectionOutcome {
-        ssl,
-        x509,
-        validation_error: None,
+        cert_chain_fps,
     }
 }
 

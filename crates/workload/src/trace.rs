@@ -182,13 +182,17 @@ impl CampusTrace {
     /// `generate.certificates` (deduplicated x509 records), and the
     /// `generate.servers` / `generate.distinct_chains` population gauges.
     /// All four are derived from the deterministic delivered stream, so
-    /// they are identical for every thread count.
+    /// they are identical for every thread count. The registry also
+    /// times two stages: `population` (the sequential population build
+    /// and volume model) and `emit` (connection emission together with
+    /// the sink's writes).
     pub fn stream_observed<S: TraceSink>(
         profile: CampusProfile,
         threads: usize,
         sink: &mut S,
         metrics: Option<&Registry>,
     ) -> Result<TraceContext, S::Error> {
+        let population_stage = metrics.map(|r| r.stage("population"));
         let threads = resolve_threads(threads);
         let targets = CalibrationTargets::paper();
         let mut eco = Ecosystem::bootstrap(profile.seed);
@@ -275,6 +279,8 @@ impl CampusTrace {
         // dedup exactly. Peak memory is one window of batch outputs,
         // independent of total connection volume.
         let batches = batch_items(items);
+        drop(population_stage);
+        let emit_stage = metrics.map(|r| r.stage("emit"));
         let mut seen_certs: HashSet<Fingerprint> = HashSet::new();
         let conn_counter = metrics.map(|r| r.counter("generate.connections"));
         let cert_counter = metrics.map(|r| r.counter("generate.certificates"));
@@ -325,6 +331,7 @@ impl CampusTrace {
                 }
             }
         }
+        drop(emit_stage);
 
         let mut truth = GroundTruth::default();
         for (idx, s) in servers.iter().enumerate() {
@@ -476,8 +483,7 @@ fn emit_shard(
                     )
                     .is_ok()
                 });
-            let outcome =
-                record_connection(uid, at, &client, &server.endpoint, established, version);
+            let ssl = record_connection(uid, at, &client, &server.endpoint, established, version);
             if version == TlsVersion::Tls12 {
                 for cert in &server.endpoint.chain {
                     if seen_certs.insert(cert.fingerprint()) {
@@ -485,7 +491,7 @@ fn emit_shard(
                     }
                 }
             }
-            out.ssl.push(outcome.ssl);
+            out.ssl.push(ssl);
             out.meta.push(ConnMeta {
                 server_idx: item.server_idx,
                 weight: item.conn_weight,

@@ -60,7 +60,8 @@ pub fn table1(lab: &Lab) -> ExperimentOutput {
             .find(|c| c.name() == cat)
             .expect("category names match");
         let row = rows.remove(&category).unwrap_or_default();
-        let conn_share = 100.0 * row.usage.connections / total.connections.max(f64::MIN_POSITIVE);
+        let conn_share = 100.0 * row.usage.connections.to_f64()
+            / total.connections.to_f64().max(f64::MIN_POSITIVE);
         let weighted_ips = row.usage.client_ips.len() as f64 * conn_weight;
         table.row(&[
             cat.to_string(),
@@ -123,7 +124,7 @@ pub fn table2(lab: &Lab) -> ExperimentOutput {
             .map(|b| {
                 (
                     b.chains,
-                    b.usage.connections,
+                    b.usage.connections.to_f64(),
                     // Hybrid/DGA groups are full fidelity (weight 1);
                     // scaled groups multiply their observed IPs back up.
                     if cat == ChainCategoryLabel::Hybrid {
@@ -319,7 +320,7 @@ pub fn table3(lab: &Lab) -> ExperimentOutput {
         .add(
             "56-group connections",
             t.pub_leaf_no_intermediate_connections as f64,
-            usage_56.connections,
+            usage_56.connections.to_f64(),
             0.01,
         )
         .add(
@@ -331,7 +332,7 @@ pub fn table3(lab: &Lab) -> ExperimentOutput {
         .add(
             "no-path connections",
             t.no_path_connections as f64,
-            usage_no_path.connections,
+            usage_no_path.connections.to_f64(),
             0.01,
         );
 
@@ -624,7 +625,7 @@ pub fn table8(lab: &Lab) -> ExperimentOutput {
         "DGA cluster: chains/conns/IPs".into(),
         format!(
             "{dga_chains} / {} / {}",
-            num(dga.connections, 0),
+            num(dga.connections.to_f64(), 0),
             num(dga.client_ips.len() as f64, 0)
         ),
         String::new(),
@@ -690,7 +691,7 @@ pub fn table8(lab: &Lab) -> ExperimentOutput {
         .add(
             "DGA connections",
             t.dga_connections as f64,
-            dga.connections,
+            dga.connections.to_f64(),
             0.01,
         )
         .add(

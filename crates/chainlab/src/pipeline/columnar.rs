@@ -3,15 +3,12 @@
 //!
 //! The TSV path pays for reading and parsing the text of every row
 //! ([`super::ingest`]); columnar input decodes fields with offset
-//! arithmetic off the mapped columns instead. Both shard by range: the
-//! TSV workers take blocks of whole lines, and the workers here take
-//! contiguous *segment ranges*. Range sharding means one chain's
-//! connections can land in several workers — which is sound because
-//! every on-disk row folds at weight 1.0, so all the f64 aggregates are
-//! exact small integers and merging per-worker partials (one shared
-//! `merge_into`) is bit-identical to the sequential fold. The record
-//! path's fractional per-record weights are exactly why *it* must shard
-//! by chain instead.
+//! arithmetic off the mapped columns instead. The workers here take
+//! contiguous *segment ranges*, so one chain's connections can land in
+//! several workers. The determinism rule of [`super::ingest`] makes that
+//! sound: every aggregate is an integer sum (each row folds
+//! [`Weight::ONE`]) or a set union, so merging the per-worker partials
+//! (one shared `merge_into`) is bit-identical to the sequential fold.
 //!
 //! There is one fold for every store version (a v1 store reaches it as
 //! `plain` bands, see `certchain_colstore::read`). The x509 table folds
@@ -36,7 +33,7 @@ use super::ingest::{merge_into, IngestCounts, Partial, SharedAccum};
 use super::{par_map, resolve_threads, Analysis, Pipeline, RowFilter};
 use crate::filtercat::{chain_category, CertCat};
 use crate::model::ChainKey;
-use crate::usage::UsageStats;
+use crate::usage::{UsageStats, Weight};
 use certchain_colstore::{
     CategoryDigest, CategorySet, ColError, ColResult, DatasetReader, SslSegments, X509Segments,
     NONE_IDX,
@@ -384,7 +381,7 @@ fn fold_segments(
                 sni_code != NONE_IDX,
                 resp_p[i] as u16,
                 Ipv4Addr::from(orig_h[i] as u32),
-                1.0,
+                Weight::ONE,
             );
             if sni_code != NONE_IDX {
                 entry.sni_codes.insert(sni_code);

@@ -2,29 +2,29 @@
 //! worker threads.
 //!
 //! One fold body, `Shard::fold` (filter → count → fold), serves two kinds
-//! of input, dispatched two ways:
+//! of input through one dispatch, `fan_out`: the reading thread fills
+//! pooled buffers and hands each to the worker with the fewest in flight.
 //!
-//! - **records** (`accumulate`): `SslRecord`s with weights, from memory
-//!   (`Pipeline::analyze`) or from a record iterator
-//!   (`Pipeline::fold_ssl_stream`). A weight may be fractional, and
-//!   fractional f64 sums are exact only in one order, so rows are sharded
-//!   by chain: every chain belongs to exactly one shard, chosen by
-//!   `shard_of` over its fingerprints, and each shard's rows reach its
-//!   worker in stream order. Every chain's accumulation order then equals
-//!   the sequential fold's, and the shards' maps are disjoint.
+//! - **records** (`accumulate`): `(SslRecord, Weight)` batches of
+//!   `CHUNK` rows, from memory (`Pipeline::analyze`) or from a record
+//!   iterator (`Pipeline::fold_ssl_stream`).
 //! - **ssl.log blocks** (`accumulate_log`, the TSV path). The reading
-//!   thread only reads: it fills pooled buffers with whole lines
-//!   (`certchain_netsim::zeek::block`) and hands each to whichever worker
-//!   is free. The worker walks the block's lines, parses each with the
-//!   netsim row kernel, settles it against the block's own tallies and
-//!   folds it from the borrowed view: no `SslRecord` is built, the uid is
-//!   never allocated, and an SNI `String` is allocated only the first
-//!   time a worker's chain sees it. Every TSV row folds at weight 1.0, so
-//!   the f64 sums are exact small integers and the workers' partial maps
-//!   merge exactly in any order (`merge_into`, which the columnar fold
-//!   shares). A `Ledger` settles walked blocks in stream order: their line
-//!   numbers are rebased by the lines of the blocks before them, and the
-//!   stream's tallies stop at its first fatal line.
+//!   thread fills buffers with whole lines
+//!   (`certchain_netsim::zeek::block`). The worker walks the block's
+//!   lines, parses each with the netsim row kernel, settles it against
+//!   the block's own tallies and folds it from the borrowed view: no
+//!   `SslRecord` is built, the uid is never allocated, and an SNI
+//!   `String` is allocated only the first time a worker's chain sees it.
+//!   A `Ledger` settles walked blocks in stream order: their line numbers
+//!   are rebased by the lines of the blocks before them, and the stream's
+//!   tallies stop at its first fatal line.
+//!
+//! The determinism rule: every aggregate is an integer sum (weights in
+//! fixed-point [`Weight`] units) or a set union, so partial folds over any
+//! split of the rows merge exactly, in any order, into the sequential
+//! fold. So any worker may take any batch, block or segment range, and
+//! the workers' maps merge through one `merge_into`, which the columnar
+//! fold and a [`super::PipelineState`] share.
 //!
 //! Batches and blocks travel over depth-1 channels, and their buffers come
 //! from one fixed pool the workers hand back, so what is in flight stays
@@ -36,7 +36,7 @@ use super::observe::PipelineObs;
 use super::{Pipeline, RowFilter, SslItem};
 use crate::filtercat::CategoryOracle;
 use crate::model::ChainKey;
-use crate::usage::UsageStats;
+use crate::usage::{UsageStats, Weight};
 use certchain_netsim::zeek::block::{Block, LineWalk};
 use certchain_netsim::zeek::stream::{ReadError, SslColumns, SslLogStream, StreamStats};
 use certchain_netsim::SslRecord;
@@ -50,20 +50,17 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 
-/// Rows per record batch handed to a shard worker, and per progress tick
-/// on the inline record path. Large enough to amortize channel and
+/// Rows per record batch handed to a worker, and per progress tick on
+/// the inline record path. Large enough to amortize channel and
 /// scheduling overhead, small enough that in-flight memory stays
 /// negligible next to the per-chain accumulators.
 pub(crate) const CHUNK: usize = 1024;
 
-/// Pooled record batches per worker: one being folded, one queued, and
-/// one filling on the feeding thread, which fills one per shard at once.
-const BATCHES_PER_WORKER: usize = 3;
-
-/// Pooled line blocks per worker: one being folded and one queued. The
-/// reading thread fills one block at a time, in the buffer a worker has
-/// just handed back, long before that worker's queued block is done.
-const BLOCKS_PER_WORKER: usize = 2;
+/// Pooled buffers (record batches or line blocks) per worker: one being
+/// folded and one queued. The reading thread fills one buffer at a time,
+/// in the one a worker has just handed back, long before that worker's
+/// queued buffer is done.
+const BUFFERS_PER_WORKER: usize = 2;
 
 /// Per-chain connection accumulator: what one fold owns and folds rows
 /// into, with no `Arc` on the per-row path.
@@ -83,10 +80,9 @@ pub(crate) struct SharedAccum {
     pub(crate) snis: Arc<BTreeSet<String>>,
 }
 
-/// A per-chain aggregate that partials of type `P` merge into exactly
-/// when every row folded at weight 1.0: each field is an integer-valued
-/// f64 sum, an integer sum or a set union, so any merge order reproduces
-/// the sequential fold.
+/// A per-chain aggregate that partials of type `P` merge into exactly:
+/// each field is an integer sum or a set union, so any merge order
+/// reproduces the sequential fold.
 pub(crate) trait Partial<P = Self> {
     /// Merge another partial for the same chain.
     fn merge(&mut self, other: P);
@@ -122,17 +118,16 @@ impl Partial<ChainAccum> for SharedAccum {
     }
 }
 
-/// Merge the partial map `part` into `into`: the one merge of unit-weight
-/// partials, for the TSV block workers' maps, the columnar segment
-/// workers' maps and a fold's map into a [`super::PipelineState`]'s
-/// shared accumulators. Disjoint maps (the chain-sharded record path's)
-/// merge into their union, whatever their weights. A caller merging parts
-/// of one type into an empty map takes the first part as it is instead.
+/// Merge the partial map `part` into `into`: the one merge of partials,
+/// for the ingest workers' maps, the columnar segment workers' maps and a
+/// fold's map into a [`super::PipelineState`]'s shared accumulators. A
+/// caller merging parts of one type into an empty map takes the first
+/// part as it is instead.
 pub(crate) fn merge_into<K: Eq + Hash, P, A: Partial<P>>(
     into: &mut HashMap<K, A>,
     part: HashMap<K, P>,
 ) {
-    // srclint: commutative -- per-key merge into a keyed map; Partial::merge is exact in any order at unit weight and disjoint maps never merge a key, so iteration order is invisible
+    // srclint: commutative -- per-key merge into a keyed map; Partial::merge is exact in any order (integer sums and set unions), so iteration order is invisible
     for (key, accum) in part {
         match into.entry(key) {
             Entry::Occupied(mut e) => e.get_mut().merge(accum),
@@ -160,20 +155,6 @@ pub(crate) struct IngestCounts {
     pub(crate) no_chain: u64,
 }
 
-/// Stable shard id for a chain: FNV-1a over the fingerprint bytes. Must
-/// not vary across runs or platforms — shard membership decides which
-/// worker folds a chain's connection stream, and determinism relies on
-/// every chain living in exactly one shard.
-pub(crate) fn shard_of(fps: &[Fingerprint], shards: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for fp in fps {
-        for &b in &fp.0 {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    (h % shards as u64) as usize
-}
-
 /// What the fold reads of one connection, from a record or a parsed line.
 struct Conn<'a> {
     resp_p: u16,
@@ -181,10 +162,10 @@ struct Conn<'a> {
     fps: &'a [Fingerprint],
     established: bool,
     orig_h: Ipv4Addr,
-    weight: f64,
+    weight: Weight,
 }
 
-/// One shard's fold state: the worker body every input kind runs.
+/// One worker's fold state: the body every input kind runs.
 struct Shard<'p> {
     filter: &'p RowFilter,
     oracle: Option<&'p CategoryOracle>,
@@ -240,7 +221,7 @@ impl<'p> Shard<'p> {
         }
     }
 
-    fn record(&mut self, rec: &SslRecord, weight: f64) {
+    fn record(&mut self, rec: &SslRecord, weight: Weight) {
         self.fold(Conn {
             resp_p: rec.resp_p,
             sni: rec.server_name.as_deref(),
@@ -281,7 +262,7 @@ impl BlockWorker<'_> {
                         fps: row.cert_chain_fps,
                         established: row.established,
                         orig_h: row.orig_h,
-                        weight: 1.0,
+                        weight: Weight::ONE,
                     });
                 }
                 Ok(None) => {}
@@ -367,13 +348,13 @@ impl Ledger {
 /// any counter moves, so category-rejected records are invisible.
 pub(crate) fn accumulate<B, I>(
     pipe: &Pipeline<'_>,
-    records: I,
+    mut records: I,
     threads: usize,
     oracle: Option<&CategoryOracle>,
 ) -> (HashMap<ChainKey, ChainAccum>, IngestCounts)
 where
     B: SslItem,
-    I: Iterator<Item = (B, f64)>,
+    I: Iterator<Item = (B, Weight)>,
 {
     if threads <= 1 {
         let mut shard = Shard::new(pipe, oracle);
@@ -385,33 +366,23 @@ where
         }
         return collect(pipe, vec![shard]);
     }
-    let shards: Vec<Shard<'_>> = (0..threads).map(|_| Shard::new(pipe, oracle)).collect();
     let (shards, ()) = fan_out(
         pipe,
-        shards,
-        BATCHES_PER_WORKER,
-        |shard, batch: &mut Vec<(B, f64)>| {
+        (0..threads).map(|_| Shard::new(pipe, oracle)).collect(),
+        |shard, batch: &mut Vec<(B, Weight)>| {
             let rows = batch.len() as u64;
             for (item, weight) in batch.drain(..) {
                 shard.record(item.borrow(), weight);
             }
             rows
         },
-        |fan| {
-            let mut filling: Vec<Vec<(B, f64)>> = (0..threads).map(|_| fan.take()).collect();
-            for (item, weight) in records {
-                let shard = shard_of(&item.borrow().cert_chain_fps, threads);
-                filling[shard].push((item, weight));
-                if filling[shard].len() >= CHUNK {
-                    let full = std::mem::replace(&mut filling[shard], fan.take());
-                    fan.send(shard, full);
-                }
+        |fan| loop {
+            let mut batch = fan.take();
+            batch.extend(records.by_ref().take(CHUNK));
+            if batch.is_empty() {
+                break;
             }
-            for (shard, batch) in filling.into_iter().enumerate() {
-                if !batch.is_empty() {
-                    fan.send(shard, batch);
-                }
-            }
+            fan.send(batch);
         },
     );
     collect(pipe, shards)
@@ -461,7 +432,6 @@ pub(crate) fn accumulate_log<R: Read>(
         let (workers, ()) = fan_out(
             pipe,
             (0..threads).map(|_| worker()).collect(),
-            BLOCKS_PER_WORKER,
             |worker, block: &mut Block<SslColumns>| {
                 if block.seq() > stop.load(Relaxed) {
                     return 0;
@@ -479,8 +449,7 @@ pub(crate) fn accumulate_log<R: Read>(
                 if stop.load(Relaxed) != usize::MAX || !blocks.next_block(&mut block) {
                     break;
                 }
-                let to = fan.least_loaded();
-                fan.send(to, block);
+                fan.send(block);
             },
         );
         workers.into_iter().map(|w| w.shard).collect()
@@ -529,16 +498,12 @@ impl<T> Fanout<'_, T> {
         self.pool.recv().expect("workers hold the pool open")
     }
 
-    /// The worker with the fewest buffers in flight: an idle one whenever
-    /// there is one.
-    fn least_loaded(&self) -> usize {
-        (0..self.in_flight.len())
+    /// Send a filled buffer to the worker with the fewest buffers in
+    /// flight: an idle one whenever there is one.
+    fn send(&mut self, batch: T) {
+        let worker = (0..self.in_flight.len())
             .min_by_key(|&w| self.in_flight[w].load(Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// Send a filled buffer to `worker`.
-    fn send(&mut self, worker: usize, batch: T) {
+            .unwrap_or(0);
         self.in_flight[worker].fetch_add(1, Relaxed);
         self.senders[worker]
             .send(batch)
@@ -554,9 +519,9 @@ impl<T> Fanout<'_, T> {
 
 /// Run `feed` on this thread while one worker per entry of `workers`
 /// folds the buffers it sends, `work` applied to each in arrival order
-/// and returning the rows it folded. The pool holds `buffers_per_worker`
-/// buffers per worker. Returns the workers (in order) and what `feed`
-/// returned.
+/// and returning the rows it folded. The pool holds
+/// [`BUFFERS_PER_WORKER`] buffers per worker. Returns the workers (in
+/// order) and what `feed` returned.
 ///
 /// Progress instrumentation rides the feeding loop: each worker carries
 /// an in-flight buffer counter (incremented on send, decremented by the
@@ -566,7 +531,6 @@ impl<T> Fanout<'_, T> {
 fn fan_out<S, T, F>(
     pipe: &Pipeline<'_>,
     workers: Vec<S>,
-    buffers_per_worker: usize,
     work: impl Fn(&mut S, &mut T) -> u64 + Sync,
     feed: impl FnOnce(&mut Fanout<'_, T>) -> F,
 ) -> (Vec<S>, F)
@@ -580,7 +544,7 @@ where
     let processed: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
     let (workers, out, sent) = std::thread::scope(|scope| {
         let (pool_tx, pool) = channel::<T>();
-        for _ in 0..n * buffers_per_worker {
+        for _ in 0..n * BUFFERS_PER_WORKER {
             pool_tx.send(T::default()).expect("pool receiver alive");
         }
         let mut senders = Vec::with_capacity(n);

@@ -44,7 +44,7 @@ use crate::crosssign::CrossSignRegistry;
 use crate::hybrid::HybridCategory;
 use crate::matchpath::PathReport;
 use crate::model::{CertRecord, ChainKey};
-use crate::usage::UsageStats;
+use crate::usage::{UsageStats, Weight};
 use certchain_ctlog::DomainIndex;
 use certchain_netsim::{SslRecord, X509Record};
 use certchain_obs::{Progress, Registry, TraceJournal};
@@ -185,14 +185,12 @@ pub struct PipelineOptions {
     pub confirmation_min_domains: usize,
     /// Worker threads for the parallel stages. `0` (the default) resolves
     /// to the machine's available parallelism; `1` runs the fully
-    /// sequential path. The output is byte-identical for every value. On
-    /// the record paths, chains are sharded by a stable hash of their
-    /// fingerprint sequence and each shard's records reach its worker in
-    /// order, so each chain's connections fold in global record order
-    /// (their weights may be fractional). On the TSV and columnar paths
-    /// every row has weight 1.0, so workers take blocks of lines or
-    /// ranges of segments and their partial maps merge exactly. Per-chain
-    /// results then merge in `ChainKey` order.
+    /// sequential path. The output is byte-identical for every value:
+    /// every aggregate is an integer sum (weights in fixed-point
+    /// [`crate::usage::Weight`] units) or a set union, so partial folds
+    /// over any split of the rows merge exactly in any order. Workers take
+    /// record batches, blocks of lines or ranges of segments, whichever
+    /// is next, and per-chain results then merge in `ChainKey` order.
     pub threads: usize,
     /// Connection predicate; the default admits everything. See
     /// [`RowFilter`] for the filtered-rows-are-invisible semantics.
@@ -342,25 +340,32 @@ impl<'a> Pipeline<'a> {
     /// Run the full analysis over in-memory record slices.
     ///
     /// `weights`, when given, must align with `ssl` and carries each
-    /// record's statistical weight (1.0 when absent). The pipeline itself
+    /// record's statistical weight (1.0 when absent). Each is quantized
+    /// once, to a [`Weight`], before anything folds. The pipeline itself
     /// is weight-agnostic; weights only flow into the usage aggregates.
     ///
     /// The stages run on [`PipelineOptions::threads`] workers; the result
     /// is byte-identical for every thread count (see the options docs).
+    ///
+    /// # Panics
+    ///
+    /// When `weights` does not align with `ssl`, or a weight is not
+    /// finite, is negative or is not below 2^36.
     pub fn analyze(
         &self,
         ssl: &[SslRecord],
         x509: &[X509Record],
         weights: Option<&[f64]>,
     ) -> Analysis {
-        if let Some(w) = weights {
+        let weights: Option<Vec<Weight>> = weights.map(|w| {
             assert_eq!(w.len(), ssl.len(), "weights must align with ssl records");
-        }
+            w.iter().map(|&w| Weight::from_f64(w)).collect()
+        });
         let threads = resolve_threads(self.options.threads);
         let mut state = PipelineState::one_shot();
         self.fold_x509_stream(&mut state, x509.iter().map(Ok::<_, Infallible>))
             .unwrap_or_else(|never| match never {});
-        let weight_of = |i: usize| weights.map(|w| w[i]).unwrap_or(1.0);
+        let weight_of = |i: usize| weights.as_ref().map_or(Weight::ONE, |w| w[i]);
         let records = ssl.iter().enumerate().map(|(i, rec)| (rec, weight_of(i)));
         {
             let _stage = self.obs.stage("ingest");
@@ -495,9 +500,10 @@ impl<'a> Pipeline<'a> {
     }
 }
 
-/// Iterator adapter: yields `(record, 1.0)` until the first `Err`, which
-/// is parked in `err` and ends the stream. This lets the infallible
-/// accumulation engine drive fallible sources without buffering them.
+/// Iterator adapter: yields `(record, Weight::ONE)` until the first
+/// `Err`, which is parked in `err` and ends the stream. This lets the
+/// infallible accumulation engine drive fallible sources without
+/// buffering them.
 pub(crate) struct FuseOnErr<'e, E, I> {
     pub(crate) inner: I,
     pub(crate) err: &'e mut Option<E>,
@@ -507,14 +513,14 @@ impl<E, I, T> Iterator for FuseOnErr<'_, E, I>
 where
     I: Iterator<Item = Result<T, E>>,
 {
-    type Item = (T, f64);
+    type Item = (T, Weight);
 
-    fn next(&mut self) -> Option<(T, f64)> {
+    fn next(&mut self) -> Option<(T, Weight)> {
         if self.err.is_some() {
             return None;
         }
         match self.inner.next()? {
-            Ok(rec) => Some((rec, 1.0)),
+            Ok(rec) => Some((rec, Weight::ONE)),
             Err(e) => {
                 *self.err = Some(e);
                 None

@@ -14,17 +14,17 @@
 //!
 //! # Why resumable folding is exact, not approximate
 //!
-//! Every aggregate in the state is commutative and associative over
-//! record folds at unit weight: the usage sums are integer-valued `f64`s
-//! (exact in IEEE 754 far beyond any campus corpus), the SNI/client-IP
-//! aggregates are set unions, and the counters are integer sums. Folding
-//! a record stream as N per-file folds across N processes therefore
-//! produces *bit-identical* state to one batch fold — the defining
-//! invariant, pinned by tests here and by the serve/analyze `cmp` smoke
-//! in CI. (Fractional statistical weights — the batch `analyze
-//! --weights` path — are not exact under re-association, so only
-//! unit-weight folds should be resumed across sessions; real Zeek logs
-//! are always unit-weight.)
+//! The determinism rule of [`super::ingest`]: every aggregate is an
+//! integer sum (weights in fixed-point [`Weight`] units) or a set union,
+//! so partial folds over any split of the rows merge exactly in any
+//! order. Folding a record stream as N per-file folds across N processes
+//! therefore produces *bit-identical* state to one batch fold — the
+//! defining invariant, pinned by tests here and by the serve/analyze
+//! `cmp` smoke in CI. A checkpoint stores each sum as the `f64`
+//! [`Weight::to_f64`] gives, and reload turns it back into units
+//! (`Weight::exact`); that round trip is exact for every sum whose
+//! units have at most 53 significant bits, which every unit-weight sum
+//! (a whole number of connections) has.
 //!
 //! Certificate resolution is deferred to finalize: the fold core accepts
 //! ssl records whose fingerprints have no x509 row *yet* (rotated files
@@ -62,7 +62,7 @@ use super::enrich::CertTable;
 use super::ingest::{merge_into, ChainAccum, IngestCounts, SharedAccum};
 use super::Pipeline;
 use crate::model::ChainKey;
-use crate::usage::UsageStats;
+use crate::usage::{UsageStats, Weight};
 use certchain_asn1::Asn1Time;
 use certchain_colstore::{Checkpoint, CheckpointWriter, ColError};
 use certchain_netsim::X509Record;
@@ -276,9 +276,9 @@ impl PipelineState {
     }
 
     /// Absorb one fold's accumulator map and counts. Chain merges are
-    /// exact at unit weight (integer-valued sums, set unions), so
-    /// absorbing per-file folds reproduces the one-shot batch fold
-    /// bit-for-bit. Each merge is copy-on-write (see [`PipelineState`]).
+    /// exact (integer sums, set unions), so absorbing per-file folds
+    /// reproduces the one-shot batch fold bit-for-bit. Each merge is
+    /// copy-on-write (see [`PipelineState`]).
     pub(crate) fn absorb(&mut self, accums: HashMap<ChainKey, ChainAccum>, counts: IngestCounts) {
         self.records += counts.records;
         self.no_chain += counts.no_chain;
@@ -552,13 +552,13 @@ impl PipelineState {
             }
             let u = &accum.usage;
             put_u64(&mut out, u.records);
-            put_f64(&mut out, u.connections);
-            put_f64(&mut out, u.established);
-            put_f64(&mut out, u.with_sni);
+            put_weight(&mut out, u.connections);
+            put_weight(&mut out, u.established);
+            put_weight(&mut out, u.with_sni);
             put_u32(&mut out, u.ports.len() as u32);
             for (&port, &weight) in &u.ports {
                 put_u16(&mut out, port);
-                put_f64(&mut out, weight);
+                put_weight(&mut out, weight);
             }
             // srclint: commutative -- set snapshot, explicitly sorted before encoding
             let mut ips: Vec<u32> = u.client_ips.iter().map(|ip| u32::from(*ip)).collect();
@@ -597,14 +597,15 @@ impl Pipeline<'_> {
     }
 
     /// Fold a fallible ssl record stream into `state` — the resumable
-    /// form of the ingest stage, sharded across
-    /// [`super::PipelineOptions::threads`] workers exactly like the batch
-    /// fold. Certificate resolution is deferred to finalize, so this
-    /// never needs the x509 side to have arrived first — *unless* the
-    /// row filter names categories, whose predicate snapshots the
-    /// certificate table at fold time and therefore requires the x509
-    /// side to be complete first (the one-shot CLI paths guarantee this;
-    /// the incremental serve daemon does not expose category filtering).
+    /// form of the ingest stage, split across
+    /// [`super::PipelineOptions::threads`] workers like the batch fold.
+    /// Every record folds [`Weight::ONE`]. Certificate resolution is
+    /// deferred to finalize, so this never needs the x509 side to have
+    /// arrived first — *unless* the row filter names categories, whose
+    /// predicate snapshots the certificate table at fold time and
+    /// therefore requires the x509 side to be complete first (the
+    /// one-shot CLI paths guarantee this; the incremental serve daemon
+    /// does not expose category filtering).
     pub fn fold_ssl_stream<E, I>(&self, state: &mut PipelineState, ssl: I) -> Result<(), E>
     where
         I: Iterator<Item = Result<certchain_netsim::SslRecord, E>>,
@@ -685,11 +686,12 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// `f64`s are stored as raw IEEE 754 bits: the values are exact integer
-/// sums (or single-session weighted sums), and bit-preservation is what
-/// makes a resumed fold byte-identical to an uninterrupted one.
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
+/// A weight sum is stored as the raw IEEE 754 bits of its `f64`, which
+/// [`Cur::weight`] turns back into the same units (see the module doc):
+/// a unit-weight sum is the whole number of connections, as older builds
+/// wrote it.
+fn put_weight(out: &mut Vec<u8>, w: Weight) {
+    out.extend_from_slice(&w.to_f64().to_bits().to_le_bytes());
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
@@ -744,8 +746,16 @@ impl<'a> Cur<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
     }
 
-    fn f64_(&mut self) -> Result<f64, StateError> {
-        Ok(f64::from_bits(self.u64_()?))
+    /// A stored weight sum: an `f64` that must be a whole number of
+    /// units in `[0, 2^36)`.
+    fn weight(&mut self) -> Result<Weight, StateError> {
+        let at = self.pos;
+        let sum = f64::from_bits(self.u64_()?);
+        Weight::exact(sum).ok_or_else(|| {
+            StateError::Corrupt(format!(
+                "weight sum {sum} at offset {at} is not a whole number of 2^-28 units in [0, 2^36)"
+            ))
+        })
     }
 
     fn str_(&mut self) -> Result<String, StateError> {
@@ -760,7 +770,8 @@ impl<'a> Cur<'a> {
     }
 }
 
-/// Decode a `chains.dat` field into a chain map.
+/// Decode a `chains.dat` field into a chain map. A stored sum that is not
+/// a whole number of [`Weight`] units in `[0, 2^36)` is `Corrupt`.
 fn decode_chains(
     bytes: &[u8],
     chains: &mut HashMap<ChainKey, SharedAccum>,
@@ -773,13 +784,13 @@ fn decode_chains(
             fps.push(cur.fp()?);
         }
         let records = cur.u64_()?;
-        let connections = cur.f64_()?;
-        let established = cur.f64_()?;
-        let with_sni = cur.f64_()?;
+        let connections = cur.weight()?;
+        let established = cur.weight()?;
+        let with_sni = cur.weight()?;
         let mut ports = BTreeMap::new();
         for _ in 0..cur.u32_()? {
             let port = cur.u16_()?;
-            let weight = cur.f64_()?;
+            let weight = cur.weight()?;
             ports.insert(port, weight);
         }
         let mut client_ips = std::collections::HashSet::new();

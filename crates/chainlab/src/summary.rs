@@ -113,7 +113,7 @@ impl AnalysisSummary {
                 category_key(cat).to_string(),
                 GroupSummary {
                     chains: analysis.chains_in(cat).count() as u64,
-                    connections: usage.connections,
+                    connections: usage.connections.to_f64(),
                     established_rate: usage.established_rate(),
                     no_sni_rate: usage.no_sni_rate(),
                     client_ips: usage.client_ips.len() as u64,

@@ -1,15 +1,16 @@
-//! Property test for the chunk-partition-dispatch ingestion invariant.
+//! Property tests for the ingestion invariant.
 //!
-//! `Pipeline::analyze` shards chains by a stable fingerprint hash and
-//! partitions the record stream to workers in global order, so the fold
-//! each chain sees is identical for every thread count. This test feeds
-//! random batches — chains drawn from a small certificate pool, empty
-//! chains (TLS 1.3), unresolvable fingerprints, duplicated chains with
-//! distinct connection metadata, non-trivial weights — through the
-//! pipeline at thread counts 2..=8 and requires the full `Analysis` to
-//! be identical (f64 fields bit-for-bit) to the sequential fold. A
-//! fixed deterministic case many ingest batches long exercises the
-//! multi-batch dispatch path.
+//! `Pipeline::analyze` hands batches of `(record, weight)` pairs to
+//! whichever worker is least loaded and merges the workers' partial
+//! maps. That is exact because every weight is quantized to fixed-point
+//! units and every sum is an integer sum. These tests feed random
+//! batches — chains drawn from a small certificate pool, empty chains
+//! (TLS 1.3), unresolvable fingerprints, duplicated chains with distinct
+//! connection metadata, the generator's non-dyadic weights — through the
+//! pipeline at thread counts 2..=8 and require the full `Analysis` to be
+//! identical (weight sums unit for unit) to the sequential fold, also
+//! when the records arrive in another order. A fixed deterministic case
+//! many ingest batches long exercises the multi-batch dispatch path.
 //!
 //! Every run also attaches a fresh metrics registry and requires the
 //! snapshot's *deterministic* section (counters, gauges, histograms —
@@ -161,8 +162,8 @@ fn run(
     (analysis, registry.snapshot().deterministic_fingerprint())
 }
 
-/// Canonical, fully ordered rendering of an `Analysis`. Float fields are
-/// rendered as raw bits so "identical" means bit-for-bit, not
+/// Canonical, fully ordered rendering of an `Analysis`. Weight sums are
+/// rendered as their fixed-point units, so "identical" means exact, not
 /// approximately equal; the two hash-ordered containers (`index`,
 /// `client_ips`) are sorted before rendering.
 fn canon(a: &Analysis) -> String {
@@ -182,12 +183,7 @@ fn canon(a: &Analysis) -> String {
     for c in &a.chains {
         let mut ips: Vec<Ipv4Addr> = c.usage.client_ips.iter().copied().collect();
         ips.sort();
-        let ports: Vec<(u16, u64)> = c
-            .usage
-            .ports
-            .iter()
-            .map(|(&p, w)| (p, w.to_bits()))
-            .collect();
+        let ports: Vec<(u16, u64)> = c.usage.ports.iter().map(|(&p, w)| (p, w.0)).collect();
         writeln!(
             out,
             "chain key={:?} certs={:?} classes={:?} cat={:?} path={:?} hybrid={:?} \
@@ -204,9 +200,9 @@ fn canon(a: &Analysis) -> String {
             c.leaf_ct_logged,
             c.interception_entity,
             c.snis,
-            c.usage.connections.to_bits(),
-            c.usage.established.to_bits(),
-            c.usage.with_sni.to_bits(),
+            c.usage.connections.0,
+            c.usage.established.0,
+            c.usage.with_sni.0,
             c.usage.records,
         )
         .unwrap();
@@ -214,10 +210,20 @@ fn canon(a: &Analysis) -> String {
     out
 }
 
-/// Non-uniform but deterministic per-record weights, so dispatch-order
-/// mistakes show up as f64 summation differences.
+/// Deterministic per-record weights from the generator's own values
+/// (2000/81, 200/7, 250/7 and 51500/73). None is dyadic, so as `f64`s
+/// their sums would depend on the order they are added in, and a fold
+/// that let merge order leak into a sum would show.
 fn weights_for(n: usize) -> Vec<f64> {
-    (0..n).map(|i| ((i % 7) + 1) as f64 * 0.5).collect()
+    const WEIGHTS: [f64; 4] = [
+        24.691358024691358,
+        28.571428571428573,
+        35.714285714285715,
+        705.4794520547945,
+    ];
+    (0..n)
+        .map(|i| WEIGHTS[(i + i / 3) % WEIGHTS.len()])
+        .collect()
 }
 
 proptest! {
@@ -248,9 +254,9 @@ proptest! {
 }
 
 /// The dispatch path hands workers batches of `CHUNK = 1024` rows; a
-/// stream spanning many batches must still fold every chain in global
-/// record order. 20k records make many batches per shard, with partial
-/// tails.
+/// stream spanning many batches, each chain's rows spread over every
+/// worker, must still fold to the sequential sums. 20k records make many
+/// batches per worker, with a partial tail.
 #[test]
 fn multi_chunk_batches_stay_invariant() {
     let x509 = cert_pool();
@@ -290,6 +296,34 @@ fn multi_chunk_batches_stay_invariant() {
             seq_metrics, par_metrics,
             "metrics snapshot diverged at threads = {threads}"
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Weight sums are exact, so the order the records arrive in is
+    /// invisible: a random permutation of the same weighted records folds
+    /// to the same analysis at every thread count.
+    #[test]
+    fn a_permutation_of_the_weighted_records_folds_the_same(
+        records in proptest::collection::vec(arb_conn(), 0..160),
+        seed in any::<u64>(),
+        threads in 1usize..9,
+    ) {
+        let x509 = cert_pool();
+        let weights = weights_for(records.len());
+        let (want, _) = run(&records, &x509, &weights, 1);
+        // Fisher-Yates over the (record, weight) pairs.
+        let mut pairs: Vec<(SslRecord, f64)> = records.into_iter().zip(weights).collect();
+        let mut state = seed;
+        for i in (1..pairs.len()).rev() {
+            let j = (mix(&mut state) % (i as u64 + 1)) as usize;
+            pairs.swap(i, j);
+        }
+        let (shuffled, shuffled_weights): (Vec<SslRecord>, Vec<f64>) = pairs.into_iter().unzip();
+        let (got, _) = run(&shuffled, &x509, &shuffled_weights, threads);
+        prop_assert_eq!(canon(&want), canon(&got), "threads = {} diverged", threads);
     }
 }
 

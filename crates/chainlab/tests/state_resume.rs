@@ -128,8 +128,8 @@ fn pipeline<'a>(trust: &'a TrustDb, ct: &'a DomainIndex, threads: usize) -> Pipe
     )
 }
 
-/// Canonical, fully ordered rendering; floats as raw bits so identical
-/// means bit-for-bit.
+/// Canonical, fully ordered rendering; weight sums as their fixed-point
+/// units, so identical means exact.
 fn canon(a: &Analysis) -> String {
     let mut out = String::new();
     writeln!(
@@ -144,12 +144,7 @@ fn canon(a: &Analysis) -> String {
     for c in &a.chains {
         let mut ips: Vec<Ipv4Addr> = c.usage.client_ips.iter().copied().collect();
         ips.sort();
-        let ports: Vec<(u16, u64)> = c
-            .usage
-            .ports
-            .iter()
-            .map(|(&p, w)| (p, w.to_bits()))
-            .collect();
+        let ports: Vec<(u16, u64)> = c.usage.ports.iter().map(|(&p, w)| (p, w.0)).collect();
         writeln!(
             out,
             "chain key={:?} cat={:?} hybrid={:?} snis={:?} conn={} est={} sni_w={} \
@@ -158,9 +153,9 @@ fn canon(a: &Analysis) -> String {
             c.category,
             c.hybrid_category,
             c.snis,
-            c.usage.connections.to_bits(),
-            c.usage.established.to_bits(),
-            c.usage.with_sni.to_bits(),
+            c.usage.connections.0,
+            c.usage.established.0,
+            c.usage.with_sni.0,
             c.usage.records,
         )
         .unwrap();
@@ -562,4 +557,50 @@ fn a_one_shot_state_finalizes_the_same_and_refuses_a_checkpoint() {
         Ok(gen) => panic!("a one-shot state wrote generation {gen}"),
     }
     assert!(!root.exists(), "the refused checkpoint left a directory");
+}
+
+/// `chains.dat` stores each weight sum as an `f64`, and reload takes it
+/// back into fixed-point units only when it is a whole number of them in
+/// `[0, 2^36)`. Each bad value is written in place over the first
+/// chain's `connections`, so every size the manifest records still holds.
+#[test]
+fn stored_sums_that_are_not_whole_units_are_corrupt() {
+    let trust = TrustDb::new();
+    let ct = DomainIndex::new();
+    let root = tmp_root("bad-sums");
+    let pipe = pipeline(&trust, &ct, 2);
+    let mut state = PipelineState::new();
+    pipe.fold_x509_stream(&mut state, cert_pool().into_iter().map(Ok::<_, ()>))
+        .unwrap();
+    pipe.fold_ssl_stream(&mut state, conn_stream(500).into_iter().map(Ok::<_, ()>))
+        .unwrap();
+    let gen = state.save_checkpoint(&root).unwrap();
+    let path = root.join(format!("gen-{gen:06}")).join("chains.dat");
+    let good = std::fs::read(&path).unwrap();
+    // A chain starts with its fingerprint count n, its n fingerprints and
+    // its record count; `connections` follows.
+    let word = |at: usize| u64::from_le_bytes(good[at..at + 8].try_into().unwrap());
+    let n = u32::from_le_bytes(good[..4].try_into().unwrap()) as usize;
+    let at = 4 + 32 * n + 8;
+    assert_eq!(
+        f64::from_bits(word(at)),
+        word(at - 8) as f64,
+        "a unit-weight chain's connections are its record count"
+    );
+    assert!(PipelineState::load_latest(&root).unwrap().is_some());
+    for bad in [f64::NAN, -1.0, 0.1] {
+        let mut bytes = good.clone();
+        bytes[at..at + 8].copy_from_slice(&bad.to_bits().to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        match PipelineState::load_latest(&root) {
+            Err(StateError::Corrupt(msg)) => {
+                assert!(msg.contains("weight sum"), "{bad}: {msg}")
+            }
+            other => panic!(
+                "{bad}: expected Corrupt, got {:?}",
+                other.map(|s| s.is_some())
+            ),
+        }
+    }
+    std::fs::remove_dir_all(&root).unwrap();
 }

@@ -394,9 +394,8 @@ pub(crate) fn render(analysis: &Analysis) -> String {
         ("Hybrid", ChainCategoryLabel::Hybrid),
         ("TLS interception", ChainCategoryLabel::Interception),
     ] {
-        // Only the three weighted sums, added in chain order as
-        // `Analysis::usage_of` adds them: the client-IP union it also
-        // builds is not shown here.
+        // Only the three weighted sums: the client-IP union that
+        // `Analysis::usage_of` also builds is not shown here.
         let mut chains = 0usize;
         let mut usage = UsageStats::default();
         for chain in analysis.chains_in(cat) {
@@ -408,7 +407,7 @@ pub(crate) fn render(analysis: &Analysis) -> String {
         census.row(&[
             name.to_string(),
             num(chains as f64, 0),
-            num(usage.connections, 0),
+            num(usage.connections.to_f64(), 0),
             pct(usage.established_rate()),
             pct(usage.no_sni_rate()),
         ]);

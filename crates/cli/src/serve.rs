@@ -65,7 +65,7 @@
 use crate::analyze::render;
 use crate::dataset::Corpus;
 use crate::{io_ctx, CliError, CliResult};
-use certchain_chainlab::{Analysis, AnalysisSummary, Pipeline, PipelineOptions, PipelineState};
+use certchain_chainlab::{AnalysisSummary, Pipeline, PipelineOptions, PipelineState};
 use certchain_netsim::{order_spool, LogKind, ReadError, SslLogStream, X509LogStream};
 use certchain_obs::clock::Stopwatch;
 use certchain_obs::json::JsonValue;
@@ -208,9 +208,10 @@ struct Endpoints {
     health: Arc<ServeHealth>,
 }
 
-/// Run the serve loop. In drain mode returns the final report tables
-/// (exactly [`render`]'s output — `analyze` minus its loss-accounting
-/// line); in watch mode this blocks until the process is killed, which
+/// Run the serve loop. In drain mode returns the last published report
+/// tables (exactly [`render`]'s output — `analyze` minus its
+/// loss-accounting line): the start-up publish's when the one scan folds
+/// nothing. In watch mode this blocks until the process is killed, which
 /// is safe at any instant thanks to the checkpoint.
 pub fn serve(
     dir: &Path,
@@ -259,7 +260,8 @@ pub fn serve(
 
     let published = Arc::new(Mutex::new(Published::default()));
     // Publish the (possibly resumed, possibly empty) state before the
-    // endpoint goes live, so no request ever sees an empty document.
+    // endpoint goes live, so no request ever sees an empty document. A
+    // cycle publishes again only when it folded a file.
     publish(&corpus, &state, opts.threads, &published, None);
     let endpoints = Endpoints {
         published: Arc::clone(&published),
@@ -290,7 +292,6 @@ pub fn serve(
     // an idle spool does not re-count them every cycle. Process-local on
     // purpose: skip tallies are observability, not analysis state.
     let mut noted_skips: BTreeSet<String> = BTreeSet::new();
-    let mut first_cycle = true;
     loop {
         // Read before the scan lists the spool, so a file renamed in
         // during the scan moves it and wakes the wait below.
@@ -318,28 +319,21 @@ pub fn serve(
                 if folded == 1 { "" } else { "s" }
             );
         }
-        let analysis = if folded > 0 || first_cycle {
-            Some(publish(
-                &corpus,
-                &state,
-                opts.threads,
-                &published,
-                Some(&cycle),
-            ))
-        } else {
-            None
-        };
+        if folded > 0 {
+            publish(&corpus, &state, opts.threads, &published, Some(&cycle));
+        }
         cycle.attr("files_folded", folded.to_string());
         cycle.attr("ssl_records", state.ssl_records().to_string());
         cycle.attr("generation", state.generation().to_string());
         drop(cycle);
         health.note_cycle(state.generation());
-        if let Some(analysis) = analysis {
-            if opts.drain_once {
-                return Ok(render(&analysis));
-            }
+        if opts.drain_once {
+            return Ok(published
+                .lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+                .report
+                .clone());
         }
-        first_cycle = false;
         wait_for_spool(spool, listed_at, opts.interval_ms.max(50));
     }
 }
@@ -490,14 +484,15 @@ fn fold_file(
 /// publish (see the module doc); the finalize snapshot is stored and
 /// merged with the live serve-loop snapshot per `/metrics` request.
 /// Traced as `serve.publish`, with `serve.finalize` and `serve.render`
-/// (report, JSON summary and status) children.
+/// (report, JSON summary and status) children. The analysis is dropped
+/// here: only its rendered surfaces outlive the publish.
 fn publish(
     corpus: &Corpus,
     state: &PipelineState,
     threads: usize,
     published: &Mutex<Published>,
     trace: Option<&Span>,
-) -> Analysis {
+) {
     let span = trace.map(|t| t.child("serve.publish"));
     let pass = |name: &str| span.as_ref().map(|s| s.child(name));
     let finalize_span = pass("serve.finalize");
@@ -529,7 +524,6 @@ fn publish(
     *published
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner()) = next;
-    analysis
 }
 
 /// Merge the long-lived serve-loop snapshot with the per-publish

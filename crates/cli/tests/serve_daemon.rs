@@ -289,6 +289,76 @@ fn a_rotation_renamed_in_is_folded_before_the_interval_ends() {
     }
 }
 
+/// A daemon resumed on a spool it has already folded publishes once, at
+/// start-up: a cycle that folds nothing finalizes and renders nothing.
+#[test]
+fn a_resumed_daemon_publishes_no_idle_cycle() {
+    use certchain_obs::json::JsonValue;
+    let spool = fresh("spool-idle");
+    let checkpoint = fresh("ckpt-idle");
+    serve::spool_split(dataset_dir(), &spool, 2).expect("spool-split");
+    drain(&spool, &checkpoint, 2);
+    let addr = spawn_daemon(
+        &spool,
+        &checkpoint,
+        serve::ServeOptions {
+            threads: 2,
+            listen: Some("127.0.0.1:0".to_string()),
+            interval_ms: 50,
+            listen_addr_file: Some(fresh("addr-idle").with_extension("txt")),
+            trace_capacity: 8192,
+            ..serve::ServeOptions::default()
+        },
+    );
+    let mut tries = 0;
+    loop {
+        // The body counts cycles also while the watchdog answers 503.
+        let (_, body) = http_get(&addr, "/healthz");
+        let doc = certchain_obs::json::parse(&body).expect("healthz JSON");
+        if doc.get("cycles").and_then(JsonValue::as_u64) >= Some(3) {
+            break;
+        }
+        tries += 1;
+        assert!(tries < 600, "the daemon never completed three cycles");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let (status, trace) = http_get(&addr, "/trace.json");
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    let doc = certchain_obs::json::parse(&trace).expect("trace JSON");
+    let events = doc
+        .get("events")
+        .and_then(JsonValue::as_arr)
+        .expect("events array");
+    let text =
+        |ev: &JsonValue, key: &str| ev.get(key).and_then(JsonValue::as_str).map(String::from);
+    let idle_cycles: Vec<u64> = events
+        .iter()
+        .filter(|ev| {
+            text(ev, "kind").as_deref() == Some("span_end")
+                && text(ev, "name").as_deref() == Some("serve.cycle")
+                && ev
+                    .get("attrs")
+                    .and_then(|a| a.get("files_folded"))
+                    .and_then(JsonValue::as_str)
+                    == Some("0")
+        })
+        .filter_map(|ev| ev.get("span").and_then(JsonValue::as_u64))
+        .collect();
+    assert!(idle_cycles.len() >= 3, "idle cycles: {idle_cycles:?}");
+    for cycle in &idle_cycles {
+        assert!(
+            !events.iter().any(|ev| {
+                text(ev, "name").as_deref() == Some("serve.publish")
+                    && ev.get("parent").and_then(JsonValue::as_u64) == Some(*cycle)
+            }),
+            "idle cycle {cycle} published"
+        );
+    }
+    for dir in [&spool, &checkpoint] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
 /// Add (or replace) a `category_census` entry in the meta of the
 /// checkpoint generation at `gen_dir`, as older builds wrote one.
 fn set_census(gen_dir: &Path, census: certchain_obs::json::JsonValue) {

@@ -41,7 +41,7 @@ fn main() {
         table.row(&[
             name.to_string(),
             num(chains as f64, 0),
-            num(usage.connections, 0),
+            num(usage.connections.to_f64(), 0),
             pct(usage.established_rate()),
             pct(usage.no_sni_rate()),
         ]);

@@ -97,7 +97,8 @@ fn headline_numbers_survive_the_whole_stack() {
     // Weighted connection totals track Table 2.
     let hybrid_conns: f64 = analysis
         .usage_of(|c| c.category == ChainCategoryLabel::Hybrid)
-        .connections;
+        .connections
+        .to_f64();
     assert!((hybrid_conns - trace.targets.hybrid_connections as f64).abs() < 100.0);
 }
 

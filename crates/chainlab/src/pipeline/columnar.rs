@@ -34,9 +34,10 @@ use super::{par_map, resolve_threads, Analysis, Pipeline, RowFilter};
 use crate::filtercat::{chain_category, CertCat};
 use crate::model::ChainKey;
 use crate::usage::{UsageStats, Weight};
+use certchain_colstore::read::var_slice;
 use certchain_colstore::{
-    CategoryDigest, CategorySet, ColError, ColResult, DatasetReader, SslSegments, X509Segments,
-    NONE_IDX,
+    CategoryDigest, CategorySet, ColError, ColResult, DatasetReader, SslSegments, X509Band,
+    X509Segments, NONE_IDX,
 };
 use std::collections::{BTreeSet, HashMap};
 use std::net::Ipv4Addr;
@@ -183,82 +184,16 @@ impl SegTally {
 /// fingerprint is still open in the table, so a repeat costs one probe.
 fn enrich_segments(cols: &X509Segments<'_>, table: &mut CertTable) -> ColResult<SegTally> {
     let mut tally = SegTally::default();
-    let (mut ts, mut fp, mut version) = (Vec::new(), Vec::new(), Vec::new());
-    let (mut serial, mut subject, mut issuer) = (Vec::new(), Vec::new(), Vec::new());
-    let (mut not_before, mut not_after) = (Vec::new(), Vec::new());
-    let (mut flags, mut path_len, mut san_idx) = (Vec::new(), Vec::new(), Vec::new());
+    let mut band = X509Band::new(*cols);
     for seg in 0..cols.segment_count() {
-        let columns = [
-            (&cols.ts, &mut ts),
-            (&cols.fp, &mut fp),
-            (&cols.version, &mut version),
-            (&cols.serial, &mut serial),
-            (&cols.subject, &mut subject),
-            (&cols.issuer, &mut issuer),
-            (&cols.not_before, &mut not_before),
-            (&cols.not_after, &mut not_after),
-            (&cols.flags, &mut flags),
-            (&cols.path_len, &mut path_len),
-            (&cols.san_idx, &mut san_idx),
-        ];
-        for (col, buf) in columns {
-            col.decode_into(seg, buf)?;
-            tally.bytes += col.meta(seg).bytes;
-        }
-        let (row_start, rows) = cols.ts.row_range(seg);
+        tally.bytes += band.decode(seg)?;
         tally.read += 1;
-        tally.rows += rows;
-        let san_base = cols.san_start(seg);
-        for i in 0..rows as usize {
-            let row = row_start + i as u64;
-            let fingerprint = cols.fp(fp[i] as u32)?;
-            table.fold_with(&fingerprint, || {
-                let san_from = if i == 0 { san_base } else { san_idx[i - 1] };
-                let san_codes = var_codes(cols.san_dat, san_from, san_idx[i], "x509.san", row)?;
-                let mut san_dns = Vec::with_capacity(san_codes.len() / 4);
-                for entry in san_codes.chunks_exact(4) {
-                    let c = u32::from_le_bytes(entry.try_into().expect("4-byte slice"));
-                    san_dns.push(cols.dict.get(c)?.to_string());
-                }
-                let fl = flags[i] as u8;
-                Ok::<_, ColError>(certchain_netsim::X509Record {
-                    ts: certchain_asn1::Asn1Time::from_unix(ts[i]),
-                    fingerprint,
-                    cert_version: version[i],
-                    serial: cols.dict.get(serial[i] as u32)?.to_string(),
-                    subject: cols.dict.get(subject[i] as u32)?.to_string(),
-                    issuer: cols.dict.get(issuer[i] as u32)?.to_string(),
-                    not_before: certchain_asn1::Asn1Time::from_unix(not_before[i]),
-                    not_after: certchain_asn1::Asn1Time::from_unix(not_after[i]),
-                    basic_constraints_ca: (fl & certchain_colstore::write::FLAG_BC_PRESENT != 0)
-                        .then_some(fl & certchain_colstore::write::FLAG_BC_CA != 0),
-                    path_len: (fl & certchain_colstore::write::FLAG_PATH_LEN != 0)
-                        .then(|| path_len[i]),
-                    san_dns,
-                })
-            })?;
+        tally.rows += band.rows() as u64;
+        for i in 0..band.rows() {
+            table.fold_with(&band.fingerprint(i)?, || band.record(i))?;
         }
     }
     Ok(tally)
-}
-
-/// Bounds-check a decoded var-length `start..end` offset pair and return
-/// the slice; also enforces whole-number-of-u32-entries.
-fn var_codes<'a>(dat: &'a [u8], start: u64, end: u64, what: &str, row: u64) -> ColResult<&'a [u8]> {
-    if start > end || end > dat.len() as u64 {
-        return Err(ColError::Corrupt(format!(
-            "{what} row {row}: offsets {start}..{end} out of bounds (data length {})",
-            dat.len()
-        )));
-    }
-    let bytes = &dat[start as usize..end as usize];
-    if bytes.len() % 4 != 0 {
-        return Err(ColError::Corrupt(format!(
-            "{what} row {row}: {} bytes is not a whole number of entries",
-            bytes.len()
-        )));
-    }
-    Ok(bytes)
 }
 
 /// Per-chain accumulator keyed by fingerprint-*code* sequence. Identical
@@ -344,7 +279,7 @@ fn fold_segments(
             }
             let row = row_start + i as u64;
             let from = if i == 0 { chain_base } else { chain_idx[i - 1] };
-            let chain_bytes = var_codes(ssl.chain_dat, from, chain_idx[i], "ssl.chain", row)?;
+            let chain_bytes = var_slice(ssl.chain_dat, from, chain_idx[i], 4, "ssl.chain", row)?;
             codes.clear();
             for entry in chain_bytes.chunks_exact(4) {
                 let code = u32::from_le_bytes(entry.try_into().expect("4-byte slice"));

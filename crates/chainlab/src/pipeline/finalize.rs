@@ -46,14 +46,8 @@ pub(crate) fn assemble(
     unresolvable_records: u64,
     interception_entities: BTreeSet<String>,
 ) -> Analysis {
-    let index = chains
-        .iter()
-        .enumerate()
-        .map(|(i, chain)| (chain.key.clone(), i))
-        .collect();
     Analysis {
         chains,
-        index,
         no_chain_records,
         unresolvable_records,
         distinct_certificates: distinct.len(),

@@ -50,7 +50,7 @@ use certchain_netsim::{SslRecord, X509Record};
 use certchain_obs::{Progress, Registry, TraceJournal};
 use certchain_trust::TrustDb;
 use std::borrow::Borrow;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::convert::Infallible;
 use std::sync::Arc;
 
@@ -112,10 +112,9 @@ pub struct ChainAnalysis {
 /// Pipeline output.
 #[derive(Debug)]
 pub struct Analysis {
-    /// Per-chain results.
+    /// Per-chain results, sorted by chain key ([`Analysis::chain`]
+    /// looks one up by binary search).
     pub chains: Vec<ChainAnalysis>,
-    /// Chain key → index into `chains`.
-    pub index: HashMap<ChainKey, usize>,
     /// ssl.log records carrying no certificates (TLS 1.3 connections).
     pub no_chain_records: u64,
     /// Records referencing fingerprints absent from x509.log.
@@ -535,6 +534,12 @@ pub(crate) trait SslItem: Borrow<SslRecord> + Send {}
 impl<T: Borrow<SslRecord> + Send> SslItem for T {}
 
 impl Analysis {
+    /// The analysis of the chain with this key, if it was observed.
+    pub fn chain(&self, key: &ChainKey) -> Option<&ChainAnalysis> {
+        let at = self.chains.binary_search_by(|c| c.key.cmp(key)).ok()?;
+        Some(&self.chains[at])
+    }
+
     /// Chains of one category.
     pub fn chains_in(&self, category: ChainCategoryLabel) -> impl Iterator<Item = &ChainAnalysis> {
         self.chains.iter().filter(move |c| c.category == category)
@@ -605,6 +610,7 @@ mod tests {
     #[test]
     fn table7_rows_recovered() {
         use crate::hybrid::{HybridCategory as H, NoPathCategory as N};
+        use std::collections::HashMap;
         let (_trace, analysis) = analysis();
         let mut counts: HashMap<N, usize> = HashMap::new();
         for c in analysis.chains_in(ChainCategoryLabel::Hybrid) {
@@ -689,10 +695,10 @@ mod tests {
             if !truly_interception {
                 continue;
             }
-            let Some(&idx) = analysis.index.get(&ChainKey(key.clone())) else {
+            let Some(chain) = analysis.chain(&ChainKey(key.clone())) else {
                 continue;
             };
-            if analysis.chains[idx].category == ChainCategoryLabel::NonPublicOnly {
+            if chain.category == ChainCategoryLabel::NonPublicOnly {
                 evaded += 1;
             }
         }
@@ -730,10 +736,10 @@ mod tests {
         let mut agree = 0u64;
         let mut total = 0u64;
         for (key, &server_idx) in &trace.truth.by_chain {
-            let Some(&idx) = analysis.index.get(&ChainKey(key.clone())) else {
+            let Some(chain) = analysis.chain(&ChainKey(key.clone())) else {
                 continue;
             };
-            let got = analysis.chains[idx].category;
+            let got = chain.category;
             let want = &trace.servers[server_idx].category;
             total += 1;
             let matches = matches!(

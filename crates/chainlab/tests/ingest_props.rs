@@ -164,8 +164,9 @@ fn run(
 
 /// Canonical, fully ordered rendering of an `Analysis`. Weight sums are
 /// rendered as their fixed-point units, so "identical" means exact, not
-/// approximately equal; the two hash-ordered containers (`index`,
-/// `client_ips`) are sorted before rendering.
+/// approximately equal; the one hash-ordered container, `client_ips`, is
+/// sorted before rendering. The chains print in the analysis' order,
+/// which pins that they are sorted by key.
 fn canon(a: &Analysis) -> String {
     let mut out = String::new();
     writeln!(
@@ -177,9 +178,6 @@ fn canon(a: &Analysis) -> String {
         a.interception_entities
     )
     .unwrap();
-    let mut index: Vec<(&certchain_chainlab::ChainKey, &usize)> = a.index.iter().collect();
-    index.sort();
-    writeln!(out, "index={index:?}").unwrap();
     for c in &a.chains {
         let mut ips: Vec<Ipv4Addr> = c.usage.client_ips.iter().copied().collect();
         ips.sort();

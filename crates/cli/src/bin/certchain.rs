@@ -32,7 +32,8 @@ USAGE:
       Re-encode <dir>/ssl.log + <dir>/x509.log as <dir>/colstore/, the
       segmented (v2) columnar store `analyze` then reads without a parse
       stage. Refuses to overwrite an existing store unless --force is
-      given. --segment-rows tunes the row-band size.
+      given; like compact, it replaces the store only after the new one
+      is complete. --segment-rows tunes the row-band size.
   certchain compact --dir <dir> [--segment-rows N] [--metrics-json <path>]
       Rewrite <dir>/colstore/ in the current segmented (v2) format —
       the migration path for read-only v1 stores written by older

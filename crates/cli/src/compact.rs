@@ -8,20 +8,25 @@
 //! category digests are recomputed, upgrading digest-less stores in
 //! place.
 //!
-//! The rewrite never edits the store in place. Records stream from the
-//! open store (either version) into a fresh writer in a sibling
-//! temporary directory; the new manifest is written last, and only then
-//! does the new directory replace the old one by rename. An interrupted
-//! compaction leaves the original store untouched and at worst a
-//! leftover `colstore.tmp-compact/` (or, if the crash hit the swap
-//! window, `colstore.pre-compact/`) — the next run cleans those up
-//! itself, printing a one-line notice, instead of demanding operator
-//! surgery.
+//! [`rewrite_store`] is the one way a store is written over: `compact`
+//! feeds it the rows of the open store, `convert` the rows of the Zeek
+//! logs. It never edits the live store in place. Records stream into a
+//! fresh writer in a sibling temporary directory; the new manifest is
+//! written last, and only then does the new directory replace the old
+//! one by rename. A rewrite that fails or is interrupted leaves the
+//! previous store (or none) untouched and at worst a leftover
+//! `colstore.tmp-compact/` (or, if the crash hit the swap window,
+//! `colstore.pre-compact/`) — the next run of either command cleans
+//! those up itself, printing a one-line notice, instead of demanding
+//! operator surgery.
 
 use crate::dataset::{colstore_dir, load_trust};
 use crate::{io_ctx, CliError, CliResult};
 use certchain_chainlab::{CategoryOracle, CertTable};
-use certchain_colstore::{CategorySet, DatasetReader, DatasetWriter, MapMode, WriterOptions};
+use certchain_colstore::{
+    CategorySet, ColError, DatasetReader, DatasetWriter, Manifest, MapMode, WriterOptions,
+};
+use certchain_netsim::{SslRecord, X509Record};
 use certchain_obs::Registry;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -45,100 +50,24 @@ pub fn compact(dir: &Path) -> CliResult<String> {
 pub fn compact_opts(dir: &Path, opts: &CompactOptions) -> CliResult<String> {
     let registry = Arc::new(Registry::new());
     let store = colstore_dir(dir);
-    let col_err = |e: certchain_colstore::ColError| CliError::Invalid(format!("colstore: {e}"));
-    let tmp = store.with_file_name("colstore.tmp-compact");
-    let old = store.with_file_name("colstore.pre-compact");
     let mut notices = String::new();
-    // An interrupted compaction can leave either directory behind; both
-    // are recoverable without operator surgery. The temp store is by
-    // construction incomplete (its manifest is written last) or
-    // never-installed, so it is safe to discard. The pre-compact store
-    // only outlives a crash in the swap window: if the live store is
-    // present the swap finished and the leftover is the superseded
-    // original; if not, the leftover IS the dataset and is restored.
-    if tmp.exists() {
-        std::fs::remove_dir_all(&tmp)
-            .map_err(io_ctx(format!("removing leftover {}", tmp.display())))?;
-        notices.push_str(&format!(
-            "notice: removed leftover {} from an interrupted compaction\n",
-            tmp.display()
-        ));
-    }
-    if old.exists() {
-        if store.exists() {
-            std::fs::remove_dir_all(&old)
-                .map_err(io_ctx(format!("removing leftover {}", old.display())))?;
-            notices.push_str(&format!(
-                "notice: removed superseded {} from an interrupted compaction\n",
-                old.display()
-            ));
-        } else {
-            std::fs::rename(&old, &store)
-                .map_err(io_ctx(format!("restoring {}", store.display())))?;
-            notices.push_str(&format!(
-                "notice: restored {} from {} after an interrupted compaction\n",
-                store.display(),
-                old.display()
-            ));
-        }
-    }
-    // Trust material drives the recomputed category digests. A store
-    // compacted without it comes out digest-less (and a digest-less
-    // store is never segment-skipped), so compaction still works on a
-    // bare colstore directory.
-    let trust = load_trust(dir).ok();
-    if trust.is_none() {
-        notices.push_str("notice: trust material unavailable; category digests omitted\n");
-    }
     let (from_version, before, after) = {
         let _span = registry.stage("compact_total");
-        let reader = DatasetReader::open(&store, MapMode::Auto)
-            .map_err(|e| CliError::Invalid(format!("{}: {e}", store.display())))?;
-        let from_version = reader.format_version();
-        if from_version == certchain_colstore::VERSION {
-            notices.push_str(
-                "notice: store is already v2; re-encoding with current codecs and fresh category digests\n",
-            );
-        }
-        let before = dir_size(&store)?;
-        let writer_opts = WriterOptions {
-            segment_rows: opts
-                .segment_rows
-                .unwrap_or(WriterOptions::default().segment_rows),
-        };
-        let mut writer = DatasetWriter::create_with(&tmp, writer_opts).map_err(col_err)?;
-        // Same table order as `convert`: x509 first, so shared-table
-        // interning assigns dictionary and fingerprint codes in the
-        // identical sequence and the rewritten store is byte-stable.
-        // Streaming x509 first is also what makes the digest backfill
-        // possible: the certificate table is complete before any ssl row.
-        let mut table = CertTable::new();
-        for rec in reader.x509_iter().map_err(col_err)? {
-            let rec = rec.map_err(col_err)?;
-            if trust.is_some() {
-                table.fold(&rec);
-            }
-            writer.append_x509(&rec).map_err(col_err)?;
-        }
-        if let Some(trust) = &trust {
-            let oracle = CategoryOracle::new(CategorySet::empty(), &table, trust);
-            writer = writer.with_category_provider(oracle.into_provider());
-        }
-        for rec in reader.ssl_iter().map_err(col_err)? {
-            writer.append_ssl(&rec.map_err(col_err)?).map_err(col_err)?;
-        }
-        writer.finish().map_err(col_err)?;
-        drop(reader);
-        // Swap: old store aside, new store in, old store gone. The store
-        // directory itself is replaced atomically by the second rename;
-        // a crash between the renames leaves a recoverable
-        // `colstore.pre-compact/`.
-        std::fs::rename(&store, &old)
-            .map_err(io_ctx(format!("moving {} aside", store.display())))?;
-        std::fs::rename(&tmp, &store).map_err(io_ctx(format!("installing {}", store.display())))?;
-        std::fs::remove_dir_all(&old).map_err(io_ctx(format!("removing {}", old.display())))?;
+        let (mut from_version, mut before) = (0, 0);
+        rewrite_store(dir, opts.segment_rows, &mut notices, || {
+            let reader = DatasetReader::open(&store, MapMode::Auto)
+                .map_err(|e| CliError::Invalid(format!("{}: {e}", store.display())))?;
+            from_version = reader.format_version();
+            before = dir_size(&store)?;
+            Ok(reader)
+        })?;
         (from_version, before, dir_size(&store)?)
     };
+    if from_version == certchain_colstore::VERSION {
+        notices.push_str(
+            "notice: store is already v2; re-encoding with current codecs and fresh category digests\n",
+        );
+    }
     registry.gauge("compact.bytes_before").set(before);
     registry.gauge("compact.bytes_after").set(after);
     if let Some(path) = &opts.metrics_json {
@@ -156,6 +85,145 @@ pub fn compact_opts(dir: &Path, opts: &CompactOptions) -> CliResult<String> {
         store.display(),
         certchain_colstore::VERSION,
     ))
+}
+
+/// The rows a [`rewrite_store`] writes: every x509 row, then every ssl
+/// row, each handed to `each` in order.
+pub(crate) trait StoreRows {
+    /// Hand every x509 row to `each`.
+    fn x509(&mut self, each: &mut dyn FnMut(&X509Record) -> CliResult<()>) -> CliResult<()>;
+    /// Hand every ssl row to `each`.
+    fn ssl(&mut self, each: &mut dyn FnMut(&SslRecord) -> CliResult<()>) -> CliResult<()>;
+}
+
+/// An open store's own rows: what `compact` rewrites.
+impl StoreRows for DatasetReader {
+    fn x509(&mut self, each: &mut dyn FnMut(&X509Record) -> CliResult<()>) -> CliResult<()> {
+        for rec in self.x509_iter().map_err(col_err)? {
+            each(&rec.map_err(col_err)?)?;
+        }
+        Ok(())
+    }
+
+    fn ssl(&mut self, each: &mut dyn FnMut(&SslRecord) -> CliResult<()>) -> CliResult<()> {
+        for rec in self.ssl_iter().map_err(col_err)? {
+            each(&rec.map_err(col_err)?)?;
+        }
+        Ok(())
+    }
+}
+
+/// A store error as a CLI error.
+fn col_err(e: ColError) -> CliError {
+    CliError::Invalid(format!("colstore: {e}"))
+}
+
+/// Write `<dir>/colstore/` anew from the rows `open` returns. `open` runs
+/// after leftovers of an earlier run are recovered, so `compact` reads
+/// the store that recovery may have put back. Returns the new store's
+/// manifest; one-line notices go to `notices`.
+///
+/// Three steps:
+/// 1. recover: a leftover `colstore.tmp-compact/` is by construction
+///    incomplete or never installed, so it is removed; a leftover
+///    `colstore.pre-compact/` only outlives a crash in the swap window,
+///    and is removed if the live store is present (the swap finished) or
+///    restored as the live store if it is not;
+/// 2. write the new store into `colstore.tmp-compact/`: every x509 row
+///    into the writer and a [`CertTable`], then a [`CategoryOracle`] over
+///    the complete table as the category provider, then every ssl row.
+///    Without trust material the store is digest-less (and a digest-less
+///    store is never segment-skipped), so a bare store still rewrites;
+/// 3. swap it in: the live store (if any) moves to
+///    `colstore.pre-compact/`, the new one is renamed in, and the old one
+///    is removed.
+///
+/// A failure in step 2 removes the partial store and returns the error,
+/// leaving the live store as it was.
+pub(crate) fn rewrite_store<R: StoreRows>(
+    dir: &Path,
+    segment_rows: Option<u64>,
+    notices: &mut String,
+    open: impl FnOnce() -> CliResult<R>,
+) -> CliResult<Manifest> {
+    let store = colstore_dir(dir);
+    let tmp = store.with_file_name("colstore.tmp-compact");
+    let old = store.with_file_name("colstore.pre-compact");
+    if tmp.exists() {
+        std::fs::remove_dir_all(&tmp)
+            .map_err(io_ctx(format!("removing leftover {}", tmp.display())))?;
+        notices.push_str(&format!(
+            "notice: removed leftover {} from an interrupted store rewrite\n",
+            tmp.display()
+        ));
+    }
+    if old.exists() {
+        if store.exists() {
+            std::fs::remove_dir_all(&old)
+                .map_err(io_ctx(format!("removing leftover {}", old.display())))?;
+            notices.push_str(&format!(
+                "notice: removed superseded {} from an interrupted store rewrite\n",
+                old.display()
+            ));
+        } else {
+            std::fs::rename(&old, &store)
+                .map_err(io_ctx(format!("restoring {}", store.display())))?;
+            notices.push_str(&format!(
+                "notice: restored {} from {} after an interrupted store rewrite\n",
+                store.display(),
+                old.display()
+            ));
+        }
+    }
+    let trust = load_trust(dir).ok();
+    if trust.is_none() {
+        notices.push_str("notice: trust material unavailable; category digests omitted\n");
+    }
+    let opts = WriterOptions {
+        segment_rows: segment_rows.unwrap_or(WriterOptions::default().segment_rows),
+    };
+    let write = || {
+        let mut rows = open()?;
+        let mut writer = DatasetWriter::create_with(&tmp, opts).map_err(col_err)?;
+        let mut table = CertTable::new();
+        rows.x509(&mut |rec| {
+            if trust.is_some() {
+                table.fold(rec);
+            }
+            writer.append_x509(rec).map_err(col_err)
+        })?;
+        if let Some(trust) = &trust {
+            let oracle = CategoryOracle::new(CategorySet::empty(), &table, trust);
+            writer = writer.with_category_provider(oracle.into_provider());
+        }
+        rows.ssl(&mut |rec| writer.append_ssl(rec).map_err(col_err))?;
+        drop(rows);
+        writer.finish().map_err(col_err)
+    };
+    let manifest = match write() {
+        Ok(manifest) => manifest,
+        Err(e) => {
+            // The write's error is the one to report; a partial store
+            // that cannot be removed now is a leftover the next run
+            // removes.
+            let _ = std::fs::remove_dir_all(&tmp);
+            return Err(e);
+        }
+    };
+    // Swap: old store aside, new store in, old store gone. The store
+    // directory itself is replaced atomically by the second rename; a
+    // crash between the renames leaves a recoverable
+    // `colstore.pre-compact/`.
+    let replaced = store.exists();
+    if replaced {
+        std::fs::rename(&store, &old)
+            .map_err(io_ctx(format!("moving {} aside", store.display())))?;
+    }
+    std::fs::rename(&tmp, &store).map_err(io_ctx(format!("installing {}", store.display())))?;
+    if replaced {
+        std::fs::remove_dir_all(&old).map_err(io_ctx(format!("removing {}", old.display())))?;
+    }
+    Ok(manifest)
 }
 
 /// Total size in bytes of every regular file directly under `dir`.

@@ -3,17 +3,21 @@
 //! skip the parse stage entirely.
 //!
 //! Conversion streams both logs in permissive mode (malformed rows are
-//! skipped and tallied, exactly like `analyze` does) into a
-//! [`DatasetWriter`] under `<dir>/colstore/`. The manifest is written
-//! last, so an interrupted conversion never leaves a store that
-//! `analyze` would auto-detect.
+//! skipped and tallied, exactly like `analyze` does) through the one
+//! store rewrite `compact` also uses ([`crate::compact`]): the new store
+//! is written beside `<dir>/colstore/`, manifest last, and renamed in
+//! only once it is complete. So a conversion that fails (say, on a log
+//! that is not valid UTF-8) or is interrupted never leaves a half-written
+//! store that `analyze` would auto-detect: the previous store, if any,
+//! stays as it was.
 
-use crate::dataset::{colstore_dir, load_trust};
+use crate::compact::{rewrite_store, StoreRows};
+use crate::dataset::colstore_dir;
 use crate::{io_ctx, CliError, CliResult};
-use certchain_chainlab::{CategoryOracle, CertTable};
-use certchain_colstore::{CategorySet, DatasetWriter, WriterOptions, MANIFEST_FILE};
-use certchain_netsim::{SslLogStream, X509LogStream};
+use certchain_colstore::MANIFEST_FILE;
+use certchain_netsim::{SslLogStream, SslRecord, StreamStats, X509LogStream, X509Record};
 use certchain_obs::Registry;
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -45,69 +49,15 @@ pub fn convert_opts(dir: &Path, opts: &ConvertOptions) -> CliResult<String> {
             store.display()
         )));
     }
-    let writer_opts = WriterOptions {
-        segment_rows: opts
-            .segment_rows
-            .unwrap_or(WriterOptions::default().segment_rows),
-    };
-    let col_err = |e: certchain_colstore::ColError| CliError::Invalid(format!("colstore: {e}"));
-    // Trust material drives the per-segment category digests. A dataset
-    // without it still converts — the store is then digest-less and
-    // `analyze --filter-category` simply cannot skip segments over it.
-    let trust = load_trust(dir).ok();
-    let mut notice = String::new();
-    if trust.is_none() {
-        notice.push_str("notice: trust material unavailable; category digests omitted\n");
-    }
+    let mut notices = String::new();
     let manifest = {
         let _span = registry.stage("convert_total");
-        let mut writer = DatasetWriter::create_with(&store, writer_opts).map_err(col_err)?;
-
-        let x509_file = std::fs::File::open(dir.join("x509.log"))
-            .map_err(io_ctx(format!("reading {}/x509.log", dir.display())))?;
-        let x509_stream = X509LogStream::permissive(std::io::BufReader::new(x509_file));
-        let x509_stats = x509_stream.stats();
-        let mut table = CertTable::new();
-        for rec in x509_stream {
-            let rec = rec.map_err(|e| CliError::Invalid(format!("x509.log: {e}")))?;
-            if trust.is_some() {
-                table.fold(&rec);
-            }
-            writer.append_x509(&rec).map_err(col_err)?;
-        }
-        // The certificate table is complete, so the category of any chain
-        // is now decidable — attach the digest provider, the same
-        // category fold `analyze --filter-category` runs per row, before
-        // the first ssl row lands.
-        if let Some(trust) = &trust {
-            let oracle = CategoryOracle::new(CategorySet::empty(), &table, trust);
-            writer = writer.with_category_provider(oracle.into_provider());
-        }
-
-        let ssl_file = std::fs::File::open(dir.join("ssl.log"))
-            .map_err(io_ctx(format!("reading {}/ssl.log", dir.display())))?;
-        let ssl_stream = SslLogStream::permissive(std::io::BufReader::new(ssl_file));
-        let ssl_stats = ssl_stream.stats();
-        for rec in ssl_stream {
-            let rec = rec.map_err(|e| CliError::Invalid(format!("ssl.log: {e}")))?;
-            writer.append_ssl(&rec).map_err(col_err)?;
-        }
-
-        for (prefix, stats) in [("zeek.ssl", &ssl_stats), ("zeek.x509", &x509_stats)] {
-            registry
-                .counter(&format!("{prefix}.lines_read"))
-                .add(stats.lines());
-            registry
-                .counter(&format!("{prefix}.records"))
-                .add(stats.records());
-            registry
-                .counter(&format!("{prefix}.malformed"))
-                .add(stats.malformed());
-        }
-        registry
-            .counter("records_dropped")
-            .add(ssl_stats.malformed() + x509_stats.malformed());
-        writer.finish().map_err(col_err)?
+        rewrite_store(dir, opts.segment_rows, &mut notices, || {
+            Ok(ZeekLogs {
+                dir,
+                registry: &registry,
+            })
+        })?
     };
     if let Some(path) = &opts.metrics_json {
         let text = registry.snapshot().to_json().to_pretty() + "\n";
@@ -115,7 +65,7 @@ pub fn convert_opts(dir: &Path, opts: &ConvertOptions) -> CliResult<String> {
             .map_err(io_ctx(format!("writing metrics to {}", path.display())))?;
     }
     Ok(format!(
-        "{notice}wrote v{} store: {} ssl rows, {} x509 rows, {} dictionary entries, {} fingerprints to {}\n",
+        "{notices}wrote v{} store: {} ssl rows, {} x509 rows, {} dictionary entries, {} fingerprints to {}\n",
         manifest.version,
         manifest.ssl_rows,
         manifest.x509_rows,
@@ -123,4 +73,52 @@ pub fn convert_opts(dir: &Path, opts: &ConvertOptions) -> CliResult<String> {
         manifest.fp_entries,
         store.display()
     ))
+}
+
+/// A dataset's Zeek logs as store rows. Once a log is read, its line,
+/// record and malformed-row tallies go into `registry`, and its
+/// malformed rows into `records_dropped`, which so sums both logs.
+struct ZeekLogs<'a> {
+    dir: &'a Path,
+    registry: &'a Registry,
+}
+
+impl ZeekLogs<'_> {
+    fn open(&self, name: &str) -> CliResult<BufReader<std::fs::File>> {
+        let file = std::fs::File::open(self.dir.join(name))
+            .map_err(io_ctx(format!("reading {}/{name}", self.dir.display())))?;
+        Ok(BufReader::new(file))
+    }
+
+    fn tally(&self, prefix: &str, stats: &StreamStats) {
+        let counter = |name: &str| self.registry.counter(&format!("{prefix}.{name}"));
+        counter("lines_read").add(stats.lines());
+        counter("records").add(stats.records());
+        counter("malformed").add(stats.malformed());
+        self.registry
+            .counter("records_dropped")
+            .add(stats.malformed());
+    }
+}
+
+impl StoreRows for ZeekLogs<'_> {
+    fn x509(&mut self, each: &mut dyn FnMut(&X509Record) -> CliResult<()>) -> CliResult<()> {
+        let stream = X509LogStream::permissive(self.open("x509.log")?);
+        let stats = stream.stats();
+        for rec in stream {
+            each(&rec.map_err(|e| CliError::Invalid(format!("x509.log: {e}")))?)?;
+        }
+        self.tally("zeek.x509", &stats);
+        Ok(())
+    }
+
+    fn ssl(&mut self, each: &mut dyn FnMut(&SslRecord) -> CliResult<()>) -> CliResult<()> {
+        let stream = SslLogStream::permissive(self.open("ssl.log")?);
+        let stats = stream.stats();
+        for rec in stream {
+            each(&rec.map_err(|e| CliError::Invalid(format!("ssl.log: {e}")))?)?;
+        }
+        self.tally("zeek.ssl", &stats);
+        Ok(())
+    }
 }

@@ -255,6 +255,46 @@ fn convert_refuses_to_overwrite_without_force() {
 }
 
 #[test]
+fn a_failed_convert_force_keeps_the_previous_store() {
+    let dir = copy_dataset("failed-force");
+    let columnar = || {
+        analyze::analyze_opts(
+            &dir,
+            &analyze::AnalyzeOptions {
+                json: true,
+                format: Some(DatasetFormat::Columnar),
+                ..analyze::AnalyzeOptions::default()
+            },
+        )
+        .expect("columnar analyze")
+    };
+    let before = columnar();
+    // One byte that is not UTF-8, halfway into ssl.log: the conversion
+    // reads the x509 log and half the ssl log, then fails.
+    let ssl_log = dir.join("ssl.log");
+    let mut bytes = std::fs::read(&ssl_log).unwrap();
+    let mid = bytes.len() / 2;
+    bytes.insert(mid, 0xff);
+    std::fs::write(&ssl_log, bytes).unwrap();
+    let err = convert::convert_opts(
+        &dir,
+        &convert::ConvertOptions {
+            force: true,
+            ..convert::ConvertOptions::default()
+        },
+    )
+    .unwrap_err()
+    .to_string();
+    assert!(err.contains("ssl.log") && err.contains("UTF-8"), "{err}");
+    assert_eq!(columnar(), before, "the previous store must stay intact");
+    assert!(
+        !dir.join("colstore.tmp-compact").exists(),
+        "a failed conversion leaves no partial store behind"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn compact_migrates_v1_stores_with_identical_reports() {
     use certchain_cli::compact;
     let dir = copy_dataset("compact");

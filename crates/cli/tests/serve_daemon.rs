@@ -780,40 +780,60 @@ fn compact_recovers_from_interrupted_leftovers() {
     generate::generate(&dir, profile).expect("generate");
     convert::convert(&dir).expect("convert");
     let store = dataset::colstore_dir(&dir);
-
-    // Leftover temp dir from a compaction killed mid-write: cleaned up
-    // with a notice, then the compaction proceeds.
     let tmp = store.with_file_name("colstore.tmp-compact");
-    std::fs::create_dir_all(&tmp).unwrap();
-    std::fs::write(tmp.join("partial.bin"), b"junk").unwrap();
-    let out = compact::compact(&dir).expect("compact after leftover tmp");
-    assert!(
-        out.contains("notice: removed leftover"),
-        "missing notice: {out}"
-    );
-    assert!(
-        out.contains("compacted"),
-        "compaction summary missing: {out}"
-    );
-    assert!(!tmp.exists());
-
-    // Crash inside the swap window: the store was moved aside but the
-    // new one never installed. compact restores it and carries on.
     let old = store.with_file_name("colstore.pre-compact");
-    std::fs::rename(&store, &old).unwrap();
-    let out = compact::compact(&dir).expect("compact after interrupted swap");
-    assert!(out.contains("notice: restored"), "missing notice: {out}");
-    assert!(store.exists() && !old.exists());
 
-    // Swap completed but the superseded store lingered: dropped.
-    std::fs::create_dir_all(&old).unwrap();
-    std::fs::write(old.join("stale.bin"), b"junk").unwrap();
-    let out = compact::compact(&dir).expect("compact after stale pre-compact");
-    assert!(
-        out.contains("notice: removed superseded"),
-        "missing notice: {out}"
-    );
-    assert!(!old.exists());
+    // `compact` and `convert --force` share one store rewrite, so each
+    // recovers the leftovers of the other (or of itself) the same way.
+    let force = convert::ConvertOptions {
+        force: true,
+        ..convert::ConvertOptions::default()
+    };
+    let rewrites: [(&str, &dyn Fn() -> String, &str); 2] = [
+        (
+            "compact",
+            &|| compact::compact(&dir).expect("compact"),
+            "compacted",
+        ),
+        (
+            "convert --force",
+            &|| convert::convert_opts(&dir, &force).expect("convert --force"),
+            "wrote v2 store",
+        ),
+    ];
+    for (name, rewrite, summary) in rewrites {
+        // Leftover temp dir from a rewrite killed mid-write: cleaned up
+        // with a notice, then the rewrite proceeds.
+        std::fs::create_dir_all(&tmp).unwrap();
+        std::fs::write(tmp.join("partial.bin"), b"junk").unwrap();
+        let out = rewrite();
+        assert!(
+            out.contains("notice: removed leftover"),
+            "{name}: missing notice: {out}"
+        );
+        assert!(out.contains(summary), "{name}: summary missing: {out}");
+        assert!(!tmp.exists(), "{name}");
+
+        // Crash inside the swap window: the store was moved aside but the
+        // new one never installed. The rewrite restores it and carries on.
+        std::fs::rename(&store, &old).unwrap();
+        let out = rewrite();
+        assert!(
+            out.contains("notice: restored"),
+            "{name}: missing notice: {out}"
+        );
+        assert!(store.exists() && !old.exists(), "{name}");
+
+        // Swap completed but the superseded store lingered: dropped.
+        std::fs::create_dir_all(&old).unwrap();
+        std::fs::write(old.join("stale.bin"), b"junk").unwrap();
+        let out = rewrite();
+        assert!(
+            out.contains("notice: removed superseded"),
+            "{name}: missing notice: {out}"
+        );
+        assert!(!old.exists(), "{name}");
+    }
 
     // The recovered store still analyzes identically to the TSV logs.
     let columnar = analyze::analyze_opts(

@@ -69,21 +69,11 @@ impl DictBuilder {
 
     /// Serialise to `(strings.idx, strings.dat)` byte vectors.
     pub fn to_files(&self) -> (Vec<u8>, Vec<u8>) {
-        self.to_files_from(0, 0)
-    }
-
-    /// Serialise only entries `from..`, with end offsets continuing from
-    /// `base_bytes` — the tail an appending writer adds to an existing
-    /// `strings.idx`/`strings.dat` pair. The dictionary assigns indices
-    /// in first-seen order and never rewrites earlier entries, so the
-    /// prefix on disk stays valid byte-for-byte.
-    pub fn to_files_from(&self, from: usize, base_bytes: u64) -> (Vec<u8>, Vec<u8>) {
-        let tail = &self.entries[from..];
-        let mut idx = Vec::with_capacity(tail.len() * 8);
+        let mut idx = Vec::with_capacity(self.entries.len() * 8);
         let mut dat = Vec::new();
-        for entry in tail {
+        for entry in &self.entries {
             dat.extend_from_slice(entry.as_bytes());
-            idx.extend_from_slice(&(base_bytes + dat.len() as u64).to_le_bytes());
+            idx.extend_from_slice(&(dat.len() as u64).to_le_bytes());
         }
         (idx, dat)
     }
@@ -203,24 +193,6 @@ mod tests {
         let d = Dict::new(&idx, &dat).unwrap();
         assert_eq!(d.get(0).unwrap(), "");
         assert_eq!(d.get(1).unwrap(), "x");
-    }
-
-    #[test]
-    fn tail_serialisation_extends_an_existing_pair() {
-        let mut b = DictBuilder::new();
-        b.intern("alpha").unwrap();
-        b.intern("beta").unwrap();
-        let (mut idx, mut dat) = b.to_files();
-        let from = b.len() as usize;
-        b.intern("gamma").unwrap();
-        b.intern("alpha").unwrap(); // dedup: no new entry
-        let (idx_tail, dat_tail) = b.to_files_from(from, dat.len() as u64);
-        idx.extend_from_slice(&idx_tail);
-        dat.extend_from_slice(&dat_tail);
-        let (full_idx, full_dat) = b.to_files();
-        assert_eq!((idx.clone(), dat.clone()), (full_idx, full_dat));
-        let d = Dict::new(&idx, &dat).unwrap();
-        assert_eq!(d.get(2).unwrap(), "gamma");
     }
 
     #[test]

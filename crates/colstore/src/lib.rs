@@ -62,15 +62,18 @@
 //! index/value columns only.
 //!
 //! Zone maps let `analyze` skip whole segments that cannot match an
-//! active predicate, and the banding gives [`DatasetWriter::append_open`]
-//! a natural append unit: new rows start a fresh segment and the shared
-//! tables grow by their tails only, so appends cost O(new data).
+//! active predicate.
+//!
+//! A store is written whole, never extended: [`DatasetWriter`] creates
+//! it, and `certchain convert` and `certchain compact` both write a new
+//! store into a sibling directory and swap it in by rename only once it
+//! is complete.
 //!
 //! **v1**, the original layout, is a read-only input: every fixed-width
 //! column is raw little-endian values at the widths listed above, which
 //! are exactly `plain` segments placed end to end. The reader bands a v1
-//! store in memory (see [`read`]), `certchain compact` migrates it to v2,
-//! and [`DatasetWriter::append_open`] refuses it.
+//! store in memory (see [`read`]) and `certchain compact` migrates it to
+//! v2.
 //!
 //! # Reading
 //!
@@ -88,7 +91,9 @@
 //! constructing records, and the record iterators
 //! ([`DatasetReader::ssl_iter`] / [`DatasetReader::x509_iter`] yield
 //! `Result<SslRecord, _>` / `Result<X509Record, _>`, like the streaming
-//! Zeek readers) let `Pipeline::analyze_stream` run unchanged.
+//! Zeek readers) let `Pipeline::analyze_stream` run unchanged. An x509
+//! row is decoded in one place, [`X509Band`]: the record iterator and
+//! the columnar analysis both build x509 records through it.
 
 pub mod category;
 pub mod checkpoint;
@@ -105,7 +110,7 @@ pub use category::{Category, CategoryDigest, CategorySet, CATEGORY_COUNT, CATEGO
 pub use checkpoint::{Checkpoint, CheckpointWriter, CHECKPOINT_MANIFEST_FILE, CHECKPOINT_SCHEMA};
 pub use manifest::{Manifest, MANIFEST_FILE, SCHEMA, STORE_DIR, VERSION, VERSION_V1};
 pub use map::{MapMode, Mapping};
-pub use read::{DatasetReader, SegmentedColumn, SslSegments, X509Segments};
+pub use read::{DatasetReader, SegmentedColumn, SslSegments, X509Band, X509Segments};
 pub use segment::{SegmentMeta, DEFAULT_SEGMENT_ROWS};
 pub use write::{DatasetWriter, WriterOptions};
 pub use zonemap::ZoneMap;

@@ -8,15 +8,15 @@
 //!
 //! Every store is served through one segmented API:
 //! [`SslSegments`]/[`X509Segments`] (whole-segment decode into
-//! caller-owned scratch buffers, zone maps for skipping) and the record
-//! iterators built on them ([`DatasetReader::ssl_iter`] /
-//! [`DatasetReader::x509_iter`]). A v1 store's raw fixed-width columns
-//! are byte-for-byte `plain` segments placed end to end, so `open` splits
-//! them in memory into bands of [`DEFAULT_SEGMENT_ROWS`] rows, each with
-//! a zone map computed from the mapped bytes; from then on nothing
-//! downstream can tell the layouts apart. Only *unknown* versions are an
-//! error, and that error comes from the manifest check before any column
-//! is mapped.
+//! caller-owned scratch buffers, zone maps for skipping), the x509 row
+//! decoder [`X509Band`], and the record iterators built on them
+//! ([`DatasetReader::ssl_iter`] / [`DatasetReader::x509_iter`]). A v1
+//! store's raw fixed-width columns are byte-for-byte `plain` segments
+//! placed end to end, so `open` splits them in memory into bands of
+//! [`DEFAULT_SEGMENT_ROWS`] rows, each with a zone map computed from the
+//! mapped bytes; from then on nothing downstream can tell the layouts
+//! apart. Only *unknown* versions are an error, and that error comes
+//! from the manifest check before any column is mapped.
 
 use crate::codec::{self, Encoding};
 use crate::dict::Dict;
@@ -325,7 +325,12 @@ impl DatasetReader {
 
     /// Iterate x509 rows as [`X509Record`]s, mirroring `X509LogStream`.
     pub fn x509_iter(&self) -> ColResult<Box<dyn Iterator<Item = ColResult<X509Record>> + '_>> {
-        Ok(Box::new(X509Iter::new(self.x509_segments()?)))
+        Ok(Box::new(X509Iter {
+            band: X509Band::new(self.x509_segments()?),
+            seg: 0,
+            row: 0,
+            failed: false,
+        }))
     }
 }
 
@@ -379,15 +384,32 @@ fn band_v1(manifest: &mut Manifest, maps: &[Mapping]) -> ColResult<()> {
     Ok(())
 }
 
-/// Bounds-check a decoded `start..end` offset pair against `dat`.
-fn var_slice<'a>(dat: &'a [u8], start: u64, end: u64, what: &str, row: u64) -> ColResult<&'a [u8]> {
+/// Bounds-check a decoded `start..end` offset pair against `dat`, a
+/// var-length data file of `unit`-byte entries, and return the slice:
+/// row `row` of column `what`. Offsets out of bounds, or a slice that is
+/// not a whole number of entries, are [`ColError::Corrupt`].
+pub fn var_slice<'a>(
+    dat: &'a [u8],
+    start: u64,
+    end: u64,
+    unit: usize,
+    what: &str,
+    row: u64,
+) -> ColResult<&'a [u8]> {
     if start > end || end > dat.len() as u64 {
         return Err(ColError::Corrupt(format!(
             "{what} row {row}: offsets {start}..{end} out of bounds (data length {})",
             dat.len()
         )));
     }
-    Ok(&dat[start as usize..end as usize])
+    let bytes = &dat[start as usize..end as usize];
+    if bytes.len() % unit != 0 {
+        return Err(ColError::Corrupt(format!(
+            "{what} row {row}: {} bytes is not a whole number of entries",
+            bytes.len()
+        )));
+    }
+    Ok(bytes)
 }
 
 fn fp_at(fps: &[u8], idx: u32, what: &str) -> ColResult<Fingerprint> {
@@ -620,20 +642,20 @@ impl<'a> SslIter<'a> {
         let mut out = Vec::with_capacity(rows as usize);
         for i in 0..rows as usize {
             let row = row_start + i as u64;
-            let uid_bytes = var_slice(c.uid_dat, self.uid_prev, uid_idx[i], "ssl.uid", row)?;
+            let uid_bytes = var_slice(c.uid_dat, self.uid_prev, uid_idx[i], 1, "ssl.uid", row)?;
             self.uid_prev = uid_idx[i];
             let uid = std::str::from_utf8(uid_bytes)
                 .map_err(|_| ColError::Corrupt(format!("ssl.uid row {row} is not valid UTF-8")))?
                 .to_string();
-            let chain_bytes =
-                var_slice(c.chain_dat, self.chain_prev, chain_idx[i], "ssl.chain", row)?;
+            let chain_bytes = var_slice(
+                c.chain_dat,
+                self.chain_prev,
+                chain_idx[i],
+                4,
+                "ssl.chain",
+                row,
+            )?;
             self.chain_prev = chain_idx[i];
-            if chain_bytes.len() % 4 != 0 {
-                return Err(ColError::Corrupt(format!(
-                    "ssl.chain row {row}: {} bytes is not a whole number of entries",
-                    chain_bytes.len()
-                )));
-            }
             let mut chain = Vec::with_capacity(chain_bytes.len() / 4);
             for entry in chain_bytes.chunks_exact(4) {
                 let code = u32::from_le_bytes(entry.try_into().expect("4-byte slice"));
@@ -684,111 +706,163 @@ impl Iterator for SslIter<'_> {
     }
 }
 
-/// Record iterator over the x509 table.
-struct X509Iter<'a> {
+/// One decoded x509 segment: its 11 fixed-width columns, in scratch
+/// buffers reused from segment to segment. A row's fingerprint and its
+/// record are built only when asked for, so a reader that passes over a
+/// row never resolves that row's strings. This is the one x509 row
+/// decoder: [`DatasetReader::x509_iter`] reads through it, and so does
+/// the columnar analysis, which builds a record only for a fingerprint it
+/// has not interned yet.
+pub struct X509Band<'a> {
     cols: X509Segments<'a>,
-    seg: usize,
-    buf: std::vec::IntoIter<X509Record>,
-    san_prev: u64,
-    failed: bool,
+    /// Rows decoded: 0 before the first [`X509Band::decode`] and after a
+    /// failed one.
+    rows: usize,
+    /// Table row of the band's first row.
+    row_start: u64,
+    /// First SAN-data byte offset of the band.
+    san_start: u64,
+    ts: Vec<u64>,
+    fp: Vec<u64>,
+    version: Vec<u64>,
+    serial: Vec<u64>,
+    subject: Vec<u64>,
+    issuer: Vec<u64>,
+    not_before: Vec<u64>,
+    not_after: Vec<u64>,
+    flags: Vec<u64>,
+    path_len: Vec<u64>,
+    san_idx: Vec<u64>,
 }
 
-impl<'a> X509Iter<'a> {
-    fn new(cols: X509Segments<'a>) -> X509Iter<'a> {
-        X509Iter {
+impl<'a> X509Band<'a> {
+    /// An empty band over `cols`.
+    pub fn new(cols: X509Segments<'a>) -> X509Band<'a> {
+        X509Band {
             cols,
-            seg: 0,
-            buf: Vec::new().into_iter(),
-            san_prev: 0,
-            failed: false,
+            rows: 0,
+            row_start: 0,
+            san_start: 0,
+            ts: Vec::new(),
+            fp: Vec::new(),
+            version: Vec::new(),
+            serial: Vec::new(),
+            subject: Vec::new(),
+            issuer: Vec::new(),
+            not_before: Vec::new(),
+            not_after: Vec::new(),
+            flags: Vec::new(),
+            path_len: Vec::new(),
+            san_idx: Vec::new(),
         }
     }
 
-    fn decode_segment(&mut self) -> ColResult<Vec<X509Record>> {
+    /// Decode segment `seg` in place of the previous band. Returns the
+    /// encoded payload bytes decoded.
+    pub fn decode(&mut self, seg: usize) -> ColResult<u64> {
+        self.rows = 0;
         let c = &self.cols;
-        let seg = self.seg;
-        let mut ts = Vec::new();
-        let mut fp = Vec::new();
-        let mut version = Vec::new();
-        let mut serial = Vec::new();
-        let mut subject = Vec::new();
-        let mut issuer = Vec::new();
-        let mut not_before = Vec::new();
-        let mut not_after = Vec::new();
-        let mut flags = Vec::new();
-        let mut path_len = Vec::new();
-        let mut san_idx = Vec::new();
-        c.ts.decode_into(seg, &mut ts)?;
-        c.fp.decode_into(seg, &mut fp)?;
-        c.version.decode_into(seg, &mut version)?;
-        c.serial.decode_into(seg, &mut serial)?;
-        c.subject.decode_into(seg, &mut subject)?;
-        c.issuer.decode_into(seg, &mut issuer)?;
-        c.not_before.decode_into(seg, &mut not_before)?;
-        c.not_after.decode_into(seg, &mut not_after)?;
-        c.flags.decode_into(seg, &mut flags)?;
-        c.path_len.decode_into(seg, &mut path_len)?;
-        c.san_idx.decode_into(seg, &mut san_idx)?;
-        let (row_start, rows) = c.ts.row_range(seg);
-        let mut out = Vec::with_capacity(rows as usize);
-        for i in 0..rows as usize {
-            let row = row_start + i as u64;
-            let san_bytes = var_slice(c.san_dat, self.san_prev, san_idx[i], "x509.san", row)?;
-            self.san_prev = san_idx[i];
-            if san_bytes.len() % 4 != 0 {
-                return Err(ColError::Corrupt(format!(
-                    "x509.san row {row}: {} bytes is not a whole number of entries",
-                    san_bytes.len()
-                )));
-            }
-            let mut san_dns = Vec::with_capacity(san_bytes.len() / 4);
-            for entry in san_bytes.chunks_exact(4) {
-                let code = u32::from_le_bytes(entry.try_into().expect("4-byte slice"));
-                san_dns.push(c.dict.get(code)?.to_string());
-            }
-            let fl = flags[i] as u8;
-            out.push(X509Record {
-                ts: Asn1Time::from_unix(ts[i]),
-                fingerprint: c.fp(fp[i] as u32)?,
-                cert_version: version[i],
-                serial: c.dict.get(serial[i] as u32)?.to_string(),
-                subject: c.dict.get(subject[i] as u32)?.to_string(),
-                issuer: c.dict.get(issuer[i] as u32)?.to_string(),
-                not_before: Asn1Time::from_unix(not_before[i]),
-                not_after: Asn1Time::from_unix(not_after[i]),
-                basic_constraints_ca: (fl & FLAG_BC_PRESENT != 0).then_some(fl & FLAG_BC_CA != 0),
-                path_len: (fl & FLAG_PATH_LEN != 0).then(|| path_len[i]),
-                san_dns,
-            });
+        let columns = [
+            (&c.ts, &mut self.ts),
+            (&c.fp, &mut self.fp),
+            (&c.version, &mut self.version),
+            (&c.serial, &mut self.serial),
+            (&c.subject, &mut self.subject),
+            (&c.issuer, &mut self.issuer),
+            (&c.not_before, &mut self.not_before),
+            (&c.not_after, &mut self.not_after),
+            (&c.flags, &mut self.flags),
+            (&c.path_len, &mut self.path_len),
+            (&c.san_idx, &mut self.san_idx),
+        ];
+        let mut bytes = 0;
+        for (col, buf) in columns {
+            col.decode_into(seg, buf)?;
+            bytes += col.meta(seg).bytes;
         }
-        Ok(out)
+        // Every column of a table shares its banding (checked when the
+        // manifest loads), so each buffer now holds exactly `rows` values.
+        let (row_start, rows) = c.ts.row_range(seg);
+        self.san_start = c.san_start(seg);
+        self.row_start = row_start;
+        self.rows = rows as usize;
+        Ok(bytes)
     }
+
+    /// Rows in the decoded band.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Row `i`'s fingerprint; `i` must be below [`X509Band::rows`].
+    pub fn fingerprint(&self, i: usize) -> ColResult<Fingerprint> {
+        self.cols.fp(self.fp[i] as u32)
+    }
+
+    /// Row `i`'s record, its strings resolved out of the dictionary; `i`
+    /// must be below [`X509Band::rows`].
+    pub fn record(&self, i: usize) -> ColResult<X509Record> {
+        let c = &self.cols;
+        let row = self.row_start + i as u64;
+        let san_from = if i == 0 {
+            self.san_start
+        } else {
+            self.san_idx[i - 1]
+        };
+        let san_bytes = var_slice(c.san_dat, san_from, self.san_idx[i], 4, "x509.san", row)?;
+        let mut san_dns = Vec::with_capacity(san_bytes.len() / 4);
+        for entry in san_bytes.chunks_exact(4) {
+            let code = u32::from_le_bytes(entry.try_into().expect("4-byte slice"));
+            san_dns.push(c.dict.get(code)?.to_string());
+        }
+        let fl = self.flags[i] as u8;
+        Ok(X509Record {
+            ts: Asn1Time::from_unix(self.ts[i]),
+            fingerprint: self.fingerprint(i)?,
+            cert_version: self.version[i],
+            serial: c.dict.get(self.serial[i] as u32)?.to_string(),
+            subject: c.dict.get(self.subject[i] as u32)?.to_string(),
+            issuer: c.dict.get(self.issuer[i] as u32)?.to_string(),
+            not_before: Asn1Time::from_unix(self.not_before[i]),
+            not_after: Asn1Time::from_unix(self.not_after[i]),
+            basic_constraints_ca: (fl & FLAG_BC_PRESENT != 0).then_some(fl & FLAG_BC_CA != 0),
+            path_len: (fl & FLAG_PATH_LEN != 0).then(|| self.path_len[i]),
+            san_dns,
+        })
+    }
+}
+
+/// Record iterator over the x509 table, one [`X509Band`] at a time.
+struct X509Iter<'a> {
+    band: X509Band<'a>,
+    /// Next segment to decode.
+    seg: usize,
+    /// Next row of the band to yield.
+    row: usize,
+    failed: bool,
 }
 
 impl Iterator for X509Iter<'_> {
     type Item = ColResult<X509Record>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.failed {
-                return None;
-            }
-            if let Some(rec) = self.buf.next() {
-                return Some(Ok(rec));
-            }
-            if self.seg >= self.cols.segment_count() {
-                return None;
-            }
-            match self.decode_segment() {
-                Ok(records) => {
-                    self.seg += 1;
-                    self.buf = records.into_iter();
-                }
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-            }
+        if self.failed {
+            return None;
         }
+        while self.row == self.band.rows() {
+            if self.seg == self.band.cols.segment_count() {
+                return None;
+            }
+            if let Err(e) = self.band.decode(self.seg) {
+                self.failed = true;
+                return Some(Err(e));
+            }
+            self.seg += 1;
+            self.row = 0;
+        }
+        let rec = self.band.record(self.row);
+        self.row += 1;
+        self.failed = rec.is_err();
+        Some(rec)
     }
 }

@@ -13,14 +13,14 @@
 //! written by [`DatasetWriter::finish`] — the manifest last, so a crashed
 //! write never leaves a manifest pointing at incomplete columns.
 //!
-//! [`DatasetWriter::append_open`] reopens an existing v2 store for
-//! appending: new rows start a fresh segment, the dictionary and
-//! fingerprint tables grow by their tails only (both are append-only by
-//! construction), and the cost of an append is O(new data), not O(store).
+//! A writer only ever creates a store; nothing reopens one to extend it.
+//! `certchain convert` and `certchain compact` both write a whole new
+//! store into a sibling directory and swap it in by rename once
+//! `finish` has returned.
 
 use crate::category::{Category, CategoryDigest};
 use crate::codec;
-use crate::dict::{Dict, DictBuilder};
+use crate::dict::DictBuilder;
 use crate::manifest::Manifest;
 use crate::segment::{SegmentMeta, DEFAULT_SEGMENT_ROWS};
 use crate::zonemap::ZoneMap;
@@ -29,7 +29,7 @@ use certchain_netsim::handshake::TlsVersion;
 use certchain_netsim::zeek::record::{SslRecord, X509Record};
 use certchain_x509::Fingerprint;
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
@@ -182,14 +182,6 @@ impl Default for WriterOptions {
     }
 }
 
-/// State restored by [`DatasetWriter::append_open`]: how much of each
-/// shared table already exists on disk, so finish writes only tails.
-struct AppendBase {
-    dict_entries: usize,
-    dict_bytes: u64,
-    fp_entries: usize,
-}
-
 /// Computes one ssl row's structural chain [`Category`]. Classification
 /// needs trust material colstore does not hold, so the closure comes
 /// from the caller (see `certchain-chainlab`'s category oracle).
@@ -208,21 +200,15 @@ pub struct DatasetWriter {
     fp_order: Vec<Fingerprint>,
     ssl_rows: u64,
     x509_rows: u64,
-    append_base: Option<AppendBase>,
     /// Per-row category hook; when attached, every flushed ssl band gets
-    /// a [`CategoryDigest`] in the manifest.
+    /// a [`CategoryDigest`] in the manifest. Digests are all-or-nothing
+    /// per store, so a provider is only ever attached before the first
+    /// ssl row (see [`DatasetWriter::with_category_provider`]).
     category_provider: Option<CategoryProvider>,
     /// Categories of the ssl rows buffered in the current band.
     cat_pending: Vec<Category>,
-    /// Digests of the ssl bands flushed so far (carried ones first).
+    /// Digests of the ssl bands flushed so far.
     cat_digests: Vec<CategoryDigest>,
-    /// Whether digest coverage is still complete. Digests are
-    /// all-or-nothing per store: one ssl band flushed without a provider
-    /// poisons coverage and `finish` drops the digests entirely, so the
-    /// reader never sees partially digested stores.
-    digests_live: bool,
-    /// Whether `append_open` found digests to carry forward.
-    carried_digests: bool,
 }
 
 fn width_of(name: &str) -> Option<u64> {
@@ -269,130 +255,21 @@ impl DatasetWriter {
             fp_order: Vec::new(),
             ssl_rows: 0,
             x509_rows: 0,
-            append_base: None,
             category_provider: None,
             cat_pending: Vec::new(),
             cat_digests: Vec::new(),
-            digests_live: true,
-            carried_digests: false,
         })
     }
 
     /// Attach a per-row category provider: every ssl band this writer
-    /// flushes from here on gets a per-segment [`CategoryDigest`] in the
-    /// manifest, which the analyze fold uses to skip whole segments
-    /// under `--filter-category`. Attach it before the first ssl row —
-    /// coverage is all-or-nothing, so a band appended earlier without a
-    /// provider makes `finish` drop every digest.
+    /// flushes gets a per-segment [`CategoryDigest`] in the manifest,
+    /// which the analyze fold uses to skip whole segments under
+    /// `--filter-category`. Coverage is all-or-nothing, so attach it
+    /// before the first ssl row: attached after one, it turns digests off
+    /// and `finish` writes a digest-less store.
     pub fn with_category_provider(mut self, provider: CategoryProvider) -> DatasetWriter {
-        self.category_provider = Some(provider);
+        self.category_provider = (self.ssl_rows == 0).then_some(provider);
         self
-    }
-
-    /// Reopen an existing **v2** store for appending. New rows begin a
-    /// fresh segment (earlier bands are never rewritten, so the last
-    /// band of each table may be ragged), the dictionary and fingerprint
-    /// tables are extended in place, and `finish` rewrites only the
-    /// manifest plus the appended bytes — O(new data).
-    ///
-    /// v1 stores cannot be appended to; run `certchain compact` first.
-    pub fn append_open(store_dir: &Path) -> ColResult<DatasetWriter> {
-        let manifest = Manifest::load(store_dir)?;
-        if manifest.version != VERSION {
-            return Err(ColError::Format(format!(
-                "append requires a v{VERSION} segmented store, found v{} \
-                 (run `certchain compact` to migrate it first)",
-                manifest.version
-            )));
-        }
-        // A crashed previous append leaves column files longer than the
-        // manifest records; refuse to stack more data on top of that.
-        for (name, _) in COLUMNS {
-            let path = store_dir.join(name);
-            let found = std::fs::metadata(&path)
-                .map_err(io_ctx(format!("reading {}", path.display())))?
-                .len();
-            let expected = *manifest.columns.get(*name).expect("manifest is complete");
-            if found != expected {
-                return Err(ColError::Truncated {
-                    file: name.to_string(),
-                    expected,
-                    found,
-                });
-            }
-        }
-        // Rebuild the in-memory dictionary and fingerprint tables from
-        // disk; both assign indices in first-seen order and are
-        // append-only, so existing codes stay stable.
-        let idx_bytes =
-            std::fs::read(store_dir.join("strings.idx")).map_err(io_ctx("reading strings.idx"))?;
-        let dat_bytes =
-            std::fs::read(store_dir.join("strings.dat")).map_err(io_ctx("reading strings.dat"))?;
-        let existing = Dict::new(&idx_bytes, &dat_bytes)?;
-        let mut dict = DictBuilder::new();
-        for i in 0..existing.len() {
-            dict.intern(existing.get(i as u32)?)?;
-        }
-        let fp_bytes =
-            std::fs::read(store_dir.join("fps.dat")).map_err(io_ctx("reading fps.dat"))?;
-        if fp_bytes.len() % 32 != 0 {
-            return Err(ColError::Corrupt(format!(
-                "fps.dat length {} is not a multiple of 32",
-                fp_bytes.len()
-            )));
-        }
-        let mut fp_lookup = HashMap::new();
-        let mut fp_order = Vec::with_capacity(fp_bytes.len() / 32);
-        for chunk in fp_bytes.chunks_exact(32) {
-            let fp = Fingerprint(chunk.try_into().expect("32-byte chunk"));
-            fp_lookup.insert(fp, fp_order.len() as u32);
-            fp_order.push(fp);
-        }
-        let mut cols = Vec::with_capacity(STREAMED.len());
-        for name in STREAMED {
-            let path = store_dir.join(name);
-            let file = OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .map_err(io_ctx(format!("opening column {}", path.display())))?;
-            cols.push(Col {
-                name,
-                file: BufWriter::new(file),
-                bytes: *manifest.columns.get(*name).expect("manifest is complete"),
-            });
-        }
-        let metas: Vec<Vec<SegmentMeta>> = STREAMED
-            .iter()
-            .map(|name| manifest.segments.get(*name).cloned().unwrap_or_default())
-            .collect();
-        // Digest coverage carries across an append only if the existing
-        // store was fully digested (or holds no ssl bands yet): appends
-        // can extend complete coverage but never repair a gap.
-        let ssl_bands = metas[SSL_TS].len();
-        let carried_digests = manifest.category_digests.is_some();
-        Ok(DatasetWriter {
-            category_provider: None,
-            cat_pending: Vec::new(),
-            cat_digests: manifest.category_digests.clone().unwrap_or_default(),
-            digests_live: carried_digests || ssl_bands == 0,
-            carried_digests,
-            dir: store_dir.to_path_buf(),
-            segment_rows: manifest.segment_rows,
-            cols,
-            widths: STREAMED.iter().map(|n| width_of(n)).collect(),
-            pending: vec![Vec::new(); STREAMED.len()],
-            metas,
-            append_base: Some(AppendBase {
-                dict_entries: dict.len() as usize,
-                dict_bytes: dat_bytes.len() as u64,
-                fp_entries: fp_order.len(),
-            }),
-            dict,
-            fp_lookup,
-            fp_order,
-            ssl_rows: manifest.ssl_rows,
-            x509_rows: manifest.x509_rows,
-        })
     }
 
     fn fp_index(&mut self, fp: &Fingerprint) -> ColResult<u32> {
@@ -436,8 +313,8 @@ impl DatasetWriter {
         Ok(())
     }
 
-    /// Flush one ssl row band and settle its category digest: digested
-    /// when a provider is attached, coverage poisoned when not.
+    /// Flush one ssl row band and, when a provider is attached, its
+    /// category digest.
     fn flush_ssl_band(&mut self) -> ColResult<()> {
         let rows = self.pending[SSL_TS].len();
         self.flush_band(SSL_FIXED)?;
@@ -448,12 +325,7 @@ impl DatasetWriter {
                 digest.add(cat);
             }
             self.cat_pending.clear();
-            if self.digests_live {
-                self.cat_digests.push(digest);
-            }
-        } else {
-            self.digests_live = false;
-            self.cat_digests.clear();
+            self.cat_digests.push(digest);
         }
         Ok(())
     }
@@ -554,52 +426,19 @@ impl DatasetWriter {
                 .map_err(io_ctx(format!("syncing column {}", col.name)))?;
             columns.insert(col.name.to_string(), col.bytes);
         }
-        match &self.append_base {
-            None => {
-                let (idx, dat) = self.dict.to_files();
-                let mut fps = Vec::with_capacity(self.fp_order.len() * 32);
-                for fp in &self.fp_order {
-                    fps.extend_from_slice(&fp.0);
-                }
-                for (name, bytes) in [
-                    ("strings.idx", &idx),
-                    ("strings.dat", &dat),
-                    ("fps.dat", &fps),
-                ] {
-                    let path = self.dir.join(name);
-                    write_durable(&path, bytes)?;
-                    columns.insert(name.to_string(), bytes.len() as u64);
-                }
-            }
-            Some(base) => {
-                let (idx_tail, dat_tail) =
-                    self.dict.to_files_from(base.dict_entries, base.dict_bytes);
-                let mut fps_tail = Vec::new();
-                for fp in &self.fp_order[base.fp_entries..] {
-                    fps_tail.extend_from_slice(&fp.0);
-                }
-                for (name, tail) in [
-                    ("strings.idx", &idx_tail),
-                    ("strings.dat", &dat_tail),
-                    ("fps.dat", &fps_tail),
-                ] {
-                    let path = self.dir.join(name);
-                    let mut file = OpenOptions::new()
-                        .append(true)
-                        .open(&path)
-                        .map_err(io_ctx(format!("opening {}", path.display())))?;
-                    file.write_all(tail)
-                        .map_err(io_ctx(format!("appending to {}", path.display())))?;
-                    file.sync_all()
-                        .map_err(io_ctx(format!("syncing {}", path.display())))?;
-                }
-                columns.insert("strings.idx".into(), self.dict.len() * 8);
-                columns.insert(
-                    "strings.dat".into(),
-                    base.dict_bytes + dat_tail.len() as u64,
-                );
-                columns.insert("fps.dat".into(), self.fp_order.len() as u64 * 32);
-            }
+        let (idx, dat) = self.dict.to_files();
+        let mut fps = Vec::with_capacity(self.fp_order.len() * 32);
+        for fp in &self.fp_order {
+            fps.extend_from_slice(&fp.0);
+        }
+        for (name, bytes) in [
+            ("strings.idx", &idx),
+            ("strings.dat", &dat),
+            ("fps.dat", &fps),
+        ] {
+            let path = self.dir.join(name);
+            write_durable(&path, bytes)?;
+            columns.insert(name.to_string(), bytes.len() as u64);
         }
         debug_assert_eq!(columns.len(), COLUMNS.len());
         let mut segments = std::collections::BTreeMap::new();
@@ -608,11 +447,11 @@ impl DatasetWriter {
                 segments.insert(name.to_string(), std::mem::take(&mut self.metas[i]));
             }
         }
-        // Digests ship only when coverage is complete AND something
-        // asked for them (a provider, or digests carried from the store
-        // being appended to). A digest-less store stays digest-less.
-        let category_digests = (self.digests_live
-            && (self.category_provider.is_some() || self.carried_digests))
+        // A provider attached before the first ssl row digested every
+        // band; without one the store is digest-less.
+        let category_digests = self
+            .category_provider
+            .is_some()
             .then(|| std::mem::take(&mut self.cat_digests));
         let manifest = Manifest {
             version: VERSION,

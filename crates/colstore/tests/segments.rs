@@ -1,10 +1,9 @@
 //! v2 segmented-format integrity: codec round-trips under arbitrary
 //! values (empty, single-row, and full max-row segments included), zone
-//! maps that never exclude a present value, the append-segment protocol
-//! (tail-only shared-table growth, stable dictionary codes), and the
-//! error suite mirroring the v1 reader tests — truncation, manifest
-//! corruption, and unknown versions all fail `open` or decode with a
-//! structured error.
+//! maps that never exclude a present value, the writer's all-or-nothing
+//! category digests, and the error suite mirroring the v1 reader tests —
+//! truncation, manifest corruption, and unknown versions all fail `open`
+//! or decode with a structured error.
 
 mod common;
 
@@ -204,76 +203,6 @@ fn zone_maps_match_segment_contents() {
 }
 
 #[test]
-fn append_open_extends_a_store_in_place() {
-    let dir = scratch("append");
-    write_v2(&dir, 10, 6, 8);
-    let before_idx = std::fs::read(dir.join("strings.idx")).unwrap();
-    let before_dat = std::fs::read(dir.join("strings.dat")).unwrap();
-
-    let mut writer = DatasetWriter::append_open(&dir).expect("append_open");
-    assert_eq!(writer.rows(), (10, 6));
-    for i in 6..9 {
-        writer.append_x509(&x509_row(i)).expect("append x509");
-    }
-    for i in 10..25 {
-        writer.append_ssl(&ssl_row(i)).expect("append ssl");
-    }
-    let manifest = writer.finish().expect("finish append");
-    assert_eq!((manifest.ssl_rows, manifest.x509_rows), (25, 9));
-
-    // The pre-existing shared-table bytes are a strict prefix: appending
-    // never rewrites what earlier readers already addressed.
-    let after_idx = std::fs::read(dir.join("strings.idx")).unwrap();
-    let after_dat = std::fs::read(dir.join("strings.dat")).unwrap();
-    assert_eq!(&after_idx[..before_idx.len()], &before_idx[..]);
-    assert_eq!(&after_dat[..before_dat.len()], &before_dat[..]);
-
-    let reader = DatasetReader::open(&dir, MapMode::Auto).expect("open appended");
-    let ssl: Vec<SslRecord> = reader
-        .ssl_iter()
-        .expect("iter")
-        .collect::<Result<_, _>>()
-        .expect("decode");
-    let want: Vec<SslRecord> = (0..25).map(ssl_row).collect();
-    assert_eq!(ssl, want);
-    let x509: Vec<X509Record> = reader
-        .x509_iter()
-        .expect("iter")
-        .collect::<Result<_, _>>()
-        .expect("decode");
-    let want: Vec<X509Record> = (0..9).map(x509_row).collect();
-    assert_eq!(x509, want);
-
-    // New rows start fresh segments: 10 rows at band 8 gave [8, 2]; the
-    // append added [8, 7], never rewriting the ragged band in between.
-    let bands: Vec<u64> = reader
-        .manifest()
-        .segments
-        .get("ssl.ts")
-        .unwrap()
-        .iter()
-        .map(|m| m.rows)
-        .collect();
-    assert_eq!(bands, vec![8, 2, 8, 7]);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn append_open_refuses_v1_stores() {
-    let src = scratch("append-v1-src");
-    let dir = scratch("append-v1");
-    write_v2(&src, 1, 0, DEFAULT_SEGMENT_ROWS);
-    common::write_v1(&src, &dir);
-    let _ = std::fs::remove_dir_all(&src);
-    let msg = match DatasetWriter::append_open(&dir) {
-        Ok(_) => panic!("append_open must refuse a v1 store"),
-        Err(e) => e.to_string(),
-    };
-    assert!(msg.contains("certchain compact"), "{msg}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn v1_stores_are_served_as_plain_bands() {
     let src = scratch("v1-bands-src");
     let dir = scratch("v1-bands");
@@ -460,110 +389,50 @@ fn digest_rows(rows: impl Iterator<Item = u64>) -> CategoryDigest {
 }
 
 #[test]
-fn append_open_redigests_tail_bands_and_preserves_existing_digests() {
-    let dir = scratch("append-digest");
-    // Digest-bearing base store: 10 ssl rows at band 8 → digests [0..8), [8..10).
-    let mut writer = DatasetWriter::create_with(&dir, WriterOptions { segment_rows: 8 })
-        .expect("create store")
-        .with_category_provider(cat_provider());
+fn a_provider_attached_before_the_first_ssl_row_digests_every_band() {
+    let dir = scratch("digest");
+    // x509 rows first, then the provider, then 25 ssl rows at band 8: the
+    // order `convert` and `compact` write in.
+    let mut writer =
+        DatasetWriter::create_with(&dir, WriterOptions { segment_rows: 8 }).expect("create store");
     for i in 0..6 {
         writer.append_x509(&x509_row(i)).expect("append x509");
     }
-    for i in 0..10 {
+    writer = writer.with_category_provider(cat_provider());
+    for i in 0..25 {
         writer.append_ssl(&ssl_row(i)).expect("append ssl");
     }
-    writer.finish().expect("finish base");
-    let base = DatasetReader::open(&dir, MapMode::Auto).expect("open base");
-    let base_digests = base.category_digests().expect("base is digested").to_vec();
-    assert_eq!(base_digests.len(), 2);
-    assert_eq!(base_digests[0], digest_rows(0..8));
-    assert_eq!(base_digests[1], digest_rows(8..10));
-    drop(base);
-
-    // Append with a provider: the new tail bands [10..18), [18..25) get
-    // fresh digests and the base bands' digests survive byte-for-byte.
-    let mut writer = DatasetWriter::append_open(&dir)
-        .expect("append_open")
-        .with_category_provider(cat_provider());
-    for i in 10..25 {
-        writer.append_ssl(&ssl_row(i)).expect("append ssl");
-    }
-    writer.finish().expect("finish append");
-    let reader = DatasetReader::open(&dir, MapMode::Auto).expect("open appended");
-    let digests = reader
-        .category_digests()
-        .expect("appended store keeps digests");
-    assert_eq!(digests.len(), 4, "one digest per ssl band");
-    assert_eq!(
-        &digests[..2],
-        &base_digests[..],
-        "existing digests preserved"
-    );
-    assert_eq!(digests[2], digest_rows(10..18));
-    assert_eq!(digests[3], digest_rows(18..25));
-    let rows: u64 = digests.iter().map(|d| d.rows()).sum();
-    assert_eq!(rows, reader.ssl_rows(), "digests cover every ssl row");
+    writer.finish().expect("finish store");
+    let reader = DatasetReader::open(&dir, MapMode::Auto).expect("open store");
+    let digests = reader.category_digests().expect("store is digested");
+    let want = [
+        digest_rows(0..8),
+        digest_rows(8..16),
+        digest_rows(16..24),
+        digest_rows(24..25),
+    ];
+    assert_eq!(digests, &want[..], "one digest per ssl band");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn append_without_provider_drops_digest_coverage_atomically() {
-    let dir = scratch("append-poison");
-    let mut writer = DatasetWriter::create_with(&dir, WriterOptions { segment_rows: 8 })
-        .expect("create store")
-        .with_category_provider(cat_provider());
-    for i in 0..10 {
+fn a_provider_attached_after_an_ssl_row_leaves_the_store_digestless() {
+    let dir = scratch("late-digest");
+    // 3 of 8 rows of the one band land before the provider: that band
+    // cannot be digested, so coverage is off and the store opens
+    // digest-less rather than with a digest short of its band.
+    let mut writer =
+        DatasetWriter::create_with(&dir, WriterOptions { segment_rows: 8 }).expect("create store");
+    for i in 0..3 {
         writer.append_ssl(&ssl_row(i)).expect("append ssl");
     }
-    writer.finish().expect("finish base");
-    assert!(DatasetReader::open(&dir, MapMode::Auto)
-        .expect("open base")
-        .category_digests()
-        .is_some());
-
-    // Appending a band without a provider poisons coverage: digests are
-    // all-or-nothing, so the manifest must drop every digest rather than
-    // keep a partial set the skip rule could misread.
-    let mut writer = DatasetWriter::append_open(&dir).expect("append_open");
-    for i in 10..12 {
+    writer = writer.with_category_provider(cat_provider());
+    for i in 3..8 {
         writer.append_ssl(&ssl_row(i)).expect("append ssl");
     }
-    writer.finish().expect("finish append");
-    assert!(
-        DatasetReader::open(&dir, MapMode::Auto)
-            .expect("open appended")
-            .category_digests()
-            .is_none(),
-        "partial digest coverage must not survive"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn append_with_provider_never_repairs_a_digestless_store() {
-    let dir = scratch("append-norepair");
-    // Base store written without a provider: digest-less.
-    write_v2(&dir, 10, 6, 8);
-    assert!(DatasetReader::open(&dir, MapMode::Auto)
-        .expect("open base")
-        .category_digests()
-        .is_none());
-
-    // Appending with a provider cannot digest the bands already on disk,
-    // so coverage stays absent — only `certchain compact` backfills.
-    let mut writer = DatasetWriter::append_open(&dir)
-        .expect("append_open")
-        .with_category_provider(cat_provider());
-    for i in 10..20 {
-        writer.append_ssl(&ssl_row(i)).expect("append ssl");
-    }
-    writer.finish().expect("finish append");
-    assert!(
-        DatasetReader::open(&dir, MapMode::Auto)
-            .expect("open appended")
-            .category_digests()
-            .is_none(),
-        "appends must not fabricate digests for undigested bands"
-    );
+    writer.finish().expect("finish store");
+    let reader = DatasetReader::open(&dir, MapMode::Auto).expect("open store");
+    assert!(reader.category_digests().is_none());
+    assert_eq!(reader.ssl_rows(), 8);
     let _ = std::fs::remove_dir_all(&dir);
 }

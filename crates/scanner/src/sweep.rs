@@ -66,7 +66,7 @@ pub fn ip_space_sweep(servers: &[GeneratedServer], passive: &Analysis) -> SweepR
             continue;
         }
         report.distinct_chains += 1;
-        if !passive.index.contains_key(&key) {
+        if passive.chain(&key).is_none() {
             report.chains_missed_by_passive += 1;
             for fp in &key.0 {
                 if !passive_certs.contains(fp) {

@@ -60,9 +60,9 @@ fn analysis_identical_over_serialized_logs() {
     }
     // Per-chain categorization agrees chain by chain.
     for chain in &direct.chains {
-        let idx = reparsed.index[&chain.key];
-        assert_eq!(reparsed.chains[idx].category, chain.category);
-        assert_eq!(reparsed.chains[idx].hybrid_category, chain.hybrid_category);
+        let got = reparsed.chain(&chain.key).expect("chain in both analyses");
+        assert_eq!(got.category, chain.category);
+        assert_eq!(got.hybrid_category, chain.hybrid_category);
     }
 }
 

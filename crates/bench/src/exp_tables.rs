@@ -22,12 +22,12 @@ pub fn table1(lab: &Lab) -> ExperimentOutput {
         .collect();
 
     #[derive(Default)]
-    struct Row {
+    struct Row<'a> {
         issuers: std::collections::BTreeSet<String>,
-        usage: UsageStats,
+        chains: Vec<&'a UsageStats>,
     }
-    let mut rows: HashMap<InterceptionCategory, Row> = HashMap::new();
-    let mut total = UsageStats::default();
+    let mut rows: HashMap<InterceptionCategory, Row<'_>> = HashMap::new();
+    let mut chains = Vec::new();
     for chain in lab.analysis.chains_in(ChainCategoryLabel::Interception) {
         let entity = chain
             .interception_entity
@@ -39,9 +39,10 @@ pub fn table1(lab: &Lab) -> ExperimentOutput {
             .unwrap_or(InterceptionCategory::Other);
         let row = rows.entry(category).or_default();
         row.issuers.insert(entity);
-        row.usage.merge(&chain.usage);
-        total.merge(&chain.usage);
+        row.chains.push(&chain.usage);
+        chains.push(&*chain.usage);
     }
+    let total = UsageStats::gather(chains);
 
     let mut table = Table::new(
         "Table 1: Categories of issuers conducting TLS interception",
@@ -60,9 +61,10 @@ pub fn table1(lab: &Lab) -> ExperimentOutput {
             .find(|c| c.name() == cat)
             .expect("category names match");
         let row = rows.remove(&category).unwrap_or_default();
-        let conn_share = 100.0 * row.usage.connections.to_f64()
-            / total.connections.to_f64().max(f64::MIN_POSITIVE);
-        let weighted_ips = row.usage.client_ips.len() as f64 * conn_weight;
+        let usage = UsageStats::gather(row.chains);
+        let conn_share =
+            100.0 * usage.connections.to_f64() / total.connections.to_f64().max(f64::MIN_POSITIVE);
+        let weighted_ips = usage.client_ips.len() as f64 * conn_weight;
         table.row(&[
             cat.to_string(),
             num(row.issuers.len() as f64, 0),
@@ -105,13 +107,18 @@ pub fn table2(lab: &Lab) -> ExperimentOutput {
         usage: UsageStats,
     }
     let mut buckets: HashMap<ChainCategoryLabel, Bucket> = HashMap::new();
-    for chain in &lab.analysis.chains {
-        let b = buckets.entry(chain.category).or_insert(Bucket {
-            chains: 0.0,
-            usage: UsageStats::default(),
-        });
-        b.chains += chain_weight_of(lab, chain);
-        b.usage.merge(&chain.usage);
+    for category in [
+        ChainCategoryLabel::NonPublicOnly,
+        ChainCategoryLabel::Hybrid,
+        ChainCategoryLabel::Interception,
+    ] {
+        let chains: f64 = lab
+            .analysis
+            .chains_in(category)
+            .map(|chain| chain_weight_of(lab, chain))
+            .sum();
+        let usage = lab.analysis.usage_of(|c| c.category == category);
+        buckets.insert(category, Bucket { chains, usage });
     }
     let conn_weight = lab.trace.profile.conn_weight();
     let mut table = Table::new(
@@ -207,35 +214,38 @@ pub fn table3(lab: &Lab) -> ExperimentOutput {
     let mut complete_prv = 0u64;
     let mut contains = 0u64;
     let mut no_path = 0u64;
-    let mut usage_complete = UsageStats::default();
-    let mut usage_contains = UsageStats::default();
-    let mut usage_no_path = UsageStats::default();
-    let mut usage_56 = UsageStats::default();
+    let (mut in_complete, mut in_contains, mut in_no_path, mut in_group_56) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     let mut in_56 = 0u64;
     for chain in lab.analysis.chains_in(ChainCategoryLabel::Hybrid) {
+        let usage = &*chain.usage;
         match chain.hybrid_category.expect("hybrid is categorized") {
             HybridCategory::CompleteNonPubToPub => {
                 complete_np += 1;
-                usage_complete.merge(&chain.usage);
+                in_complete.push(usage);
             }
             HybridCategory::CompletePubToPrv => {
                 complete_prv += 1;
-                usage_complete.merge(&chain.usage);
+                in_complete.push(usage);
             }
             HybridCategory::ContainsPath => {
                 contains += 1;
-                usage_contains.merge(&chain.usage);
+                in_contains.push(usage);
             }
             HybridCategory::NoPath(_) => {
                 no_path += 1;
-                usage_no_path.merge(&chain.usage);
+                in_no_path.push(usage);
                 if chain.pub_leaf_no_intermediate {
                     in_56 += 1;
-                    usage_56.merge(&chain.usage);
+                    in_group_56.push(usage);
                 }
             }
         }
     }
+    let usage_complete = UsageStats::gather(in_complete);
+    let usage_contains = UsageStats::gather(in_contains);
+    let usage_no_path = UsageStats::gather(in_no_path);
+    let usage_56 = UsageStats::gather(in_group_56);
     let mut table = Table::new(
         "Table 3: Statistics of hybrid certificate chains",
         &["Hybrid chain category", "#. Chains", "Established"],

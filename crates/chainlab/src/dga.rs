@@ -74,8 +74,8 @@ mod tests {
     fn single(issuer: &str, subject: &str) -> Vec<CertRecord> {
         vec![CertRecord {
             fingerprint: Fingerprint([1; 32]),
-            issuer: DistinguishedName::cn(issuer),
-            subject: DistinguishedName::cn(subject),
+            issuer: DistinguishedName::cn(issuer).into(),
+            subject: DistinguishedName::cn(subject).into(),
             validity: Validity::days_from(Asn1Time::from_unix(0), 100),
             bc_ca: None,
             san_dns: vec![],

@@ -172,8 +172,8 @@ mod tests {
     fn cert(n: u8, issuer: &str, subject: &str, ca: Option<bool>) -> CertRecord {
         CertRecord {
             fingerprint: Fingerprint([n; 32]),
-            issuer: DistinguishedName::cn(issuer),
-            subject: DistinguishedName::cn(subject),
+            issuer: DistinguishedName::cn(issuer).into(),
+            subject: DistinguishedName::cn(subject).into(),
             validity: Validity::days_from(Asn1Time::from_unix(0), 10),
             bc_ca: ca,
             san_dns: vec![],

@@ -51,7 +51,7 @@ pub fn detect<C: Borrow<CertRecord>>(
     if recorded.is_empty() {
         return InterceptionVerdict::Unknown;
     }
-    if recorded.iter().any(|dn| **dn == leaf.issuer) {
+    if recorded.iter().any(|dn| **dn == *leaf.issuer) {
         InterceptionVerdict::NotIntercepted
     } else {
         InterceptionVerdict::LikelyIntercepted
@@ -61,7 +61,7 @@ pub fn detect<C: Borrow<CertRecord>>(
 /// The issuer identity an interception verdict attributes the middlebox
 /// to: the leaf's issuer DN.
 pub fn intercepting_issuer<C: Borrow<CertRecord>>(chain: &[C]) -> Option<&DistinguishedName> {
-    chain.first().map(|leaf| &leaf.borrow().issuer)
+    chain.first().map(|leaf| &*leaf.borrow().issuer)
 }
 
 #[cfg(test)]
@@ -108,8 +108,8 @@ mod tests {
     fn record(issuer: &DistinguishedName, subject: &str) -> CertRecord {
         CertRecord {
             fingerprint: Fingerprint([7; 32]),
-            issuer: issuer.clone(),
-            subject: DistinguishedName::cn(subject),
+            issuer: issuer.clone().into(),
+            subject: DistinguishedName::cn(subject).into(),
             validity: window(),
             bc_ca: Some(false),
             san_dns: vec![subject.to_string()],

@@ -3,18 +3,22 @@
 
 use certchain_netsim::X509Record;
 use certchain_x509::{DistinguishedName, Fingerprint, Validity};
+use std::sync::Arc;
 
 /// A certificate as the analysis sees it. No keys, no signatures — only
 /// the fields Zeek logged (§4.2: "the X509 logs did not capture public
 /// keys and signatures").
+///
+/// The DNs are shared: a [`crate::CertTable`] interns them, so every
+/// certificate of one issuer holds the same issuer DN.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CertRecord {
     /// SHA-256 fingerprint (join key).
     pub fingerprint: Fingerprint,
     /// Issuer DN, parsed from the logged RFC 4514 string.
-    pub issuer: DistinguishedName,
+    pub issuer: Arc<DistinguishedName>,
     /// Subject DN.
-    pub subject: DistinguishedName,
+    pub subject: Arc<DistinguishedName>,
     /// Validity window.
     pub validity: Validity,
     /// basicConstraints CA flag; `None` when the extension is absent.
@@ -29,8 +33,8 @@ impl CertRecord {
     pub fn from_record(rec: &X509Record) -> Option<CertRecord> {
         Some(CertRecord {
             fingerprint: rec.fingerprint,
-            issuer: DistinguishedName::parse_rfc4514(&rec.issuer)?,
-            subject: DistinguishedName::parse_rfc4514(&rec.subject)?,
+            issuer: Arc::new(DistinguishedName::parse_rfc4514(&rec.issuer)?),
+            subject: Arc::new(DistinguishedName::parse_rfc4514(&rec.subject)?),
             validity: Validity {
                 not_before: rec.not_before,
                 not_after: rec.not_after,

@@ -23,7 +23,7 @@ pub(crate) struct Prepared {
     pub(crate) key: ChainKey,
     pub(crate) certs: Vec<Arc<CertRecord>>,
     pub(crate) classes: Vec<CertClass>,
-    pub(crate) snis: Arc<BTreeSet<String>>,
+    pub(crate) snis: Arc<[Arc<str>]>,
     pub(crate) usage: Arc<UsageStats>,
 }
 
@@ -91,7 +91,7 @@ fn scan_entities<'p>(
                 candidates
                     .entry(issuer_entity(&p.certs[0].issuer))
                     .or_default()
-                    .insert(sni.as_str());
+                    .insert(sni);
             }
         }
     }

@@ -33,13 +33,13 @@ use super::ingest::{merge_into, IngestCounts, Partial, SharedAccum};
 use super::{par_map, resolve_threads, Analysis, Pipeline, RowFilter};
 use crate::filtercat::{chain_category, CertCat};
 use crate::model::ChainKey;
-use crate::usage::{UsageStats, Weight};
+use crate::usage::{gather, SortedFold, UsageFold, Weight};
 use certchain_colstore::read::var_slice;
 use certchain_colstore::{
     CategoryDigest, CategorySet, ColError, ColResult, DatasetReader, SslSegments, X509Band,
     X509Segments, NONE_IDX,
 };
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -54,6 +54,11 @@ impl Pipeline<'_> {
     /// The first corrupt-data error aborts the analysis and is returned
     /// as-is (truncation is already caught by [`DatasetReader::open`]).
     pub fn analyze_colstore(&self, reader: &DatasetReader) -> Result<Analysis, ColError> {
+        self.rooted(|pipe| pipe.fold_colstore(reader))
+    }
+
+    /// The stages of [`Pipeline::analyze_colstore`].
+    fn fold_colstore(&self, reader: &DatasetReader) -> Result<Analysis, ColError> {
         let threads = resolve_threads(self.options.threads);
         self.obs.set("colstore.bytes_mapped", reader.bytes_mapped());
         let filter = ColFilter::resolve(reader, &self.options.filter)?;
@@ -202,17 +207,19 @@ fn enrich_segments(cols: &X509Segments<'_>, table: &mut CertTable) -> ColResult<
 /// once per distinct chain afterwards.
 #[derive(Default)]
 struct CodeAccum {
-    usage: UsageStats,
-    sni_codes: BTreeSet<u32>,
+    usage: UsageFold,
+    sni_codes: SortedFold<u32>,
 }
 
 impl Partial for CodeAccum {
-    fn merge(&mut self, other: CodeAccum) {
-        self.usage.merge(&other.usage);
-        self.sni_codes.extend(other.sni_codes);
+    type Cx = ();
+
+    fn merge(&mut self, other: CodeAccum, _: &mut ()) {
+        self.usage.merge(other.usage);
+        self.sni_codes.merge(other.sni_codes);
     }
 
-    fn first(part: CodeAccum) -> CodeAccum {
+    fn first(part: CodeAccum, _: &mut ()) -> CodeAccum {
         part
     }
 }
@@ -364,28 +371,45 @@ fn ingest_segments(
         if code_accums.is_empty() {
             code_accums = accums;
         } else {
-            merge_into(&mut code_accums, accums);
+            merge_into(&mut code_accums, accums, &mut ());
         }
     }
     // Rekey code sequences to fingerprint chains and SNI codes to
-    // strings — once per distinct chain, the only string work in the
-    // whole ingest.
+    // strings — once per distinct chain, and one shared string per SNI
+    // code: the only string work in the whole ingest.
     let mut entries = Vec::with_capacity(code_accums.len());
+    let mut sni_of: HashMap<u32, Arc<str>> = HashMap::new();
+    let none: Arc<[Arc<str>]> = Arc::new([]);
     // srclint: commutative -- map-to-list rekeying; the code->fingerprint mapping is injective, so each source entry lands in a distinct key, and the resolve's output is sorted
     for (code_key, code_accum) in code_accums {
         let mut fps = Vec::with_capacity(code_key.len());
         for code in &code_key {
             fps.push(ssl.fp(*code)?);
         }
-        let mut snis = BTreeSet::new();
-        for code in &code_accum.sni_codes {
-            snis.insert(ssl.dict.get(*code)?.to_string());
-        }
+        let codes = code_accum.sni_codes.finish();
+        let snis = if codes.is_empty() {
+            Arc::clone(&none)
+        } else {
+            let mut snis = Vec::with_capacity(codes.len());
+            for code in codes {
+                let sni = match sni_of.get(&code) {
+                    Some(sni) => Arc::clone(sni),
+                    None => {
+                        let sni: Arc<str> = Arc::from(ssl.dict.get(code)?);
+                        sni_of.insert(code, Arc::clone(&sni));
+                        sni
+                    }
+                };
+                snis.push(sni);
+            }
+            // Dictionary codes do not sort as their strings do.
+            Arc::from(gather(snis))
+        };
         entries.push((
             ChainKey(fps),
             SharedAccum {
-                usage: Arc::new(code_accum.usage),
-                snis: Arc::new(snis),
+                usage: Arc::new(code_accum.usage.finish()),
+                snis,
             },
         ));
     }

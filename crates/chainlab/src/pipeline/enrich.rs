@@ -16,9 +16,9 @@
 
 use crate::model::CertRecord;
 use certchain_netsim::X509Record;
-use certchain_x509::Fingerprint;
+use certchain_x509::{DistinguishedName, Fingerprint};
 use std::borrow::Borrow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
 use std::sync::Arc;
 
@@ -35,12 +35,18 @@ use std::sync::Arc;
 ///
 /// So `rows` is every x509 row folded, and `unparseable` the rows that
 /// were parsed, because their fingerprint was still open, and failed.
+///
+/// The table also interns DNs: every record it holds shares one
+/// `Arc<DistinguishedName>` per distinct DN, so the issuer DN that a CA's
+/// certificates all repeat is held once.
 #[derive(Debug, Default, Clone)]
 pub struct CertTable {
     /// Interned records, in intern order.
     certs: Vec<Arc<CertRecord>>,
     /// Fingerprint → index into `certs`.
     lookup: HashMap<Fingerprint, usize>,
+    /// Every distinct DN of the interned records, once.
+    dns: HashSet<Arc<DistinguishedName>>,
     rows: u64,
     unparseable: u64,
 }
@@ -76,7 +82,9 @@ impl CertTable {
             return Ok(false);
         }
         match CertRecord::from_record(row()?.borrow()) {
-            Some(cert) => {
+            Some(mut cert) => {
+                cert.issuer = self.intern(cert.issuer);
+                cert.subject = self.intern(cert.subject);
                 self.lookup.insert(*fp, self.certs.len());
                 self.certs.push(Arc::new(cert));
                 Ok(true)
@@ -86,6 +94,16 @@ impl CertTable {
                 Ok(false)
             }
         }
+    }
+
+    /// The table's copy of `dn`: an equal DN it already holds, or `dn`,
+    /// now held.
+    fn intern(&mut self, dn: Arc<DistinguishedName>) -> Arc<DistinguishedName> {
+        if let Some(held) = self.dns.get(&dn) {
+            return Arc::clone(held);
+        }
+        self.dns.insert(Arc::clone(&dn));
+        dn
     }
 
     /// Rebuild the table a checkpoint persisted from its interned rows,

@@ -24,7 +24,8 @@
 //! split of the rows merge exactly, in any order, into the sequential
 //! fold. So any worker may take any batch, block or segment range, and
 //! the workers' maps merge through one `merge_into`, which the columnar
-//! fold and a [`super::PipelineState`] share.
+//! fold and a [`super::PipelineState`] share; the state's merge also
+//! interns the SNIs ([`SniPool`]).
 //!
 //! Batches and blocks travel over depth-1 channels, and their buffers come
 //! from one fixed pool the workers hand back, so what is in flight stays
@@ -32,17 +33,17 @@
 //! O(distinct chains), not O(connections). `threads = 1` runs the same
 //! body inline, with no threads and no pool.
 
-use super::observe::PipelineObs;
+use super::observe::{PipelineObs, Stage};
 use super::{Pipeline, RowFilter, SslItem};
 use crate::filtercat::CategoryOracle;
 use crate::model::ChainKey;
-use crate::usage::{UsageStats, Weight};
+use crate::usage::{union, SortedFold, UsageFold, UsageStats, Weight};
 use certchain_netsim::zeek::block::{Block, LineWalk};
 use certchain_netsim::zeek::stream::{ReadError, SslColumns, SslLogStream, StreamStats};
 use certchain_netsim::SslRecord;
 use certchain_x509::Fingerprint;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::Hash;
 use std::io::Read;
 use std::net::Ipv4Addr;
@@ -63,58 +64,111 @@ pub(crate) const CHUNK: usize = 1024;
 const BUFFERS_PER_WORKER: usize = 2;
 
 /// Per-chain connection accumulator: what one fold owns and folds rows
-/// into, with no `Arc` on the per-row path.
+/// into, with no `Arc` on the per-row path. Its SNIs are a small sorted
+/// vector of the fold's own strings; they become the state's shared
+/// strings when the fold's map leaves the fold.
 #[derive(Default)]
 pub(crate) struct ChainAccum {
-    pub(crate) usage: UsageStats,
-    pub(crate) snis: BTreeSet<String>,
+    pub(crate) usage: UsageFold,
+    pub(crate) snis: SortedFold<String>,
 }
 
 /// A chain's accumulators as [`super::PipelineState`] owns them and every
-/// [`super::Analysis`] finalized from it shares them. A fold merges into
-/// them through `Arc::make_mut`, so it copies a chain only while an
-/// analysis from before the fold still holds it.
+/// [`super::Analysis`] finalized from it shares them: the usage behind an
+/// `Arc` that a fold merges into through `Arc::make_mut`, and the SNIs as
+/// a sorted slice of the state's shared strings ([`SniPool`]), which a
+/// fold replaces when it adds one. Either way a fold copies a chain only
+/// while an analysis from before the fold still holds it.
 #[derive(Clone)]
 pub(crate) struct SharedAccum {
     pub(crate) usage: Arc<UsageStats>,
-    pub(crate) snis: Arc<BTreeSet<String>>,
+    pub(crate) snis: Arc<[Arc<str>]>,
+}
+
+/// One shared string per distinct SNI, and the slices of them that
+/// chains hold.
+#[derive(Default)]
+pub(crate) struct SniPool {
+    strings: HashSet<Arc<str>>,
+    /// The slice of every chain that saw no SNI.
+    none: Arc<[Arc<str>]>,
+}
+
+impl SniPool {
+    /// The pool's copy of `sni`.
+    pub(crate) fn intern(&mut self, sni: &str) -> Arc<str> {
+        if let Some(held) = self.strings.get(sni) {
+            return Arc::clone(held);
+        }
+        let held: Arc<str> = Arc::from(sni);
+        self.strings.insert(Arc::clone(&held));
+        held
+    }
+
+    /// The slice of a chain that saw no SNI yet, shared by all of them.
+    pub(crate) fn none(&self) -> Arc<[Arc<str>]> {
+        Arc::clone(&self.none)
+    }
+
+    /// Merge sorted, distinct SNIs into a chain's slice. The slice is
+    /// replaced, never changed in place, and only when one of them is new
+    /// to it.
+    pub(crate) fn merge<S: AsRef<str>>(&mut self, chain: &mut Arc<[Arc<str>]>, snis: &[S]) {
+        let new: Vec<Arc<str>> = snis
+            .iter()
+            .map(AsRef::as_ref)
+            .filter(|sni| chain.binary_search_by(|held| (**held).cmp(sni)).is_err())
+            .map(|sni| self.intern(sni))
+            .collect();
+        if !new.is_empty() {
+            *chain = Arc::from(union(chain.to_vec(), new));
+        }
+    }
 }
 
 /// A per-chain aggregate that partials of type `P` merge into exactly:
 /// each field is an integer sum or a set union, so any merge order
 /// reproduces the sequential fold.
 pub(crate) trait Partial<P = Self> {
+    /// What a merge draws on beside the two partials: a state's
+    /// [`SniPool`], or nothing.
+    type Cx;
     /// Merge another partial for the same chain.
-    fn merge(&mut self, other: P);
+    fn merge(&mut self, other: P, cx: &mut Self::Cx);
     /// The aggregate of a chain whose first partial is `part`.
-    fn first(part: P) -> Self;
+    fn first(part: P, cx: &mut Self::Cx) -> Self;
 }
 
 impl Partial for ChainAccum {
-    fn merge(&mut self, other: ChainAccum) {
-        self.usage.merge(&other.usage);
-        self.snis.extend(other.snis);
+    type Cx = ();
+
+    fn merge(&mut self, other: ChainAccum, _: &mut ()) {
+        self.usage.merge(other.usage);
+        self.snis.merge(other.snis);
     }
 
-    fn first(part: ChainAccum) -> ChainAccum {
+    fn first(part: ChainAccum, _: &mut ()) -> ChainAccum {
         part
     }
 }
 
+/// A fold's partial leaves the fold: its vectors are sorted, and its new
+/// SNIs are interned.
 impl Partial<ChainAccum> for SharedAccum {
-    fn merge(&mut self, other: ChainAccum) {
-        Arc::make_mut(&mut self.usage).merge(&other.usage);
-        // A partial that saw no SNI leaves the set shared.
-        if !other.snis.is_empty() {
-            Arc::make_mut(&mut self.snis).extend(other.snis);
-        }
+    type Cx = SniPool;
+
+    fn merge(&mut self, other: ChainAccum, pool: &mut SniPool) {
+        Arc::make_mut(&mut self.usage).absorb(other.usage.finish());
+        pool.merge(&mut self.snis, &other.snis.finish());
     }
 
-    fn first(part: ChainAccum) -> SharedAccum {
-        SharedAccum {
-            usage: Arc::new(part.usage),
-            snis: Arc::new(part.snis),
-        }
+    fn first(part: ChainAccum, pool: &mut SniPool) -> SharedAccum {
+        let mut shared = SharedAccum {
+            usage: Arc::new(part.usage.finish()),
+            snis: pool.none(),
+        };
+        pool.merge(&mut shared.snis, &part.snis.finish());
+        shared
     }
 }
 
@@ -126,13 +180,14 @@ impl Partial<ChainAccum> for SharedAccum {
 pub(crate) fn merge_into<K: Eq + Hash, P, A: Partial<P>>(
     into: &mut HashMap<K, A>,
     part: HashMap<K, P>,
+    cx: &mut A::Cx,
 ) {
     // srclint: commutative -- per-key merge into a keyed map; Partial::merge is exact in any order (integer sums and set unions), so iteration order is invisible
     for (key, accum) in part {
         match into.entry(key) {
-            Entry::Occupied(mut e) => e.get_mut().merge(accum),
+            Entry::Occupied(mut e) => e.get_mut().merge(accum, cx),
             Entry::Vacant(e) => {
-                e.insert(A::first(accum));
+                e.insert(A::first(accum, cx));
             }
         }
     }
@@ -215,7 +270,7 @@ impl<'p> Shard<'p> {
             conn.weight,
         );
         if let Some(sni) = conn.sni {
-            if !accum.snis.contains(sni) {
+            if accum.snis.find_mut(sni).is_none() {
                 accum.snis.insert(sni.to_string());
             }
         }
@@ -345,9 +400,11 @@ impl Ledger {
 ///
 /// `oracle` is the resolved category predicate when the row filter asks
 /// for one (`None` otherwise); like the port/SNI tests it runs before
-/// any counter moves, so category-rejected records are invisible.
+/// any counter moves, so category-rejected records are invisible. The
+/// dispatch is traced under `stage`, the ingest stage that runs it.
 pub(crate) fn accumulate<B, I>(
     pipe: &Pipeline<'_>,
+    stage: &Stage<'_>,
     mut records: I,
     threads: usize,
     oracle: Option<&CategoryOracle>,
@@ -368,6 +425,7 @@ where
     }
     let (shards, ()) = fan_out(
         pipe,
+        stage,
         (0..threads).map(|_| Shard::new(pipe, oracle)).collect(),
         |shard, batch: &mut Vec<(B, Weight)>| {
             let rows = batch.len() as u64;
@@ -392,9 +450,10 @@ where
 /// accumulators, its blocks walked, parsed and folded on the workers. The
 /// stream's first fatal line is returned: a framing error, or in strict
 /// mode its first malformed row. Either way the stream's tallies come out
-/// as its own iterator leaves them.
+/// as its own iterator leaves them. The dispatch is traced under `stage`.
 pub(crate) fn accumulate_log<R: Read>(
     pipe: &Pipeline<'_>,
+    stage: &Stage<'_>,
     log: SslLogStream<R>,
     threads: usize,
     oracle: Option<&CategoryOracle>,
@@ -431,6 +490,7 @@ pub(crate) fn accumulate_log<R: Read>(
         let stop = AtomicUsize::new(usize::MAX);
         let (workers, ()) = fan_out(
             pipe,
+            stage,
             (0..threads).map(|_| worker()).collect(),
             |worker, block: &mut Block<SslColumns>| {
                 if block.seq() > stop.load(Relaxed) {
@@ -473,7 +533,7 @@ fn collect(
         if accums.is_empty() {
             accums = shard.accums;
         } else {
-            merge_into(&mut accums, shard.accums);
+            merge_into(&mut accums, shard.accums, &mut ());
         }
     }
     pipe.obs.finish_progress(counts.records);
@@ -521,7 +581,8 @@ impl<T> Fanout<'_, T> {
 /// folds the buffers it sends, `work` applied to each in arrival order
 /// and returning the rows it folded. The pool holds
 /// [`BUFFERS_PER_WORKER`] buffers per worker. Returns the workers (in
-/// order) and what `feed` returned.
+/// order) and what `feed` returned. Traced as a `pipeline.dispatch` span
+/// under `stage`.
 ///
 /// Progress instrumentation rides the feeding loop: each worker carries
 /// an in-flight buffer counter (incremented on send, decremented by the
@@ -530,6 +591,7 @@ impl<T> Fanout<'_, T> {
 /// itself. Those values are scheduling-dependent and go only to stderr.
 fn fan_out<S, T, F>(
     pipe: &Pipeline<'_>,
+    stage: &Stage<'_>,
     workers: Vec<S>,
     work: impl Fn(&mut S, &mut T) -> u64 + Sync,
     feed: impl FnOnce(&mut Fanout<'_, T>) -> F,
@@ -539,7 +601,7 @@ where
     T: Default + Send,
 {
     let n = workers.len();
-    let trace = pipe.obs.trace_span("pipeline.dispatch");
+    let trace = stage.child("pipeline.dispatch");
     let in_flight: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
     let processed: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
     let (workers, out, sent) = std::thread::scope(|scope| {

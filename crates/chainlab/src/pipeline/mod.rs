@@ -47,7 +47,7 @@ use crate::model::{CertRecord, ChainKey};
 use crate::usage::{UsageStats, Weight};
 use certchain_ctlog::DomainIndex;
 use certchain_netsim::{SslRecord, X509Record};
-use certchain_obs::{Progress, Registry, TraceJournal};
+use certchain_obs::{Progress, Registry, Span, TraceJournal};
 use certchain_trust::TrustDb;
 use std::borrow::Borrow;
 use std::collections::BTreeSet;
@@ -76,10 +76,12 @@ pub enum ChainCategoryLabel {
 ///
 /// `usage` and `snis` are the accumulators of the [`PipelineState`] the
 /// analysis was finalized from, shared rather than copied, so finalizing
-/// adds no second copy of them. A later fold never mutates an analysis:
-/// it merges into the state's accumulators copy-on-write, so a chain an
-/// analysis still holds is copied first and the analysis keeps the
-/// values it was finalized with.
+/// adds no second copy of them: `usage` holds its ports and client
+/// addresses as sorted vectors, and `snis` is a sorted slice of strings
+/// that every chain with the same SNI shares. A later fold never mutates
+/// an analysis: it merges into the state's accumulators copy-on-write, so
+/// a chain an analysis still holds is copied first and the analysis keeps
+/// the values it was finalized with.
 #[derive(Debug, Clone)]
 pub struct ChainAnalysis {
     /// Ordered fingerprints (the chain's identity).
@@ -103,8 +105,8 @@ pub struct ChainAnalysis {
     pub leaf_ct_logged: Option<bool>,
     /// The intercepting entity key, when category is Interception.
     pub interception_entity: Option<String>,
-    /// SNIs observed with this chain.
-    pub snis: Arc<BTreeSet<String>>,
+    /// SNIs observed with this chain, sorted and distinct.
+    pub snis: Arc<[Arc<str>]>,
     /// Aggregated usage over the chain's connections.
     pub usage: Arc<UsageStats>,
 }
@@ -277,7 +279,7 @@ pub(crate) fn concat<T>(mut runs: Vec<Vec<T>>) -> Vec<T> {
 pub struct Pipeline<'a> {
     pub(crate) trust: &'a TrustDb,
     pub(crate) ct: &'a DomainIndex,
-    pub(crate) crosssign: CrossSignRegistry,
+    pub(crate) crosssign: Arc<CrossSignRegistry>,
     pub(crate) options: PipelineOptions,
     pub(crate) obs: observe::PipelineObs,
 }
@@ -302,7 +304,7 @@ impl<'a> Pipeline<'a> {
         Pipeline {
             trust,
             ct,
-            crosssign,
+            crosssign: Arc::new(crosssign),
             options,
             obs: observe::PipelineObs::default(),
         }
@@ -327,13 +329,43 @@ impl<'a> Pipeline<'a> {
     }
 
     /// Attach a trace journal. Fold, finalize, and dispatch stages then
-    /// emit spans into the journal's bounded ring. Traces are wall-clock
-    /// data and live strictly on the timing side of the observability
-    /// split: the analysis output and the deterministic metrics section
-    /// are byte-identical with tracing on or off (pinned by tests).
+    /// emit spans into the journal's bounded ring: each stage as a
+    /// `pipeline.<stage>` root span, the dispatch under the ingest stage,
+    /// and the stages of a one-shot analysis ([`Pipeline::analyze`],
+    /// [`Pipeline::analyze_stream`], [`Pipeline::analyze_colstore`]) under
+    /// one `pipeline.analyze` span. Traces are wall-clock data and live
+    /// strictly on the timing side of the observability split: the
+    /// analysis output and the deterministic metrics section are
+    /// byte-identical with tracing on or off (pinned by tests).
     pub fn with_trace(mut self, journal: Arc<TraceJournal>) -> Pipeline<'a> {
-        self.obs.trace = Some(journal);
+        self.obs.trace = Some(journal.root());
         self
+    }
+
+    /// The same pipeline, its stages traced as children of `parent`, in
+    /// `parent`'s journal: what a caller runs under a span of its own,
+    /// as `serve` runs a fold under `serve.fold` and a finalize under
+    /// `serve.finalize`.
+    pub fn under(&self, parent: &Span) -> Pipeline<'a> {
+        Pipeline {
+            trust: self.trust,
+            ct: self.ct,
+            crosssign: Arc::clone(&self.crosssign),
+            options: self.options.clone(),
+            obs: observe::PipelineObs {
+                trace: Some(parent.handle()),
+                ..self.obs.clone()
+            },
+        }
+    }
+
+    /// Run a one-shot analysis: under a `pipeline.analyze` span when the
+    /// pipeline is traced, so its stages share one parent.
+    fn rooted<T>(&self, run: impl FnOnce(&Pipeline<'a>) -> T) -> T {
+        match self.obs.trace.as_ref().map(|t| t.child("pipeline.analyze")) {
+            Some(root) => run(&self.under(&root)),
+            None => run(self),
+        }
     }
 
     /// Run the full analysis over in-memory record slices.
@@ -360,19 +392,22 @@ impl<'a> Pipeline<'a> {
             assert_eq!(w.len(), ssl.len(), "weights must align with ssl records");
             w.iter().map(|&w| Weight::from_f64(w)).collect()
         });
-        let threads = resolve_threads(self.options.threads);
-        let mut state = PipelineState::one_shot();
-        self.fold_x509_stream(&mut state, x509.iter().map(Ok::<_, Infallible>))
-            .unwrap_or_else(|never| match never {});
-        let weight_of = |i: usize| weights.as_ref().map_or(Weight::ONE, |w| w[i]);
-        let records = ssl.iter().enumerate().map(|(i, rec)| (rec, weight_of(i)));
-        {
-            let _stage = self.obs.stage("ingest");
-            let oracle = self.category_oracle(&state);
-            let (accums, counts) = ingest::accumulate(self, records, threads, oracle.as_ref());
-            state.absorb(accums, counts);
-        }
-        self.finalize_state(&state)
+        self.rooted(|pipe| {
+            let threads = resolve_threads(pipe.options.threads);
+            let mut state = PipelineState::one_shot();
+            pipe.fold_x509_stream(&mut state, x509.iter().map(Ok::<_, Infallible>))
+                .unwrap_or_else(|never| match never {});
+            let weight_of = |i: usize| weights.as_ref().map_or(Weight::ONE, |w| w[i]);
+            let records = ssl.iter().enumerate().map(|(i, rec)| (rec, weight_of(i)));
+            {
+                let stage = pipe.obs.stage("ingest");
+                let oracle = pipe.category_oracle(&state);
+                let (accums, counts) =
+                    ingest::accumulate(pipe, &stage, records, threads, oracle.as_ref());
+                state.absorb(accums, counts);
+            }
+            pipe.finalize_state(&state)
+        })
     }
 
     /// Run the full analysis over streaming record sources — the
@@ -391,10 +426,12 @@ impl<'a> Pipeline<'a> {
         I: Iterator<Item = Result<SslRecord, E>>,
         J: Iterator<Item = Result<X509Record, E>>,
     {
-        let mut state = PipelineState::one_shot();
-        self.fold_x509_stream(&mut state, x509)?;
-        self.fold_ssl_stream(&mut state, ssl)?;
-        Ok(self.finalize_state(&state))
+        self.rooted(|pipe| {
+            let mut state = PipelineState::one_shot();
+            pipe.fold_x509_stream(&mut state, x509)?;
+            pipe.fold_ssl_stream(&mut state, ssl)?;
+            Ok(pipe.finalize_state(&state))
+        })
     }
 
     /// Build the category predicate for the record paths, when the
@@ -474,7 +511,7 @@ impl<'a> Pipeline<'a> {
         stage.attr("threads", threads);
         let empty_registry = CrossSignRegistry::new();
         let registry = if self.options.honor_cross_signing {
-            &self.crosssign
+            &*self.crosssign
         } else {
             &empty_registry
         };
@@ -545,13 +582,10 @@ impl Analysis {
         self.chains.iter().filter(move |c| c.category == category)
     }
 
-    /// Weighted usage aggregate over a chain subset.
+    /// Weighted usage aggregate over a chain subset, gathered in one
+    /// pass ([`UsageStats::gather`]).
     pub fn usage_of(&self, mut pred: impl FnMut(&ChainAnalysis) -> bool) -> UsageStats {
-        let mut out = UsageStats::default();
-        for chain in self.chains.iter().filter(|c| pred(c)) {
-            out.merge(&chain.usage);
-        }
-        out
+        UsageStats::gather(self.chains.iter().filter(|c| pred(c)).map(|c| &*c.usage))
     }
 }
 

@@ -13,7 +13,7 @@
 //! depths, per-worker throughput) go only to the progress reporter,
 //! which writes to stderr and never into an artifact.
 
-use certchain_obs::{Progress, Registry, Span, StageTimer, TraceJournal};
+use certchain_obs::{Progress, Registry, Span, SpanHandle, StageTimer};
 use std::sync::Arc;
 
 /// Optional observability wiring carried by a pipeline.
@@ -23,13 +23,15 @@ pub(crate) struct PipelineObs {
     pub(crate) metrics: Option<Arc<Registry>>,
     /// Throttled stderr reporter (never feeds artifacts).
     pub(crate) progress: Option<Arc<Progress>>,
-    /// Bounded trace journal (timing side only; never feeds artifacts).
-    pub(crate) trace: Option<Arc<TraceJournal>>,
+    /// Where the stage spans attach in a bounded trace journal: its root,
+    /// or the span that runs the pipeline (timing side only; never feeds
+    /// artifacts).
+    pub(crate) trace: Option<SpanHandle>,
 }
 
 /// One pipeline stage in flight: its registry timer (wall time into the
-/// `timing` section) and its `pipeline.<name>` root span in the journal,
-/// each there only when its sink is wired, both closed on drop.
+/// `timing` section) and its `pipeline.<name>` span in the journal, each
+/// there only when its sink is wired, both closed on drop.
 pub(crate) struct Stage<'o> {
     _timer: Option<StageTimer<'o>>,
     span: Option<Span>,
@@ -43,6 +45,12 @@ impl Stage<'_> {
             span.attr(key, value.to_string());
         }
     }
+
+    /// Open a span under the stage's: the dispatch inside ingest, which
+    /// the registry does not time.
+    pub(crate) fn child(&self, name: &str) -> Option<Span> {
+        self.span.as_ref().map(|span| span.child(name))
+    }
 }
 
 impl PipelineObs {
@@ -54,14 +62,8 @@ impl PipelineObs {
             span: self
                 .trace
                 .as_ref()
-                .map(|j| j.span(&format!("pipeline.{name}"))),
+                .map(|t| t.child(&format!("pipeline.{name}"))),
         }
-    }
-
-    /// Open a journal span that is not a stage of its own: the dispatch
-    /// span inside ingest, which the registry does not time.
-    pub(crate) fn trace_span(&self, name: &str) -> Option<Span> {
-        self.trace.as_ref().map(|j| j.span(name))
     }
 
     /// Add to a counter. Called with `n == 0` too, deliberately: the

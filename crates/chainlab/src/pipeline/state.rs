@@ -59,7 +59,7 @@
 //!   `category_census` there; the loader checks its shape and drops it.
 
 use super::enrich::CertTable;
-use super::ingest::{merge_into, ChainAccum, IngestCounts, SharedAccum};
+use super::ingest::{merge_into, ChainAccum, IngestCounts, SharedAccum, SniPool};
 use super::Pipeline;
 use crate::model::ChainKey;
 use crate::usage::{UsageStats, Weight};
@@ -69,7 +69,7 @@ use certchain_netsim::X509Record;
 use certchain_obs::json::JsonValue;
 use certchain_x509::Fingerprint;
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
@@ -135,11 +135,13 @@ struct PrevCheckpoint {
 /// [`Pipeline::finalize_state`].
 ///
 /// The state is the one owner of the per-chain accumulators. Each chain's
-/// usage stats and SNI set sit behind an `Arc` that every
-/// [`super::Analysis`] finalized from the state shares, and a fold merges
-/// into them with `Arc::make_mut`: it copies a chain only while an
-/// analysis from before the fold still holds it, and never changes what
-/// that analysis reports. Of the raw x509 rows, the state keeps only
+/// usage stats and SNI slice sit behind an `Arc` that every
+/// [`super::Analysis`] finalized from the state shares. A fold merges into
+/// the usage with `Arc::make_mut` and replaces the SNI slice when it adds
+/// an SNI: it copies a chain only while an analysis from before the fold
+/// still holds it, and never changes what that analysis reports. Each
+/// distinct SNI is one shared string, which every chain that saw it
+/// holds. Of the raw x509 rows, the state keeps only
 /// those interned since the last checkpoint: a committed checkpoint's
 /// cert chunk holds the rest, and the [`CertTable`] holds every
 /// certificate. A one-shot state ([`PipelineState::one_shot`]) keeps
@@ -149,6 +151,8 @@ pub struct PipelineState {
     /// Per-chain accumulators, shared with the analyses finalized from
     /// the state.
     pub(crate) chains: HashMap<ChainKey, SharedAccum>,
+    /// One shared string per distinct SNI the chains hold.
+    snis: SniPool,
     /// The raw x509 rows that interned certificates since the last
     /// checkpoint, in intern order: the next checkpoint's cert chunk.
     /// Freed once that checkpoint commits.
@@ -278,11 +282,11 @@ impl PipelineState {
     /// Absorb one fold's accumulator map and counts. Chain merges are
     /// exact (integer sums, set unions), so absorbing per-file folds
     /// reproduces the one-shot batch fold bit-for-bit. Each merge is
-    /// copy-on-write (see [`PipelineState`]).
+    /// copy-on-write (see [`PipelineState`]), and a new SNI is interned.
     pub(crate) fn absorb(&mut self, accums: HashMap<ChainKey, ChainAccum>, counts: IngestCounts) {
         self.records += counts.records;
         self.no_chain += counts.no_chain;
-        merge_into(&mut self.chains, accums);
+        merge_into(&mut self.chains, accums, &mut self.snis);
         self.revision += 1;
     }
 
@@ -516,7 +520,7 @@ impl PipelineState {
             CertTable::restore(&rows, meta_u64("x509_rows")?, meta_u64("x509_unparseable")?)
                 .map_err(StateError::Corrupt)?;
         drop(rows);
-        decode_chains(&ckpt.read_field(CHAINS_FILE)?, &mut state.chains)?;
+        state.decode_chains(&ckpt.read_field(CHAINS_FILE)?)?;
         if state.chains.len() as u64 != meta_u64("chains")? {
             return Err(StateError::Corrupt(format!(
                 "decoded {} chains, meta says {}",
@@ -556,16 +560,13 @@ impl PipelineState {
             put_weight(&mut out, u.established);
             put_weight(&mut out, u.with_sni);
             put_u32(&mut out, u.ports.len() as u32);
-            for (&port, &weight) in &u.ports {
+            for &(port, weight) in &u.ports {
                 put_u16(&mut out, port);
                 put_weight(&mut out, weight);
             }
-            // srclint: commutative -- set snapshot, explicitly sorted before encoding
-            let mut ips: Vec<u32> = u.client_ips.iter().map(|ip| u32::from(*ip)).collect();
-            ips.sort_unstable();
-            put_u32(&mut out, ips.len() as u32);
-            for ip in ips {
-                put_u32(&mut out, ip);
+            put_u32(&mut out, u.client_ips.len() as u32);
+            for &ip in &u.client_ips {
+                put_u32(&mut out, u32::from(ip));
             }
             put_u32(&mut out, accum.snis.len() as u32);
             for sni in accum.snis.iter() {
@@ -610,7 +611,7 @@ impl Pipeline<'_> {
     where
         I: Iterator<Item = Result<certchain_netsim::SslRecord, E>>,
     {
-        let _stage = self.obs.stage("ingest");
+        let stage = self.obs.stage("ingest");
         let threads = super::resolve_threads(self.options.threads);
         let oracle = self.category_oracle(state);
         let mut first_err: Option<E> = None;
@@ -618,7 +619,8 @@ impl Pipeline<'_> {
             inner: ssl,
             err: &mut first_err,
         };
-        let (accums, counts) = super::ingest::accumulate(self, records, threads, oracle.as_ref());
+        let (accums, counts) =
+            super::ingest::accumulate(self, &stage, records, threads, oracle.as_ref());
         if let Some(e) = first_err {
             return Err(e);
         }
@@ -643,10 +645,11 @@ impl Pipeline<'_> {
         state: &mut PipelineState,
         log: certchain_netsim::SslLogStream<R>,
     ) -> Result<(), certchain_netsim::ReadError> {
-        let _stage = self.obs.stage("ingest");
+        let stage = self.obs.stage("ingest");
         let threads = super::resolve_threads(self.options.threads);
         let oracle = self.category_oracle(state);
-        let (accums, counts) = super::ingest::accumulate_log(self, log, threads, oracle.as_ref())?;
+        let (accums, counts) =
+            super::ingest::accumulate_log(self, &stage, log, threads, oracle.as_ref())?;
         state.absorb(accums, counts);
         Ok(())
     }
@@ -746,6 +749,20 @@ impl<'a> Cur<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
     }
 
+    /// A count of entries of at least `entry_bytes` each, which the rest
+    /// of the field must be able to hold: a corrupt count is an error
+    /// here, not an allocation the size of 2^32 entries.
+    fn count(&mut self, entry_bytes: usize) -> Result<usize, StateError> {
+        let at = self.pos;
+        let count = self.u32_()? as usize;
+        if count.saturating_mul(entry_bytes) > self.buf.len() - self.pos {
+            return Err(StateError::Corrupt(format!(
+                "count {count} at offset {at} overruns the field"
+            )));
+        }
+        Ok(count)
+    }
+
     /// A stored weight sum: an `f64` that must be a whole number of
     /// units in `[0, 2^36)`.
     fn weight(&mut self) -> Result<Weight, StateError> {
@@ -768,55 +785,79 @@ impl<'a> Cur<'a> {
     fn fp(&mut self) -> Result<Fingerprint, StateError> {
         Ok(Fingerprint(self.take(32)?.try_into().expect("len 32")))
     }
+
+    /// A counted list of entries, each read by `entry`, in which every
+    /// entry must be `below` the next.
+    fn increasing<T>(
+        &mut self,
+        what: &str,
+        mut entry: impl FnMut(&mut Self) -> Result<T, StateError>,
+        below: impl Fn(&T, &T) -> bool,
+    ) -> Result<Vec<T>, StateError> {
+        let count = self.u32_()?;
+        let mut out: Vec<T> = Vec::new();
+        for _ in 0..count {
+            let at = self.pos;
+            let next = entry(self)?;
+            if out.last().is_some_and(|last| !below(last, &next)) {
+                return Err(StateError::Corrupt(format!(
+                    "{what} list is not strictly increasing at offset {at}"
+                )));
+            }
+            out.push(next);
+        }
+        out.shrink_to_fit();
+        Ok(out)
+    }
 }
 
-/// Decode a `chains.dat` field into a chain map. A stored sum that is not
-/// a whole number of [`Weight`] units in `[0, 2^36)` is `Corrupt`.
-fn decode_chains(
-    bytes: &[u8],
-    chains: &mut HashMap<ChainKey, SharedAccum>,
-) -> Result<(), StateError> {
-    let mut cur = Cur::new(bytes);
-    while !cur.done() {
-        let fp_count = cur.u32_()? as usize;
-        let mut fps = Vec::with_capacity(fp_count);
-        for _ in 0..fp_count {
-            fps.push(cur.fp()?);
+impl PipelineState {
+    /// Decode a `chains.dat` field into the state's chains. A stored sum
+    /// that is not a whole number of [`Weight`] units in `[0, 2^36)` is
+    /// `Corrupt`, and so is a port, address or SNI list that is not
+    /// strictly increasing, as the encoder writes every one: a repeated
+    /// entry would otherwise replace or collapse silently.
+    fn decode_chains(&mut self, bytes: &[u8]) -> Result<(), StateError> {
+        let mut cur = Cur::new(bytes);
+        while !cur.done() {
+            let fp_count = cur.count(32)?;
+            let mut fps = Vec::with_capacity(fp_count);
+            for _ in 0..fp_count {
+                fps.push(cur.fp()?);
+            }
+            let records = cur.u64_()?;
+            let connections = cur.weight()?;
+            let established = cur.weight()?;
+            let with_sni = cur.weight()?;
+            let ports = cur.increasing(
+                "port",
+                |cur| Ok((cur.u16_()?, cur.weight()?)),
+                |a, b| a.0 < b.0,
+            )?;
+            let client_ips = cur.increasing(
+                "client address",
+                |cur| Ok(Ipv4Addr::from(cur.u32_()?)),
+                |a, b| a < b,
+            )?;
+            let snis = cur.increasing("SNI", Cur::str_, |a, b| a < b)?;
+            let mut chain = SharedAccum {
+                usage: Arc::new(UsageStats {
+                    connections,
+                    established,
+                    with_sni,
+                    ports,
+                    client_ips,
+                    records,
+                }),
+                snis: self.snis.none(),
+            };
+            self.snis.merge(&mut chain.snis, &snis);
+            if self.chains.insert(ChainKey(fps), chain).is_some() {
+                return Err(StateError::Corrupt("duplicate chain in chains.dat".into()));
+            }
         }
-        let records = cur.u64_()?;
-        let connections = cur.weight()?;
-        let established = cur.weight()?;
-        let with_sni = cur.weight()?;
-        let mut ports = BTreeMap::new();
-        for _ in 0..cur.u32_()? {
-            let port = cur.u16_()?;
-            let weight = cur.weight()?;
-            ports.insert(port, weight);
-        }
-        let mut client_ips = std::collections::HashSet::new();
-        for _ in 0..cur.u32_()? {
-            client_ips.insert(Ipv4Addr::from(cur.u32_()?));
-        }
-        let mut snis = BTreeSet::new();
-        for _ in 0..cur.u32_()? {
-            snis.insert(cur.str_()?);
-        }
-        let accum = SharedAccum {
-            usage: Arc::new(UsageStats {
-                connections,
-                established,
-                with_sni,
-                ports,
-                client_ips,
-                records,
-            }),
-            snis: Arc::new(snis),
-        };
-        if chains.insert(ChainKey(fps), accum).is_some() {
-            return Err(StateError::Corrupt("duplicate chain in chains.dat".into()));
-        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// x509 flags byte: bit0 = basicConstraints present, bit1 = its CA
@@ -872,7 +913,7 @@ fn decode_certs(bytes: &[u8], certs: &mut Vec<X509Record>) -> Result<(), StateEr
         let not_after = Asn1Time::from_unix(cur.u64_()?);
         let flags = cur.u8_()?;
         let path_len_raw = cur.u64_()?;
-        let san_count = cur.u32_()? as usize;
+        let san_count = cur.count(4)?;
         let mut san_dns = Vec::with_capacity(san_count);
         for _ in 0..san_count {
             san_dns.push(cur.str_()?);

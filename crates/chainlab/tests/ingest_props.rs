@@ -164,9 +164,8 @@ fn run(
 
 /// Canonical, fully ordered rendering of an `Analysis`. Weight sums are
 /// rendered as their fixed-point units, so "identical" means exact, not
-/// approximately equal; the one hash-ordered container, `client_ips`, is
-/// sorted before rendering. The chains print in the analysis' order,
-/// which pins that they are sorted by key.
+/// approximately equal. Chains, ports, client addresses and SNIs print in
+/// the analysis' own order, which pins that each is sorted.
 fn canon(a: &Analysis) -> String {
     let mut out = String::new();
     writeln!(
@@ -179,9 +178,8 @@ fn canon(a: &Analysis) -> String {
     )
     .unwrap();
     for c in &a.chains {
-        let mut ips: Vec<Ipv4Addr> = c.usage.client_ips.iter().copied().collect();
-        ips.sort();
-        let ports: Vec<(u16, u64)> = c.usage.ports.iter().map(|(&p, w)| (p, w.0)).collect();
+        let ips = &c.usage.client_ips;
+        let ports: Vec<(u16, u64)> = c.usage.ports.iter().map(|&(p, w)| (p, w.0)).collect();
         writeln!(
             out,
             "chain key={:?} certs={:?} classes={:?} cat={:?} path={:?} hybrid={:?} \
@@ -732,13 +730,21 @@ fn traced_tsv_fold_reports_the_rows_it_dispatched() {
     pipeline
         .fold_ssl_log(&mut PipelineState::new(), stream)
         .expect("no framing errors");
-    let span = journal
+    let ends: Vec<_> = journal
         .snapshot()
         .into_iter()
-        .find(|e| {
-            e.kind == certchain_obs::trace::TraceKind::SpanEnd && e.name == "pipeline.dispatch"
-        })
+        .filter(|e| e.kind == certchain_obs::trace::TraceKind::SpanEnd)
+        .collect();
+    let span = ends
+        .iter()
+        .find(|e| e.name == "pipeline.dispatch")
         .expect("a pipeline.dispatch span");
+    let ingest = ends
+        .iter()
+        .find(|e| e.name == "pipeline.ingest")
+        .expect("a pipeline.ingest span");
+    assert_eq!(span.parent, ingest.span, "dispatch runs under ingest");
+    assert_eq!(ingest.parent, 0, "a fold's stage is a root span");
     let attr = |key: &str| {
         span.attrs
             .iter()
@@ -791,7 +797,8 @@ fn long_rough_log_matches_the_record_stream() {
 }
 
 /// A traced columnar analysis opens the same `pipeline.<stage>` spans as
-/// the other paths, one per stage and in stage order.
+/// the other paths, one per stage and in stage order, all under one
+/// `pipeline.analyze` root.
 #[test]
 fn traced_columnar_analysis_spans_every_stage() {
     let dir = std::env::temp_dir().join(format!("certchain-stage-spans-{}", std::process::id()));
@@ -832,21 +839,32 @@ fn traced_columnar_analysis_spans_every_stage() {
         analysis.unresolvable_records > 0,
         "some chains do not resolve"
     );
-    let ends: Vec<String> = journal
+    let ends: Vec<_> = journal
         .snapshot()
         .into_iter()
         .filter(|e| e.kind == certchain_obs::trace::TraceKind::SpanEnd)
-        .map(|e| e.name)
         .collect();
+    let names: Vec<&str> = ends.iter().map(|e| e.name.as_str()).collect();
     assert_eq!(
-        ends,
+        names,
         [
             "pipeline.enrich",
             "pipeline.ingest",
             "pipeline.resolve",
             "pipeline.categorize",
-            "pipeline.finalize"
+            "pipeline.finalize",
+            "pipeline.analyze"
         ]
     );
+    // One root: the analysis, with every stage under it.
+    let root = &ends[ends.len() - 1];
+    assert_eq!(root.parent, 0);
+    for stage in &ends[..ends.len() - 1] {
+        assert_eq!(
+            stage.parent, root.span,
+            "{} is not under the root",
+            stage.name
+        );
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -14,7 +14,7 @@ use certchain_trust::TrustDb;
 use certchain_x509::Fingerprint;
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// A small certificate pool: root, intermediate, three leaves, one
@@ -142,9 +142,8 @@ fn canon(a: &Analysis) -> String {
     )
     .unwrap();
     for c in &a.chains {
-        let mut ips: Vec<Ipv4Addr> = c.usage.client_ips.iter().copied().collect();
-        ips.sort();
-        let ports: Vec<(u16, u64)> = c.usage.ports.iter().map(|(&p, w)| (p, w.0)).collect();
+        let ips = &c.usage.client_ips;
+        let ports: Vec<(u16, u64)> = c.usage.ports.iter().map(|&(p, w)| (p, w.0)).collect();
         writeln!(
             out,
             "chain key={:?} cat={:?} hybrid={:?} snis={:?} conn={} est={} sni_w={} \
@@ -602,5 +601,83 @@ fn stored_sums_that_are_not_whole_units_are_corrupt() {
             ),
         }
     }
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// A checkpoint generation of a real fold, and the path of its
+/// `chains.dat`.
+fn saved_chains(tag: &str) -> (PathBuf, PathBuf) {
+    let trust = TrustDb::new();
+    let ct = DomainIndex::new();
+    let root = tmp_root(tag);
+    let pipe = pipeline(&trust, &ct, 2);
+    let mut state = PipelineState::new();
+    pipe.fold_x509_stream(&mut state, cert_pool().into_iter().map(Ok::<_, ()>))
+        .unwrap();
+    pipe.fold_ssl_stream(&mut state, conn_stream(500).into_iter().map(Ok::<_, ()>))
+        .unwrap();
+    let gen = state.save_checkpoint(&root).unwrap();
+    let path = root.join(format!("gen-{gen:06}")).join("chains.dat");
+    assert!(PipelineState::load_latest(&root).unwrap().is_some());
+    (root, path)
+}
+
+/// `load_latest` of a generation whose `chains.dat` was changed in place
+/// must fail as `Corrupt`, naming what `expect` names.
+fn assert_corrupt(root: &Path, expect: &str) {
+    match PipelineState::load_latest(root) {
+        Err(StateError::Corrupt(msg)) => assert!(msg.contains(expect), "{msg}"),
+        other => panic!("expected Corrupt, got {:?}", other.map(|s| s.is_some())),
+    }
+}
+
+/// The encoder writes every chain's port, client-address and SNI lists
+/// strictly increasing, and reload accepts nothing else: a repeated entry
+/// would otherwise replace an earlier port's weight or collapse two
+/// addresses or SNIs into one without a word. The first client address of
+/// the first chain with two is copied over the second, in place, so every
+/// size the manifest records still holds.
+#[test]
+fn a_repeated_client_address_is_corrupt() {
+    let (root, path) = saved_chains("repeated-ip");
+    let mut bytes = std::fs::read(&path).unwrap();
+    // Walk the chains: fingerprint count n and n fingerprints, the record
+    // count and three sums, the ports (u16 + f64 each), then the client
+    // addresses (u32 each) and the SNIs (length-prefixed).
+    let u32_at =
+        |bytes: &[u8], at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    let mut at = 0;
+    let ips = loop {
+        assert!(at < bytes.len(), "no chain has two client addresses");
+        at += 4 + 32 * u32_at(&bytes, at) as usize + 8 + 3 * 8;
+        at += 4 + 10 * u32_at(&bytes, at) as usize;
+        let count = u32_at(&bytes, at) as usize;
+        if count >= 2 {
+            break at + 4;
+        }
+        at += 4 + 4 * count;
+        let snis = u32_at(&bytes, at);
+        at += 4;
+        for _ in 0..snis {
+            at += 4 + u32_at(&bytes, at) as usize;
+        }
+    };
+    assert!(u32_at(&bytes, ips) < u32_at(&bytes, ips + 4));
+    bytes.copy_within(ips..ips + 4, ips + 4);
+    std::fs::write(&path, &bytes).unwrap();
+    assert_corrupt(&root, "client address list is not strictly increasing");
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// A fingerprint count the rest of `chains.dat` cannot hold is
+/// `Corrupt`, not an allocation for 2^32 fingerprints (128 GiB), which
+/// aborts the process.
+#[test]
+fn a_fingerprint_count_the_file_cannot_hold_is_corrupt() {
+    let (root, path) = saved_chains("overlong-count");
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    assert_corrupt(&root, "overruns the field");
     std::fs::remove_dir_all(&root).unwrap();
 }

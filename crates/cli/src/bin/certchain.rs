@@ -26,7 +26,8 @@ USAGE:
                      [--format tsv|columnar] [--progress] [--metrics-json <path>]
       Generate a synthetic campus dataset (logs + trust PEMs + CT corpus).
       --format columnar writes the mmap-backed columnar store instead of
-      Zeek TSV logs; analyzing either yields byte-identical reports.
+      Zeek TSV logs (the store `convert` writes from those logs, category
+      digests included); analyzing either yields byte-identical reports.
   certchain convert --dir <dir> [--force] [--segment-rows N]
                     [--metrics-json <path>]
       Re-encode <dir>/ssl.log + <dir>/x509.log as <dir>/colstore/, the

@@ -78,9 +78,9 @@ pub fn convert_opts(dir: &Path, opts: &ConvertOptions) -> CliResult<String> {
 /// A dataset's Zeek logs as store rows. Once a log is read, its line,
 /// record and malformed-row tallies go into `registry`, and its
 /// malformed rows into `records_dropped`, which so sums both logs.
-struct ZeekLogs<'a> {
-    dir: &'a Path,
-    registry: &'a Registry,
+pub(crate) struct ZeekLogs<'a> {
+    pub(crate) dir: &'a Path,
+    pub(crate) registry: &'a Registry,
 }
 
 impl ZeekLogs<'_> {

@@ -4,11 +4,16 @@
 //! [`TraceSink`] feeds each record straight into the incremental log
 //! writers, so the connection stream is never materialized in memory.
 //! Only the compact sidecars (trust material, CT corpus, disclosures) go
-//! through the in-memory trace context.
+//! through the in-memory trace context. `--format columnar` writes the
+//! logs beside the store, then the store from them through the one store
+//! rewrite `convert` and `compact` use, once the trust material it
+//! computes the category digests with is in place; so its store is the
+//! one `generate` + `convert` writes.
 
+use crate::compact::rewrite_store;
+use crate::convert::ZeekLogs;
 use crate::dataset::{colstore_dir, DatasetFormat};
 use crate::{io_ctx, CliError, CliResult};
-use certchain_colstore::DatasetWriter;
 use certchain_netsim::zeek::tsv::{SslLogWriter, X509LogWriter};
 use certchain_netsim::{SimClock, SslRecord, X509Record};
 use certchain_obs::{Progress, Registry};
@@ -83,13 +88,28 @@ pub fn generate_opts(
             .map_err(io_ctx(format!("creating {}", out.join(sub).display())))?;
     }
     let registry = Arc::new(Registry::new());
-    let (ctx, ssl_count, x509_count) = match opts.format {
-        DatasetFormat::Tsv => generate_tsv(out, profile, opts, &registry)?,
-        DatasetFormat::Columnar => generate_columnar(out, profile, opts, &registry)?,
+    let logs = match opts.format {
+        DatasetFormat::Tsv => out.to_path_buf(),
+        DatasetFormat::Columnar => columnar_logs_dir(out)?,
     };
+    let (ctx, ssl_count, x509_count) = generate_tsv(&logs, profile, opts, &registry)?;
     {
         let _span = registry.stage("write_sidecars");
         write_sidecars(out, &ctx.servers, &ctx.eco, &ctx.cross_sign_disclosures)?;
+    }
+    let mut notices = String::new();
+    if opts.format == DatasetFormat::Columnar {
+        let _span = registry.stage("write_store");
+        // The logs' tallies are `convert`'s to report, not generate's.
+        let tallies = Registry::new();
+        let written = rewrite_store(out, None, &mut notices, || {
+            Ok(ZeekLogs {
+                dir: &logs,
+                registry: &tallies,
+            })
+        });
+        std::fs::remove_dir_all(&logs).map_err(io_ctx(format!("removing {}", logs.display())))?;
+        written?;
     }
     if let Some(path) = &opts.metrics_json {
         let text = registry.snapshot().to_json().to_pretty() + "\n";
@@ -97,7 +117,7 @@ pub fn generate_opts(
             .map_err(io_ctx(format!("writing metrics to {}", path.display())))?;
     }
     Ok(format!(
-        "wrote {} connection records, {} certificates, {} servers to {}",
+        "{notices}wrote {} connection records, {} certificates, {} servers to {}",
         ssl_count,
         x509_count,
         ctx.servers.len(),
@@ -105,19 +125,34 @@ pub fn generate_opts(
     ))
 }
 
-/// The TSV log-writing body of [`generate_opts`].
+/// Where `generate --format columnar` writes its TSV logs: a directory
+/// beside the store, which [`rewrite_store`] reads the store from and
+/// which is removed after. A leftover from an interrupted run is removed
+/// first.
+fn columnar_logs_dir(out: &Path) -> CliResult<PathBuf> {
+    let logs = colstore_dir(out).with_file_name("colstore.tmp-logs");
+    if logs.exists() {
+        std::fs::remove_dir_all(&logs)
+            .map_err(io_ctx(format!("removing leftover {}", logs.display())))?;
+    }
+    std::fs::create_dir_all(&logs).map_err(io_ctx(format!("creating {}", logs.display())))?;
+    Ok(logs)
+}
+
+/// The log-writing body of [`generate_opts`]: the Zeek TSV logs, into
+/// `logs`.
 fn generate_tsv(
-    out: &Path,
+    logs: &Path,
     profile: CampusProfile,
     opts: &GenerateOptions,
     registry: &Arc<Registry>,
 ) -> CliResult<(certchain_workload::trace::TraceContext, u64, u64)> {
     let open = SimClock::campus_window_start().now();
     let ssl = std::io::BufWriter::new(
-        std::fs::File::create(out.join("ssl.log")).map_err(io_ctx("creating ssl.log"))?,
+        std::fs::File::create(logs.join("ssl.log")).map_err(io_ctx("creating ssl.log"))?,
     );
     let x509 = std::io::BufWriter::new(
-        std::fs::File::create(out.join("x509.log")).map_err(io_ctx("creating x509.log"))?,
+        std::fs::File::create(logs.join("x509.log")).map_err(io_ctx("creating x509.log"))?,
     );
     let mut sink = FileSink {
         ssl: SslLogWriter::new(ssl, open).map_err(io_ctx("writing ssl.log"))?,
@@ -142,34 +177,6 @@ fn generate_tsv(
         .and_then(|mut w| w.flush())
         .map_err(io_ctx("closing x509.log"))?;
     Ok((ctx, sink.ssl_count, sink.x509_count))
-}
-
-/// The columnar log-writing body of [`generate_opts`]: the same record
-/// stream feeds a [`DatasetWriter`] instead of the TSV writers.
-fn generate_columnar(
-    out: &Path,
-    profile: CampusProfile,
-    opts: &GenerateOptions,
-    registry: &Arc<Registry>,
-) -> CliResult<(certchain_workload::trace::TraceContext, u64, u64)> {
-    let store = colstore_dir(out);
-    let mut sink = ColumnarSink {
-        writer: DatasetWriter::create(&store)
-            .map_err(|e| CliError::Invalid(format!("colstore: {e}")))?,
-        progress: opts.progress.then(|| Progress::stderr("generate")),
-    };
-    let ctx = {
-        let _span = registry.stage("generate_total");
-        CampusTrace::stream_observed(profile, opts.threads, &mut sink, Some(registry))?
-    };
-    let (ssl_count, x509_count) = sink.writer.rows();
-    if let Some(p) = &sink.progress {
-        p.finish(ssl_count);
-    }
-    sink.writer
-        .finish()
-        .map_err(|e| CliError::Invalid(format!("colstore: {e}")))?;
-    Ok((ctx, ssl_count, x509_count))
 }
 
 /// The streaming sink: every record goes straight to its log writer.
@@ -199,35 +206,6 @@ impl<W1: Write, W2: Write> TraceSink for FileSink<W1, W2> {
         self.x509
             .record(&record)
             .map_err(io_ctx("writing x509.log"))
-    }
-}
-
-/// The columnar streaming sink: every record appends to its columns.
-struct ColumnarSink {
-    writer: DatasetWriter,
-    progress: Option<Progress>,
-}
-
-impl TraceSink for ColumnarSink {
-    type Error = CliError;
-
-    fn ssl(&mut self, record: SslRecord, _meta: ConnMeta) -> Result<(), CliError> {
-        self.writer
-            .append_ssl(&record)
-            .map_err(|e| CliError::Invalid(format!("colstore: {e}")))?;
-        if let Some(p) = &self.progress {
-            let (ssl_count, _) = self.writer.rows();
-            if ssl_count % PROGRESS_EVERY == 0 {
-                p.tick(ssl_count, 0, &[]);
-            }
-        }
-        Ok(())
-    }
-
-    fn x509(&mut self, record: X509Record) -> Result<(), CliError> {
-        self.writer
-            .append_x509(&record)
-            .map_err(|e| CliError::Invalid(format!("colstore: {e}")))
     }
 }
 

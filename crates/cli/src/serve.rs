@@ -47,9 +47,11 @@
 //!
 //! - every scan/fold/checkpoint/publish cycle runs under a
 //!   `serve.cycle` trace span (children: `serve.scan`, one `serve.fold`
-//!   per file, `checkpoint.commit` with per-field fsync events and one
+//!   per file with the fold's `pipeline.enrich` or `pipeline.ingest`
+//!   under it, `checkpoint.commit` with per-field fsync events and one
 //!   event for all carried chunks, `checkpoint.prune`, `serve.publish`
-//!   with `serve.finalize` and `serve.render` children) in a bounded
+//!   with `serve.finalize`, over `pipeline.resolve`, `pipeline.categorize`
+//!   and `pipeline.finalize`, and `serve.render` children) in a bounded
 //!   ring journal served at `/trace.json`;
 //! - `/metrics` negotiates JSON (default) or Prometheus text format via
 //!   `?format=prometheus` / `Accept: text/plain`;
@@ -420,7 +422,12 @@ fn run_cycle(
         let fold_span = cycle.child("serve.fold");
         fold_span.attr("file", name);
         let rows_before = state.ssl_records() + state.x509_rows();
-        match fold_file(pipeline, state, &spool.join(name), log.kind)? {
+        match fold_file(
+            &pipeline.under(&fold_span),
+            state,
+            &spool.join(name),
+            log.kind,
+        )? {
             Ok(()) => registry.counter("spool.files_folded").add(1),
             Err(e) => {
                 // Skipped for good: tallied, and in the ledger below so a
@@ -483,9 +490,10 @@ fn fold_file(
 /// fresh registry + pipeline so finalize-side counters are absolute per
 /// publish (see the module doc); the finalize snapshot is stored and
 /// merged with the live serve-loop snapshot per `/metrics` request.
-/// Traced as `serve.publish`, with `serve.finalize` and `serve.render`
-/// (report, JSON summary and status) children. The analysis is dropped
-/// here: only its rendered surfaces outlive the publish.
+/// Traced as `serve.publish`, with `serve.finalize` (the pipeline's
+/// stages under it) and `serve.render` (report, JSON summary and status)
+/// children. The analysis is dropped here: only its rendered surfaces
+/// outlive the publish.
 fn publish(
     corpus: &Corpus,
     state: &PipelineState,
@@ -504,7 +512,10 @@ fn publish(
     let finalize_pipeline = corpus
         .pipeline(options)
         .with_metrics(Arc::clone(&finalize_registry));
-    let analysis = finalize_pipeline.finalize_state(state);
+    let analysis = match &finalize_span {
+        Some(parent) => finalize_pipeline.under(parent).finalize_state(state),
+        None => finalize_pipeline.finalize_state(state),
+    };
     drop(finalize_span);
     if let Some(s) = &span {
         s.attr("distinct_chains", state.distinct_chains().to_string());

@@ -106,8 +106,8 @@ pub fn lint(path: &Path, at: Option<Asn1Time>) -> CliResult<String> {
             .map_err(|e| CliError::Invalid(format!("certificate {i}: {e}")))?;
         chain.push(CertRecord {
             fingerprint: cert.fingerprint(),
-            issuer: cert.issuer.clone(),
-            subject: cert.subject.clone(),
+            issuer: Arc::new(cert.issuer.clone()),
+            subject: Arc::new(cert.subject.clone()),
             validity: cert.validity,
             bc_ca: cert.basic_constraints().map(|bc| bc.ca),
             san_dns: cert.dns_names().iter().map(|s| s.to_string()).collect(),

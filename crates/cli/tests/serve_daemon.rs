@@ -621,7 +621,12 @@ fn http_endpoints_expose_report_and_thread_invariant_metrics() {
 /// a `serve.cycle` span that both started and ended, with `serve.scan`,
 /// `serve.fold`, `checkpoint.commit`, `checkpoint.prune` and
 /// `serve.publish` children, the publish with `serve.finalize` and
-/// `serve.render` children.
+/// `serve.render` children. The pipeline's stage spans nest under the
+/// span that runs them: a fold's `pipeline.enrich` or `pipeline.ingest`
+/// under its `serve.fold`, every `pipeline.dispatch` under a
+/// `pipeline.ingest`, and `pipeline.resolve`, `pipeline.categorize` and
+/// `pipeline.finalize` under `serve.finalize`; no pipeline span is a
+/// root.
 fn assert_complete_fold_cycle(trace_body: &str) {
     use certchain_obs::json::JsonValue;
     let doc = certchain_obs::json::parse(trace_body).expect("trace parses as JSON");
@@ -684,6 +689,50 @@ fn assert_complete_fold_cycle(trace_body: &str) {
             child_of(publish, pass).is_some(),
             "publish {publish} lacks a {pass} child span"
         );
+    }
+    let finalize = child_of(publish, "serve.finalize").unwrap_or_default();
+    for stage in [
+        "pipeline.resolve",
+        "pipeline.categorize",
+        "pipeline.finalize",
+    ] {
+        assert!(
+            child_of(finalize, stage).is_some(),
+            "finalize {finalize} lacks a {stage} child span"
+        );
+    }
+    let folds: Vec<u64> = events
+        .iter()
+        .filter(|ev| {
+            name_of(ev).as_deref() == Some("serve.fold") && field(ev, "parent") == Some(cycle_id)
+        })
+        .filter_map(|ev| field(ev, "span"))
+        .collect();
+    for stage in ["pipeline.enrich", "pipeline.ingest"] {
+        assert!(
+            folds.iter().any(|&fold| child_of(fold, stage).is_some()),
+            "no serve.fold of cycle {cycle_id} has a {stage} child span"
+        );
+    }
+    let span_named = |id: u64| {
+        events
+            .iter()
+            .find(|ev| field(ev, "span") == Some(id))
+            .and_then(name_of)
+    };
+    for ev in events {
+        let Some(name) = name_of(ev).filter(|n| n.starts_with("pipeline.")) else {
+            continue;
+        };
+        let parent = field(ev, "parent").unwrap_or_default();
+        assert_ne!(parent, 0, "{name} is a root span");
+        if name == "pipeline.dispatch" {
+            assert_eq!(
+                span_named(parent).as_deref(),
+                Some("pipeline.ingest"),
+                "a pipeline.dispatch outside pipeline.ingest"
+            );
+        }
     }
 }
 

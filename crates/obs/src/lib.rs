@@ -46,4 +46,4 @@ pub use http::{HttpRequest, HttpResponse, HttpServer, HttpStats};
 pub use metrics::{Counter, Gauge, Histogram, Registry, StageTimer};
 pub use progress::Progress;
 pub use snapshot::{HistogramSnapshot, HttpSnapshot, MetricsSnapshot, StageSnapshot};
-pub use trace::{Span, TraceEvent, TraceJournal, TraceKind};
+pub use trace::{Span, SpanHandle, TraceEvent, TraceJournal, TraceKind};

@@ -151,6 +151,15 @@ impl TraceJournal {
         Span::open(Arc::clone(self), name, 0)
     }
 
+    /// A handle that opens root spans: [`SpanHandle::child`] is then
+    /// [`TraceJournal::span`].
+    pub fn root(self: &Arc<Self>) -> SpanHandle {
+        SpanHandle {
+            journal: Arc::clone(self),
+            id: 0,
+        }
+    }
+
     /// Record a free-standing event (no owning span).
     pub fn event(&self, name: &str, attrs: &[(&str, String)]) {
         self.push(TraceKind::Event, name, 0, 0, attrs);
@@ -267,6 +276,15 @@ impl Span {
         Span::open(Arc::clone(&self.journal), name, self.id)
     }
 
+    /// A handle that opens children of this span without borrowing it,
+    /// for a component that the span's owner runs.
+    pub fn handle(&self) -> SpanHandle {
+        SpanHandle {
+            journal: Arc::clone(&self.journal),
+            id: self.id,
+        }
+    }
+
     /// Attach an attribute, emitted with the `span_end` record.
     pub fn attr(&self, key: &str, value: impl Into<String>) {
         let mut attrs = self
@@ -279,6 +297,22 @@ impl Span {
     /// Record a structured event owned by this span.
     pub fn event(&self, name: &str, attrs: &[(&str, String)]) {
         self.journal.push(TraceKind::Event, name, 0, self.id, attrs);
+    }
+}
+
+/// Where new spans attach: a journal and a parent span id (0 for the
+/// root). Cheap to clone; it neither opens nor closes the parent, so a
+/// child opened after the parent closed still names it.
+#[derive(Debug, Clone)]
+pub struct SpanHandle {
+    journal: Arc<TraceJournal>,
+    id: u64,
+}
+
+impl SpanHandle {
+    /// Open a span under the handle's parent.
+    pub fn child(&self, name: &str) -> Span {
+        Span::open(Arc::clone(&self.journal), name, self.id)
     }
 }
 

@@ -32,8 +32,8 @@ fn arb_chain() -> impl Strategy<Value = Vec<CertRecord>> {
             .enumerate()
             .map(|(i, (issuer, subject, ca, fp))| CertRecord {
                 fingerprint: Fingerprint([fp.wrapping_add(i as u8); 32]),
-                issuer: DistinguishedName::cn(issuer),
-                subject: DistinguishedName::cn(subject),
+                issuer: DistinguishedName::cn(issuer).into(),
+                subject: DistinguishedName::cn(subject).into(),
                 validity: Validity::days_from(Asn1Time::from_unix(0), 30),
                 bc_ca: ca,
                 san_dns: vec![],

@@ -230,9 +230,11 @@ fn main() {
     // write time and picks the rarest category below.
     let oracle = {
         let mut table = CertTable::new();
+        let mut fold = table.folding();
         for rec in &trace.x509_records {
-            table.fold(rec);
+            fold.fold(rec);
         }
+        drop(fold);
         CategoryOracle::new(CategorySet::empty(), &table, &trace.eco.trust)
     };
     let category_of = |rec: &certchain_netsim::SslRecord| oracle.category(&rec.cert_chain_fps);

@@ -55,6 +55,6 @@ pub use matchpath::{MatchedRun, PathReport, PathVerdict};
 pub use model::{CertRecord, ChainKey};
 pub use pipeline::{
     Analysis, CertTable, ChainAnalysis, ChainCategoryLabel, Pipeline, PipelineOptions,
-    PipelineState, RowFilter, StateError,
+    PipelineState, Publisher, RowFilter, StateError,
 };
-pub use summary::AnalysisSummary;
+pub use summary::{AnalysisSummary, CategoryRollup, ReportRollup};

@@ -31,17 +31,30 @@ impl CertRecord {
     /// Parse a log record into the model. Returns `None` when a DN string
     /// does not parse (malformed log row).
     pub fn from_record(rec: &X509Record) -> Option<CertRecord> {
-        Some(CertRecord {
+        let issuer = Arc::new(DistinguishedName::parse_rfc4514(&rec.issuer)?);
+        let subject = Arc::new(DistinguishedName::parse_rfc4514(&rec.subject)?);
+        Some(CertRecord::with_dns(rec, issuer, subject))
+    }
+
+    /// The model of a log record whose DN strings parsed into `issuer`
+    /// and `subject`: what a [`crate::CertTable`] fold builds from the
+    /// DNs it has already parsed.
+    pub(crate) fn with_dns(
+        rec: &X509Record,
+        issuer: Arc<DistinguishedName>,
+        subject: Arc<DistinguishedName>,
+    ) -> CertRecord {
+        CertRecord {
             fingerprint: rec.fingerprint,
-            issuer: Arc::new(DistinguishedName::parse_rfc4514(&rec.issuer)?),
-            subject: Arc::new(DistinguishedName::parse_rfc4514(&rec.subject)?),
+            issuer,
+            subject,
             validity: Validity {
                 not_before: rec.not_before,
                 not_after: rec.not_after,
             },
             bc_ca: rec.basic_constraints_ca,
             san_dns: rec.san_dns.clone(),
-        })
+        }
     }
 
     /// Log-level self-signed test: issuer and subject strings identical.

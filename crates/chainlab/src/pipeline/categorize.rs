@@ -37,44 +37,78 @@ pub fn issuer_entity(dn: &DistinguishedName) -> String {
         .unwrap_or_else(|| dn.to_rfc4514())
 }
 
+/// A chain's certificates from the table, `None` while the table lacks
+/// one of its fingerprints. Certificates never change, so a chain this
+/// resolves stays resolved.
+pub(crate) fn certs_of(table: &CertTable, key: &ChainKey) -> Option<Vec<Arc<CertRecord>>> {
+    key.0.iter().map(|fp| table.get(fp).cloned()).collect()
+}
+
+/// Resolve one chain and classify its certificates; the entry comes back
+/// as `Err` while the table lacks one of its fingerprints.
+pub(crate) fn resolve_one(
+    pipe: &Pipeline<'_>,
+    table: &CertTable,
+    (key, accum): (ChainKey, SharedAccum),
+) -> Result<Prepared, (ChainKey, SharedAccum)> {
+    let Some(certs) = certs_of(table, &key) else {
+        return Err((key, accum));
+    };
+    let classes: Vec<CertClass> = certs.iter().map(|c| classify(c, pipe.trust)).collect();
+    Ok(Prepared {
+        key,
+        certs,
+        classes,
+        snis: accum.snis,
+        usage: accum.usage,
+    })
+}
+
 /// Resolve each chain's fingerprints against the certificate table and
 /// classify its certificates, on `threads` workers over arbitrary
 /// (unsorted) runs — safe because per-chain work is pure and the caller
-/// sorts. A chain with a fingerprint the table lacks is dropped and its
-/// records tallied as unresolvable (an integer sum, thread-count
-/// invariant); the tally comes back with the resolved chains. Every
-/// path hands its chains over as `(key, accumulators)` pairs whose
-/// accumulators a resolved chain keeps as they are: shared with the
-/// [`super::PipelineState`] a finalize reads, never copied.
+/// sorts. The chains the table cannot resolve come back beside the
+/// resolved ones, for the caller to tally their records as unresolvable
+/// (an integer sum, thread-count invariant). Every path hands its chains
+/// over as `(key, accumulators)` pairs whose accumulators a resolved
+/// chain keeps as they are: shared with the [`super::PipelineState`] a
+/// finalize reads, never copied.
 pub(crate) fn resolve(
     pipe: &Pipeline<'_>,
     table: &CertTable,
     entries: Vec<(ChainKey, SharedAccum)>,
     threads: usize,
-) -> (Vec<Prepared>, u64) {
+) -> (Vec<Prepared>, Vec<(ChainKey, SharedAccum)>) {
     let parts = par_map(entries, threads, |part| {
         let mut prepared = Vec::with_capacity(part.len());
-        let mut unresolvable = 0u64;
-        for (key, accum) in part {
-            let certs: Option<Vec<Arc<CertRecord>>> =
-                key.0.iter().map(|fp| table.get(fp).cloned()).collect();
-            let Some(certs) = certs else {
-                unresolvable += accum.usage.records;
-                continue;
-            };
-            let classes: Vec<CertClass> = certs.iter().map(|c| classify(c, pipe.trust)).collect();
-            prepared.push(Prepared {
-                key,
-                certs,
-                classes,
-                snis: accum.snis,
-                usage: accum.usage,
-            });
+        let mut unresolved = Vec::new();
+        for entry in part {
+            match resolve_one(pipe, table, entry) {
+                Ok(p) => prepared.push(p),
+                Err(entry) => unresolved.push(entry),
+            }
         }
-        (prepared, unresolvable)
+        (prepared, unresolved)
     });
-    let (runs, unresolvable): (Vec<_>, Vec<u64>) = parts.into_iter().unzip();
-    (concat(runs), unresolvable.iter().sum())
+    let (runs, unresolved): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+    (concat(runs), concat(unresolved))
+}
+
+/// Pass-1 kernel over one chain: the SNIs among `snis` on which the
+/// chain was likely intercepted, with the candidate entity they count
+/// for, its leaf's issuer; `None` when there are none.
+pub(crate) fn forged<'s>(
+    pipe: &Pipeline<'_>,
+    certs: &[Arc<CertRecord>],
+    snis: impl IntoIterator<Item = &'s Arc<str>>,
+) -> Option<(String, Vec<&'s Arc<str>>)> {
+    let hits: Vec<&Arc<str>> = snis
+        .into_iter()
+        .filter(|sni| {
+            detect(certs, Some(sni), pipe.trust, pipe.ct) == InterceptionVerdict::LikelyIntercepted
+        })
+        .collect();
+    (!hits.is_empty()).then(|| (issuer_entity(&certs[0].issuer), hits))
 }
 
 /// Pass-1 kernel: candidate entity → forged-domain set over `part`.
@@ -84,15 +118,11 @@ fn scan_entities<'p>(
 ) -> HashMap<String, BTreeSet<&'p str>> {
     let mut candidates: HashMap<String, BTreeSet<&'p str>> = HashMap::new();
     for p in part {
-        for sni in p.snis.iter() {
-            if detect(&p.certs, Some(sni), pipe.trust, pipe.ct)
-                == InterceptionVerdict::LikelyIntercepted
-            {
-                candidates
-                    .entry(issuer_entity(&p.certs[0].issuer))
-                    .or_default()
-                    .insert(sni);
-            }
+        if let Some((entity, hits)) = forged(pipe, &p.certs, p.snis.iter()) {
+            candidates
+                .entry(entity)
+                .or_default()
+                .extend(hits.into_iter().map(|sni| &**sni));
         }
     }
     candidates

@@ -190,12 +190,13 @@ impl SegTally {
 fn enrich_segments(cols: &X509Segments<'_>, table: &mut CertTable) -> ColResult<SegTally> {
     let mut tally = SegTally::default();
     let mut band = X509Band::new(*cols);
+    let mut fold = table.folding();
     for seg in 0..cols.segment_count() {
         tally.bytes += band.decode(seg)?;
         tally.read += 1;
         tally.rows += band.rows() as u64;
         for i in 0..band.rows() {
-            table.fold_with(&band.fingerprint(i)?, || band.record(i))?;
+            fold.fold_with(&band.fingerprint(i)?, || band.record(i))?;
         }
     }
     Ok(tally)
@@ -371,7 +372,7 @@ fn ingest_segments(
         if code_accums.is_empty() {
             code_accums = accums;
         } else {
-            merge_into(&mut code_accums, accums, &mut ());
+            merge_into(&mut code_accums, accums, &mut (), |_| {});
         }
     }
     // Rekey code sequences to fingerprint chains and SNI codes to

@@ -174,16 +174,19 @@ impl Partial<ChainAccum> for SharedAccum {
 
 /// Merge the partial map `part` into `into`: the one merge of partials,
 /// for the ingest workers' maps, the columnar segment workers' maps and a
-/// fold's map into a [`super::PipelineState`]'s shared accumulators. A
-/// caller merging parts of one type into an empty map takes the first
-/// part as it is instead.
+/// fold's map into a [`super::PipelineState`]'s shared accumulators.
+/// `merged` sees each key merged, as the state logs them for its next
+/// publish. A caller merging parts of one type into an empty map takes
+/// the first part as it is instead.
 pub(crate) fn merge_into<K: Eq + Hash, P, A: Partial<P>>(
     into: &mut HashMap<K, A>,
     part: HashMap<K, P>,
     cx: &mut A::Cx,
+    mut merged: impl FnMut(&K),
 ) {
-    // srclint: commutative -- per-key merge into a keyed map; Partial::merge is exact in any order (integer sums and set unions), so iteration order is invisible
+    // srclint: commutative -- per-key merge into a keyed map; Partial::merge is exact in any order (integer sums and set unions), and `merged` only collects keys into a set, so iteration order is invisible
     for (key, accum) in part {
+        merged(&key);
         match into.entry(key) {
             Entry::Occupied(mut e) => e.get_mut().merge(accum, cx),
             Entry::Vacant(e) => {
@@ -533,7 +536,7 @@ fn collect(
         if accums.is_empty() {
             accums = shard.accums;
         } else {
-            merge_into(&mut accums, shard.accums, &mut ());
+            merge_into(&mut accums, shard.accums, &mut (), |_| {});
         }
     }
     pipe.obs.finish_progress(counts.records);

@@ -37,6 +37,7 @@ pub mod enrich;
 pub mod finalize;
 pub mod ingest;
 pub(crate) mod observe;
+pub mod publish;
 pub mod state;
 
 use crate::classify::CertClass;
@@ -55,7 +56,8 @@ use std::convert::Infallible;
 use std::sync::Arc;
 
 pub use categorize::issuer_entity;
-pub use enrich::CertTable;
+pub use enrich::{CertTable, TableFold};
+pub use publish::Publisher;
 pub use state::{PipelineState, StateError};
 
 /// §3.2.2 chain categories.
@@ -261,8 +263,8 @@ where
 /// Concatenate [`par_map`]'s vectors in run order. One run comes back as
 /// it is; more go into a new vector of the calling thread's, never into a
 /// worker's grown in place: that would leave the result in the worker's
-/// allocator arena, and `serve`, which finalizes every cycle, then
-/// fragments its heap (+2.5 MiB peak RSS over a 100-rotation soak of the
+/// allocator arena, which fragmented `serve`'s heap when it finalized
+/// every cycle (+2.5 MiB peak RSS over a 100-rotation soak of the
 /// default profile on a 2-core host).
 pub(crate) fn concat<T>(mut runs: Vec<Vec<T>>) -> Vec<T> {
     if runs.len() == 1 {
@@ -448,6 +450,16 @@ impl<'a> Pipeline<'a> {
             .map(|set| crate::filtercat::CategoryOracle::new(set, state.cert_table(), self.trust))
     }
 
+    /// The cross-signing disclosures pass 2 matches pairs with: none
+    /// when [`PipelineOptions::honor_cross_signing`] is off.
+    pub(crate) fn pass2_registry(&self) -> Arc<CrossSignRegistry> {
+        if self.options.honor_cross_signing {
+            Arc::clone(&self.crosssign)
+        } else {
+            Arc::new(CrossSignRegistry::new())
+        }
+    }
+
     /// The stages after the folds, shared by every path: resolve each
     /// folded chain against the certificate table, then the sorted
     /// merge, pass 1, pass 2 and assembly. `entries` are the folded
@@ -470,9 +482,10 @@ impl<'a> Pipeline<'a> {
         let (mut prepared, unresolvable) = {
             let stage = self.obs.stage("resolve");
             stage.attr("chains", entries.len());
-            let resolved = categorize::resolve(self, table, entries, threads);
-            stage.attr("unresolvable", resolved.1);
-            resolved
+            let (prepared, unresolved) = categorize::resolve(self, table, entries, threads);
+            let unresolvable: u64 = unresolved.iter().map(|(_, a)| a.usage.records).sum();
+            stage.attr("unresolvable", unresolvable);
+            (prepared, unresolvable)
         };
         // Ingest accounting: commutative integer sums plus the resolved
         // chain set's size and length distribution — all invariant across
@@ -500,23 +513,20 @@ impl<'a> Pipeline<'a> {
         // corroboration — an entity must be seen forging at least two
         // distinct domains.
         let interception_entities = {
-            let _stage = self.obs.stage("categorize");
+            let stage = self.obs.stage("categorize");
+            stage.attr("chains", prepared.len());
             categorize::find_entities(self, &prepared, threads)
         };
 
         // Pass 2: categorize every chain and run structure analysis. The
         // effective registry is resolved once, outside the per-chain work.
         let stage = self.obs.stage("finalize");
+        stage.attr("chains", prepared.len());
         stage.attr("distinct_chains", prepared.len());
         stage.attr("threads", threads);
-        let empty_registry = CrossSignRegistry::new();
-        let registry = if self.options.honor_cross_signing {
-            &*self.crosssign
-        } else {
-            &empty_registry
-        };
+        let registry = self.pass2_registry();
         let (chains, distinct) =
-            finalize::analyze_chains(self, prepared, &interception_entities, registry, threads);
+            finalize::analyze_chains(self, prepared, &interception_entities, &registry, threads);
         let analysis = finalize::assemble(
             chains,
             distinct,

@@ -69,7 +69,7 @@ use certchain_netsim::X509Record;
 use certchain_obs::json::JsonValue;
 use certchain_x509::Fingerprint;
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
@@ -110,6 +110,17 @@ impl From<ColError> for StateError {
     fn from(e: ColError) -> StateError {
         StateError::Store(e)
     }
+}
+
+/// What the folds changed since a publish: the chains they merged
+/// into, and whether the certificate table grew. A publish reads it to
+/// re-resolve, re-scan and re-analyze only what changed.
+#[derive(Debug, Default)]
+pub(crate) struct Changes {
+    /// The chains a fold merged into.
+    pub(crate) chains: BTreeSet<ChainKey>,
+    /// Whether a fold interned a certificate.
+    pub(crate) table_grew: bool,
 }
 
 /// One already-persisted certificate chunk (carried forward by link).
@@ -171,6 +182,11 @@ pub struct PipelineState {
     loss: BTreeMap<String, u64>,
     /// Ledger of spool files already folded, in fold order.
     folded: Vec<String>,
+    /// The same names, for [`PipelineState::has_folded`].
+    folded_set: HashSet<String>,
+    /// What the folds changed since the last publish, kept once a
+    /// [`super::publish::Publisher`] has published the state.
+    changes: Option<Changes>,
     /// Generation of the last checkpoint written or loaded (0 = none).
     generation: u64,
     /// In-memory change counter (bumps on every fold; not persisted).
@@ -246,13 +262,21 @@ impl PipelineState {
 
     /// Whether a spool file name is already in the folded ledger.
     pub fn has_folded(&self, name: &str) -> bool {
-        self.folded.iter().any(|f| f == name)
+        self.folded_set.contains(name)
     }
 
     /// Append a file to the folded ledger.
     pub fn note_folded(&mut self, name: &str) {
         self.folded.push(name.to_string());
+        self.folded_set.insert(name.to_string());
         self.revision += 1;
+    }
+
+    /// What the folds changed since the last call, and keep the log from
+    /// here on: the first call finds none kept, and the publisher making
+    /// it covers every chain. Never persisted.
+    pub(crate) fn take_changes(&mut self) -> Option<Changes> {
+        self.changes.replace(Changes::default())
     }
 
     /// Bump a loss-accounting tally (e.g. `"ssl.malformed"`,
@@ -269,14 +293,29 @@ impl PipelineState {
         &self.loss
     }
 
-    /// Fold one x509 row into the table, keeping the raw row for the next
-    /// checkpoint when it interns a certificate (unless the state is
-    /// one-shot).
-    fn fold_x509_row(&mut self, rec: &X509Record) {
-        if self.table.fold(rec) && !self.one_shot {
-            self.certs.push(rec.clone());
+    /// Fold a stream of x509 rows into the table as one fold, keeping
+    /// the raw row for the next checkpoint when it interns a certificate
+    /// (unless the state is one-shot). The first error stops the fold and
+    /// is returned, the rows before it folded.
+    fn fold_x509_rows<E, R: Borrow<X509Record>>(
+        &mut self,
+        rows: impl Iterator<Item = Result<R, E>>,
+    ) -> Result<(), E> {
+        let mut fold = self.table.folding();
+        for rec in rows {
+            let rec = rec?;
+            let rec = rec.borrow();
+            if fold.fold(rec) {
+                if !self.one_shot {
+                    self.certs.push(rec.clone());
+                }
+                if let Some(changes) = &mut self.changes {
+                    changes.table_grew = true;
+                }
+            }
+            self.revision += 1;
         }
-        self.revision += 1;
+        Ok(())
     }
 
     /// Absorb one fold's accumulator map and counts. Chain merges are
@@ -286,7 +325,12 @@ impl PipelineState {
     pub(crate) fn absorb(&mut self, accums: HashMap<ChainKey, ChainAccum>, counts: IngestCounts) {
         self.records += counts.records;
         self.no_chain += counts.no_chain;
-        merge_into(&mut self.chains, accums, &mut self.snis);
+        let changes = &mut self.changes;
+        merge_into(&mut self.chains, accums, &mut self.snis, |key| {
+            if let Some(changes) = changes {
+                changes.chains.insert(key.clone());
+            }
+        });
         self.revision += 1;
     }
 
@@ -470,6 +514,7 @@ impl PipelineState {
                     .as_str()
                     .ok_or_else(|| StateError::Corrupt("non-string folded file".into()))?;
                 state.folded.push(name.to_string());
+                state.folded_set.insert(name.to_string());
             }
         }
         let mut chunks: Vec<ChunkInfo> = Vec::new();
@@ -536,8 +581,9 @@ impl PipelineState {
     }
 
     /// The chain accumulators, in the map's hash order: the checkpoint
-    /// encoder sorts them, and finalize sorts what it derives from them.
-    fn chain_entries(&self) -> Vec<(&ChainKey, &SharedAccum)> {
+    /// encoder sorts them, finalize sorts what it derives from them, and
+    /// a publisher's first publish files them into ordered maps.
+    pub(crate) fn chain_entries(&self) -> Vec<(&ChainKey, &SharedAccum)> {
         // srclint: commutative -- snapshot of a keyed map; every caller sorts it or its result
         self.chains.iter().collect()
     }
@@ -590,11 +636,9 @@ impl Pipeline<'_> {
     {
         let stage = self.obs.stage("enrich");
         let before = state.x509_rows();
-        for rec in x509 {
-            state.fold_x509_row(rec?.borrow());
-        }
+        let folded = state.fold_x509_rows(x509);
         stage.attr("rows", state.x509_rows() - before);
-        Ok(())
+        folded
     }
 
     /// Fold a fallible ssl record stream into `state` — the resumable

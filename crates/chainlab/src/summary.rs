@@ -1,11 +1,23 @@
-//! A serializable roll-up of an [`Analysis`] — the machine-readable output
-//! surface (`certchain analyze --json`).
+//! The report's roll-up of an [`Analysis`], and its serializable form —
+//! the machine-readable output surface (`certchain analyze --json`).
+//!
+//! A [`ReportRollup`] holds what the text tables and the JSON summary
+//! read: per category, the chain count, the usage sums and the distinct
+//! client addresses, and the counts of what pass 2 decided per chain.
+//! Batch analyses build it from their [`Analysis`]
+//! ([`ReportRollup::from_analysis`]); `serve`'s publisher
+//! ([`crate::pipeline::publish::Publisher`]) keeps one current, chain by
+//! chain, with the same [`ReportRollup::tally`]. Every count is an
+//! integer, every sum a sum of [`Weight`] units and every address set a
+//! sorted set, so the order chains enter in never shows.
 
 use crate::hybrid::{HybridCategory, NoPathCategory};
 use crate::json::{JsonError, JsonValue};
 use crate::matchpath::{path_verdict_leaf_agnostic, PathVerdict};
-use crate::pipeline::{Analysis, ChainCategoryLabel};
-use std::collections::BTreeMap;
+use crate::pipeline::{Analysis, ChainAnalysis, ChainCategoryLabel};
+use crate::usage::{gather, Sums, UsageStats, Weight};
+use std::collections::{BTreeMap, BTreeSet};
+use std::net::Ipv4Addr;
 
 /// Usage numbers for one group of chains.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -64,6 +76,266 @@ pub struct AnalysisSummary {
     pub unresolvable_records: u64,
 }
 
+/// The §3.2.2 categories, in report order.
+pub const CATEGORIES: [ChainCategoryLabel; 4] = [
+    ChainCategoryLabel::PublicOnly,
+    ChainCategoryLabel::NonPublicOnly,
+    ChainCategoryLabel::Hybrid,
+    ChainCategoryLabel::Interception,
+];
+
+/// A category's place in [`CATEGORIES`].
+pub(crate) fn category_slot(cat: ChainCategoryLabel) -> usize {
+    match cat {
+        ChainCategoryLabel::PublicOnly => 0,
+        ChainCategoryLabel::NonPublicOnly => 1,
+        ChainCategoryLabel::Hybrid => 2,
+        ChainCategoryLabel::Interception => 3,
+    }
+}
+
+/// The hybrid taxonomy's rows (Tables 3 and 7), in summary order.
+const HYBRID_KINDS: [HybridCategory; 9] = [
+    HybridCategory::CompleteNonPubToPub,
+    HybridCategory::CompletePubToPrv,
+    HybridCategory::ContainsPath,
+    HybridCategory::NoPath(NoPathCategory::SelfSignedLeafMismatches),
+    HybridCategory::NoPath(NoPathCategory::SelfSignedLeafValidSubchain),
+    HybridCategory::NoPath(NoPathCategory::AllMismatched),
+    HybridCategory::NoPath(NoPathCategory::PartialMismatched),
+    HybridCategory::NoPath(NoPathCategory::RootAppendedToValidSubchain),
+    HybridCategory::NoPath(NoPathCategory::RootAndMismatches),
+];
+
+/// A hybrid row's place in [`HYBRID_KINDS`].
+fn hybrid_slot(cat: HybridCategory) -> usize {
+    match cat {
+        HybridCategory::CompleteNonPubToPub => 0,
+        HybridCategory::CompletePubToPrv => 1,
+        HybridCategory::ContainsPath => 2,
+        HybridCategory::NoPath(NoPathCategory::SelfSignedLeafMismatches) => 3,
+        HybridCategory::NoPath(NoPathCategory::SelfSignedLeafValidSubchain) => 4,
+        HybridCategory::NoPath(NoPathCategory::AllMismatched) => 5,
+        HybridCategory::NoPath(NoPathCategory::PartialMismatched) => 6,
+        HybridCategory::NoPath(NoPathCategory::RootAppendedToValidSubchain) => 7,
+        HybridCategory::NoPath(NoPathCategory::RootAndMismatches) => 8,
+    }
+}
+
+/// How a chain counts in the Table 8 path statistics.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PathClass {
+    /// A single-certificate chain.
+    Single {
+        /// Whether its certificate is self-signed.
+        self_signed: bool,
+    },
+    /// A multi-certificate chain, by its leaf-agnostic verdict.
+    Chain(PathVerdict),
+}
+
+/// What the roll-up counts of one chain: everything pass 2 decides about
+/// it, nothing of its usage. It changes only when pass 2 runs again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Verdict {
+    pub(crate) category: ChainCategoryLabel,
+    hybrid: Option<HybridCategory>,
+    path: PathClass,
+    pub_leaf_no_intermediate: bool,
+    is_dga: bool,
+    leaf_ct_logged: Option<bool>,
+}
+
+impl Verdict {
+    /// The verdict of an analyzed chain.
+    pub(crate) fn of(chain: &ChainAnalysis) -> Verdict {
+        let path = if chain.key.len() == 1 {
+            PathClass::Single {
+                self_signed: chain.certs[0].is_self_signed(),
+            }
+        } else {
+            PathClass::Chain(path_verdict_leaf_agnostic(&chain.path))
+        };
+        Verdict {
+            category: chain.category,
+            hybrid: chain.hybrid_category,
+            path,
+            pub_leaf_no_intermediate: chain.pub_leaf_no_intermediate,
+            is_dga: chain.is_dga,
+            leaf_ct_logged: chain.leaf_ct_logged,
+        }
+    }
+}
+
+/// One category's aggregate in a [`ReportRollup`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct CategoryRollup {
+    /// Distinct chains.
+    pub chains: u64,
+    /// The usage sums of those chains.
+    pub(crate) sums: Sums,
+    /// Their distinct client addresses, sorted; `None` in a roll-up
+    /// built for the tables alone, which show no address count.
+    pub client_ips: Option<Vec<Ipv4Addr>>,
+}
+
+impl CategoryRollup {
+    /// The sums as usage statistics without ports or addresses.
+    fn usage(&self) -> UsageStats {
+        UsageStats {
+            connections: self.sums.connections,
+            established: self.sums.established,
+            with_sni: self.sums.with_sni,
+            ..UsageStats::default()
+        }
+    }
+
+    /// (Weighted) connections.
+    pub fn connections(&self) -> Weight {
+        self.sums.connections
+    }
+
+    /// Establishment rate.
+    pub fn established_rate(&self) -> f64 {
+        self.usage().established_rate()
+    }
+
+    /// Share of connections without SNI.
+    pub fn no_sni_rate(&self) -> f64 {
+        self.usage().no_sni_rate()
+    }
+}
+
+/// What the text report and the JSON summary render from (see the
+/// module doc).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ReportRollup {
+    categories: [CategoryRollup; 4],
+    hybrid: [u64; 9],
+    pub_leaf_no_intermediate: u64,
+    non_public_paths: PathSummary,
+    interception_paths: PathSummary,
+    /// DGA-cluster chain count.
+    pub dga_chains: u64,
+    ct_logged: (u64, u64),
+    /// The confirmed interception entities.
+    pub interception_entities: BTreeSet<String>,
+    /// Records skipped because they carried no chain (TLS 1.3).
+    pub no_chain_records: u64,
+    /// Records with unresolvable fingerprints.
+    pub unresolvable_records: u64,
+}
+
+/// Count one up, or back down.
+///
+/// # Panics
+///
+/// When counting down from 0: the count never held what it gives back.
+fn step(n: &mut u64, up: bool) {
+    *n = if up {
+        *n + 1
+    } else {
+        n.checked_sub(1).expect("a count taken back it never held")
+    };
+}
+
+impl ReportRollup {
+    /// Roll up an analysis. `client_ips` asks for each category's
+    /// distinct client addresses, which the JSON summary counts and the
+    /// text tables do not show: gathering them sorts every (chain,
+    /// address) pair once.
+    pub fn from_analysis(analysis: &Analysis, client_ips: bool) -> ReportRollup {
+        let mut rollup = ReportRollup {
+            interception_entities: analysis.interception_entities.clone(),
+            no_chain_records: analysis.no_chain_records,
+            unresolvable_records: analysis.unresolvable_records,
+            ..ReportRollup::default()
+        };
+        for chain in &analysis.chains {
+            let verdict = Verdict::of(chain);
+            rollup.tally(&verdict, true);
+            rollup
+                .category_mut(verdict.category)
+                .sums
+                .add(&Sums::of(&chain.usage));
+        }
+        if client_ips {
+            for cat in CATEGORIES {
+                let ips = analysis
+                    .chains_in(cat)
+                    .flat_map(|c| c.usage.client_ips.iter().copied())
+                    .collect();
+                rollup.category_mut(cat).client_ips = Some(gather(ips));
+            }
+        }
+        rollup
+    }
+
+    /// One category's aggregate.
+    pub fn category(&self, cat: ChainCategoryLabel) -> &CategoryRollup {
+        &self.categories[category_slot(cat)]
+    }
+
+    pub(crate) fn category_mut(&mut self, cat: ChainCategoryLabel) -> &mut CategoryRollup {
+        &mut self.categories[category_slot(cat)]
+    }
+
+    /// Hybrid chains of one taxonomy row.
+    pub fn hybrid(&self, cat: HybridCategory) -> u64 {
+        self.hybrid[hybrid_slot(cat)]
+    }
+
+    /// Hybrid chains with no complete matched path, over every
+    /// [`NoPathCategory`].
+    pub fn hybrid_no_path(&self) -> u64 {
+        HYBRID_KINDS
+            .iter()
+            .filter(|h| matches!(h, HybridCategory::NoPath(_)))
+            .map(|&h| self.hybrid(h))
+            .sum()
+    }
+
+    /// Count a chain's verdict in (`up`) or back out: its category's
+    /// chain count and every count the verdict feeds. Usage sums and
+    /// addresses are the caller's to move.
+    pub(crate) fn tally(&mut self, v: &Verdict, up: bool) {
+        step(&mut self.category_mut(v.category).chains, up);
+        if let Some(h) = v.hybrid {
+            step(&mut self.hybrid[hybrid_slot(h)], up);
+        }
+        if v.pub_leaf_no_intermediate {
+            step(&mut self.pub_leaf_no_intermediate, up);
+        }
+        if v.is_dga {
+            step(&mut self.dga_chains, up);
+        }
+        if let Some(logged) = v.leaf_ct_logged {
+            step(&mut self.ct_logged.1, up);
+            if logged {
+                step(&mut self.ct_logged.0, up);
+            }
+        }
+        let paths = match v.category {
+            ChainCategoryLabel::NonPublicOnly => &mut self.non_public_paths,
+            ChainCategoryLabel::Interception => &mut self.interception_paths,
+            _ => return,
+        };
+        match v.path {
+            PathClass::Single { self_signed } => {
+                step(&mut paths.single, up);
+                if self_signed {
+                    step(&mut paths.single_self_signed, up);
+                }
+            }
+            PathClass::Chain(PathVerdict::IsComplete) => step(&mut paths.is_matched, up),
+            PathClass::Chain(PathVerdict::ContainsComplete) => {
+                step(&mut paths.contains_matched, up)
+            }
+            PathClass::Chain(PathVerdict::NoComplete) => step(&mut paths.no_match, up),
+        }
+    }
+}
+
 fn category_key(cat: ChainCategoryLabel) -> &'static str {
     match cat {
         ChainCategoryLabel::PublicOnly => "public",
@@ -96,64 +368,43 @@ fn hybrid_key(cat: HybridCategory) -> &'static str {
 impl AnalysisSummary {
     /// Roll up an analysis.
     pub fn from_analysis(analysis: &Analysis) -> AnalysisSummary {
-        let mut summary = AnalysisSummary {
-            no_chain_records: analysis.no_chain_records,
-            unresolvable_records: analysis.unresolvable_records,
-            interception_entities: analysis.interception_entities.iter().cloned().collect(),
-            ..AnalysisSummary::default()
-        };
-        for cat in [
-            ChainCategoryLabel::PublicOnly,
-            ChainCategoryLabel::NonPublicOnly,
-            ChainCategoryLabel::Hybrid,
-            ChainCategoryLabel::Interception,
-        ] {
-            let usage = analysis.usage_of(|c| c.category == cat);
-            summary.categories.insert(
-                category_key(cat).to_string(),
-                GroupSummary {
-                    chains: analysis.chains_in(cat).count() as u64,
-                    connections: usage.connections.to_f64(),
-                    established_rate: usage.established_rate(),
-                    no_sni_rate: usage.no_sni_rate(),
-                    client_ips: usage.client_ips.len() as u64,
-                },
-            );
+        AnalysisSummary::from_rollup(&ReportRollup::from_analysis(analysis, true))
+    }
+
+    /// The summary of a roll-up. A roll-up built without client
+    /// addresses counts none.
+    pub fn from_rollup(rollup: &ReportRollup) -> AnalysisSummary {
+        let categories = CATEGORIES
+            .iter()
+            .map(|&cat| {
+                let group = rollup.category(cat);
+                let summary = GroupSummary {
+                    chains: group.chains,
+                    connections: group.connections().to_f64(),
+                    established_rate: group.established_rate(),
+                    no_sni_rate: group.no_sni_rate(),
+                    client_ips: group.client_ips.as_ref().map_or(0, |ips| ips.len() as u64),
+                };
+                (category_key(cat).to_string(), summary)
+            })
+            .collect();
+        let hybrid_taxonomy = HYBRID_KINDS
+            .iter()
+            .map(|&h| (hybrid_key(h).to_string(), rollup.hybrid(h)))
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        AnalysisSummary {
+            categories,
+            hybrid_taxonomy,
+            pub_leaf_no_intermediate: rollup.pub_leaf_no_intermediate,
+            non_public_paths: rollup.non_public_paths.clone(),
+            interception_paths: rollup.interception_paths.clone(),
+            interception_entities: rollup.interception_entities.iter().cloned().collect(),
+            dga_chains: rollup.dga_chains,
+            ct_logged: rollup.ct_logged,
+            no_chain_records: rollup.no_chain_records,
+            unresolvable_records: rollup.unresolvable_records,
         }
-        for chain in &analysis.chains {
-            if let Some(h) = chain.hybrid_category {
-                *summary
-                    .hybrid_taxonomy
-                    .entry(hybrid_key(h).to_string())
-                    .or_default() += 1;
-            }
-            if chain.pub_leaf_no_intermediate {
-                summary.pub_leaf_no_intermediate += 1;
-            }
-            if chain.is_dga {
-                summary.dga_chains += 1;
-            }
-            if let Some(logged) = chain.leaf_ct_logged {
-                summary.ct_logged.1 += 1;
-                summary.ct_logged.0 += logged as u64;
-            }
-            let paths = match chain.category {
-                ChainCategoryLabel::NonPublicOnly => &mut summary.non_public_paths,
-                ChainCategoryLabel::Interception => &mut summary.interception_paths,
-                _ => continue,
-            };
-            if chain.key.len() == 1 {
-                paths.single += 1;
-                paths.single_self_signed += chain.certs[0].is_self_signed() as u64;
-            } else {
-                match path_verdict_leaf_agnostic(&chain.path) {
-                    PathVerdict::IsComplete => paths.is_matched += 1,
-                    PathVerdict::ContainsComplete => paths.contains_matched += 1,
-                    PathVerdict::NoComplete => paths.no_match += 1,
-                }
-            }
-        }
-        summary
     }
 
     /// Serialize as pretty JSON.

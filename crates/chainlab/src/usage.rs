@@ -388,6 +388,51 @@ impl UsageStats {
     }
 }
 
+/// The weighted sums of a [`UsageStats`], as a report's roll-up adds
+/// chains' usage into a category and takes it back out: integer sums of
+/// [`Weight`] units, exact in any order.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Sums {
+    pub(crate) connections: Weight,
+    pub(crate) established: Weight,
+    pub(crate) with_sni: Weight,
+}
+
+impl Sums {
+    /// The sums of `usage`.
+    pub(crate) fn of(usage: &UsageStats) -> Sums {
+        Sums {
+            connections: usage.connections,
+            established: usage.established,
+            with_sni: usage.with_sni,
+        }
+    }
+
+    /// Add `other`.
+    pub(crate) fn add(&mut self, other: &Sums) {
+        self.connections += other.connections;
+        self.established += other.established;
+        self.with_sni += other.with_sni;
+    }
+
+    /// Take back `other`, which this sum includes.
+    ///
+    /// # Panics
+    ///
+    /// When a sum is below `other`'s: it did not include `other`.
+    pub(crate) fn sub(&mut self, other: &Sums) {
+        let less = |a: Weight, b: Weight| {
+            Weight(
+                a.0.checked_sub(b.0)
+                    .expect("a sum taken back it never held"),
+            )
+        };
+        self.connections = less(self.connections, other.connections);
+        self.established = less(self.established, other.established);
+        self.with_sni = less(self.with_sni, other.with_sni);
+    }
+}
+
 /// One chain's usage as a fold accumulates it, row by row:
 /// [`UsageFold::finish`] gives the [`UsageStats`] that a state or an
 /// analysis holds.

@@ -324,6 +324,52 @@ fn interrupted_checkpoint_falls_back_and_refold_recovers() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
+/// The folded-file ledger resumes whole: a state loaded from a
+/// generation answers `has_folded` for every name its ledger lists, in
+/// fold order, and for no other name, also after it folds more.
+#[test]
+fn a_resumed_ledger_answers_for_exactly_its_names() {
+    let trust = TrustDb::new();
+    let ct = DomainIndex::new();
+    let root = tmp_root("ledger");
+    let pipe = pipeline(&trust, &ct, 1);
+    let mut state = PipelineState::new();
+    pipe.fold_x509_stream(&mut state, cert_pool().into_iter().map(Ok::<_, ()>))
+        .unwrap();
+    let names: Vec<String> = (0..40)
+        .map(|i| {
+            let kind = if i % 2 == 0 { "x509" } else { "ssl" };
+            format!("{kind}.2024-09-{:02}-{:02}.log", 1 + i / 48, (i / 2) % 24)
+        })
+        .collect();
+    for name in &names {
+        state.note_folded(name);
+    }
+    state.save_checkpoint(&root).unwrap();
+
+    let mut resumed = PipelineState::load_latest(&root)
+        .unwrap()
+        .expect("a generation");
+    assert_eq!(resumed.folded_files(), names.as_slice());
+    for name in &names {
+        assert!(resumed.has_folded(name), "{name} missing from the ledger");
+    }
+    let others = [
+        "ssl.2024-09-01-20.log",
+        "x509.2024-09-02-00.log",
+        "ssl.2024-09-01-00.log.gz",
+        "conn.2024-09-01-00.log",
+        "",
+    ];
+    for name in others {
+        assert!(!resumed.has_folded(name), "{name:?} is not in the ledger");
+    }
+    resumed.note_folded(others[0]);
+    assert!(resumed.has_folded(others[0]));
+    assert!(others[1..].iter().all(|name| !resumed.has_folded(name)));
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
 #[test]
 fn checkpoint_growth_is_incremental_for_certs() {
     let trust = TrustDb::new();

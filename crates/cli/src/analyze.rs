@@ -3,8 +3,7 @@
 
 use crate::dataset::{colstore_dir, detect_format, Corpus, DatasetFormat};
 use crate::{io_ctx, CliError, CliResult};
-use certchain_chainlab::usage::UsageStats;
-use certchain_chainlab::{Analysis, ChainCategoryLabel, Pipeline};
+use certchain_chainlab::{Analysis, ChainCategoryLabel, Pipeline, ReportRollup};
 use certchain_chainlab::{PipelineOptions, PipelineState, RowFilter};
 use certchain_colstore::{DatasetReader, MapMode};
 use certchain_netsim::{SslLogStream, StreamStats, X509LogStream};
@@ -149,7 +148,7 @@ pub fn analyze_opts(dir: &Path, opts: &AnalyzeOptions) -> CliResult<String> {
         json.push('\n');
         json
     } else {
-        let mut text = render(&analysis);
+        let mut text = render(&ReportRollup::from_analysis(&analysis, false));
         text.push_str(&loss_line(&analysis, &loss));
         text
     };
@@ -373,10 +372,11 @@ fn verbose_summary(registry: &Registry) -> String {
     out
 }
 
-/// Render the human report tables (shared with `certchain serve`, whose
-/// drain-mode stdout must stay byte-identical to `analyze` minus the
-/// loss-accounting line).
-pub(crate) fn render(analysis: &Analysis) -> String {
+/// Render the human report tables from a roll-up (shared with `certchain
+/// serve`, whose drain-mode stdout must stay byte-identical to `analyze`
+/// minus the loss-accounting line). The tables show no client-address
+/// count, so a roll-up built without addresses renders them whole.
+pub(crate) fn render(rollup: &ReportRollup) -> String {
     let mut out = String::new();
     let mut census = Table::new(
         "Chain census",
@@ -394,60 +394,45 @@ pub(crate) fn render(analysis: &Analysis) -> String {
         ("Hybrid", ChainCategoryLabel::Hybrid),
         ("TLS interception", ChainCategoryLabel::Interception),
     ] {
-        // Only the three weighted sums: the client-IP union that
-        // `Analysis::usage_of` also builds is not shown here.
-        let mut chains = 0usize;
-        let mut usage = UsageStats::default();
-        for chain in analysis.chains_in(cat) {
-            chains += 1;
-            usage.connections += chain.usage.connections;
-            usage.established += chain.usage.established;
-            usage.with_sni += chain.usage.with_sni;
-        }
+        let group = rollup.category(cat);
         census.row(&[
             name.to_string(),
-            num(chains as f64, 0),
-            num(usage.connections.to_f64(), 0),
-            pct(usage.established_rate()),
-            pct(usage.no_sni_rate()),
+            num(group.chains as f64, 0),
+            num(group.connections().to_f64(), 0),
+            pct(group.established_rate()),
+            pct(group.no_sni_rate()),
         ]);
     }
     out.push_str(&census.render());
 
     // Hybrid taxonomy.
     use certchain_chainlab::HybridCategory as H;
-    let count = |pred: &dyn Fn(&Option<H>) -> bool| {
-        analysis
-            .chains_in(ChainCategoryLabel::Hybrid)
-            .filter(|c| pred(&c.hybrid_category))
-            .count()
-    };
     let mut hybrid = Table::new("Hybrid chains", &["Category", "#. Chains"]);
     hybrid.row(&[
         "Complete: non-public leaf to public anchor".into(),
-        count(&|h| matches!(h, Some(H::CompleteNonPubToPub))).to_string(),
+        rollup.hybrid(H::CompleteNonPubToPub).to_string(),
     ]);
     hybrid.row(&[
         "Complete: public chained to private".into(),
-        count(&|h| matches!(h, Some(H::CompletePubToPrv))).to_string(),
+        rollup.hybrid(H::CompletePubToPrv).to_string(),
     ]);
     hybrid.row(&[
         "Contains a complete matched path".into(),
-        count(&|h| matches!(h, Some(H::ContainsPath))).to_string(),
+        rollup.hybrid(H::ContainsPath).to_string(),
     ]);
     hybrid.row(&[
         "No complete matched path".into(),
-        count(&|h| matches!(h, Some(H::NoPath(_)))).to_string(),
+        rollup.hybrid_no_path().to_string(),
     ]);
     out.push('\n');
     out.push_str(&hybrid.render());
 
     out.push_str(&format!(
         "\ninterception entities: {}\nDGA-cluster chains: {}\nTLS 1.3 records (no chain): {}\nunresolvable records: {}\n",
-        analysis.interception_entities.len(),
-        analysis.chains.iter().filter(|c| c.is_dga).count(),
-        analysis.no_chain_records,
-        analysis.unresolvable_records,
+        rollup.interception_entities.len(),
+        rollup.dga_chains,
+        rollup.no_chain_records,
+        rollup.unresolvable_records,
     ));
     out
 }

@@ -186,12 +186,14 @@ pub(crate) fn rewrite_store<R: StoreRows>(
         let mut rows = open()?;
         let mut writer = DatasetWriter::create_with(&tmp, opts).map_err(col_err)?;
         let mut table = CertTable::new();
+        let mut fold = table.folding();
         rows.x509(&mut |rec| {
             if trust.is_some() {
-                table.fold(rec);
+                fold.fold(rec);
             }
             writer.append_x509(rec).map_err(col_err)
         })?;
+        drop(fold);
         if let Some(trust) = &trust {
             let oracle = CategoryOracle::new(CategorySet::empty(), &table, trust);
             writer = writer.with_category_provider(oracle.into_provider());

@@ -25,21 +25,37 @@
 //!
 //! The defining invariant is inherited from the state layer: folding a
 //! trace across any number of serve cycles — including process restarts
-//! that resume from the checkpoint — finalizes to tables byte-identical
+//! that resume from the checkpoint — publishes tables byte-identical
 //! to one `certchain analyze` batch run over the concatenated logs, at
 //! every thread count. A kill at any moment loses at most the files
 //! folded since the last completed checkpoint; the ledger makes the
 //! next run re-fold exactly those.
 //!
+//! Publishing is incremental. A [`Publisher`] lives as long as the
+//! process and keeps each resolved chain's verdict, the unresolved
+//! chains, pass 1's entity → forged-domain map and the report's
+//! roll-up; the state logs which chains each fold merged into and
+//! whether the certificate table grew. A publish resolves the chains
+//! new to it and the unresolved ones a grown table now resolves, scans
+//! only the SNIs pass 1 has not seen, and runs pass 2 on the newly
+//! resolved chains, and again on the cached chains holding a
+//! certificate of an entity it has just confirmed (they may become
+//! interception chains). A chain whose verdict stands only adds its
+//! usage to its category. A category that loses a chain gathers its
+//! client addresses again from its members, since an address cannot be
+//! taken out of a union. The text report and `/report.json` render from
+//! the roll-up; no publish builds an `Analysis`. The first publish (at
+//! start-up, also of a resumed state) covers every chain.
+//!
 //! Two metrics registries cooperate here. The serve-loop registry lives
 //! as long as the process and accumulates fold-side counters
 //! (`pipeline.ssl_records`, spool skip tallies, stage timings) across
-//! cycles. Finalization is re-run from scratch on every publish, so it
-//! gets a *fresh* registry each time — its counters are absolute values
-//! recomputed from state, and reusing a registry would double-add them.
-//! `/metrics` merges the two snapshots (finalize wins on shared keys);
-//! the deterministic section of the result is thread-count invariant
-//! like every other report surface in the workspace.
+//! cycles. Each publish gets a *fresh* registry: its counters are the
+//! absolute values of the whole state, and reusing a registry would
+//! double-add them. `/metrics` merges the two snapshots (finalize wins
+//! on shared keys); the deterministic section of the result is
+//! thread-count invariant like every other report surface in the
+//! workspace.
 //!
 //! Observability (all strictly on the timing side of the snapshot
 //! split — report tables and the deterministic metrics section are
@@ -51,8 +67,9 @@
 //!   under it, `checkpoint.commit` with per-field fsync events and one
 //!   event for all carried chunks, `checkpoint.prune`, `serve.publish`
 //!   with `serve.finalize`, over `pipeline.resolve`, `pipeline.categorize`
-//!   and `pipeline.finalize`, and `serve.render` children) in a bounded
-//!   ring journal served at `/trace.json`;
+//!   and `pipeline.finalize` (each with a `chains` attribute: the chains
+//!   the publish processed in it), and `serve.render` children) in a
+//!   bounded ring journal served at `/trace.json`;
 //! - `/metrics` negotiates JSON (default) or Prometheus text format via
 //!   `?format=prometheus` / `Accept: text/plain`;
 //! - `/report` negotiates text (default) or the `/report.json` body via
@@ -67,7 +84,7 @@
 use crate::analyze::render;
 use crate::dataset::Corpus;
 use crate::{io_ctx, CliError, CliResult};
-use certchain_chainlab::{AnalysisSummary, Pipeline, PipelineOptions, PipelineState};
+use certchain_chainlab::{AnalysisSummary, Pipeline, PipelineOptions, PipelineState, Publisher};
 use certchain_netsim::{order_spool, LogKind, ReadError, SslLogStream, X509LogStream};
 use certchain_obs::clock::Stopwatch;
 use certchain_obs::json::JsonValue;
@@ -263,8 +280,18 @@ pub fn serve(
     let published = Arc::new(Mutex::new(Published::default()));
     // Publish the (possibly resumed, possibly empty) state before the
     // endpoint goes live, so no request ever sees an empty document. A
-    // cycle publishes again only when it folded a file.
-    publish(&corpus, &state, opts.threads, &published, None);
+    // cycle publishes again only when it folded a file. The publisher's
+    // first publish covers every chain; each later one only what the
+    // cycle's folds changed.
+    let mut publisher = Publisher::new();
+    publish(
+        &corpus,
+        &mut state,
+        &mut publisher,
+        opts.threads,
+        &published,
+        None,
+    );
     let endpoints = Endpoints {
         published: Arc::clone(&published),
         registry: Arc::clone(&registry),
@@ -322,7 +349,14 @@ pub fn serve(
             );
         }
         if folded > 0 {
-            publish(&corpus, &state, opts.threads, &published, Some(&cycle));
+            publish(
+                &corpus,
+                &mut state,
+                &mut publisher,
+                opts.threads,
+                &published,
+                Some(&cycle),
+            );
         }
         cycle.attr("files_folded", folded.to_string());
         cycle.attr("ssl_records", state.ssl_records().to_string());
@@ -486,17 +520,18 @@ fn fold_file(
     Ok(folded)
 }
 
-/// Finalize the current state and publish every HTTP surface. Uses a
-/// fresh registry + pipeline so finalize-side counters are absolute per
-/// publish (see the module doc); the finalize snapshot is stored and
-/// merged with the live serve-loop snapshot per `/metrics` request.
-/// Traced as `serve.publish`, with `serve.finalize` (the pipeline's
-/// stages under it) and `serve.render` (report, JSON summary and status)
-/// children. The analysis is dropped here: only its rendered surfaces
-/// outlive the publish.
+/// Bring the publisher's roll-up up to date with the state and publish
+/// every HTTP surface from it. The publish runs on a fresh registry and
+/// pipeline, so its counters are absolute per publish (see the module
+/// doc); its snapshot is stored and merged with the live serve-loop
+/// snapshot per `/metrics` request. Traced as `serve.publish`, with
+/// `serve.finalize` (the publisher's stages under it) and `serve.render`
+/// (report, JSON summary and status) children. Only the rendered
+/// surfaces leave the publish.
 fn publish(
     corpus: &Corpus,
-    state: &PipelineState,
+    state: &mut PipelineState,
+    publisher: &mut Publisher,
     threads: usize,
     published: &Mutex<Published>,
     trace: Option<&Span>,
@@ -512,9 +547,9 @@ fn publish(
     let finalize_pipeline = corpus
         .pipeline(options)
         .with_metrics(Arc::clone(&finalize_registry));
-    let analysis = match &finalize_span {
-        Some(parent) => finalize_pipeline.under(parent).finalize_state(state),
-        None => finalize_pipeline.finalize_state(state),
+    let rollup = match &finalize_span {
+        Some(parent) => publisher.publish(&finalize_pipeline.under(parent), state),
+        None => publisher.publish(&finalize_pipeline, state),
     };
     drop(finalize_span);
     if let Some(s) = &span {
@@ -523,8 +558,8 @@ fn publish(
     }
     let render_span = pass("serve.render");
     let next = Published {
-        report: render(&analysis),
-        report_json: AnalysisSummary::from_analysis(&analysis).to_json() + "\n",
+        report: render(rollup),
+        report_json: AnalysisSummary::from_rollup(rollup).to_json() + "\n",
         status_json: status_json(state).to_pretty() + "\n",
         finalize: finalize_registry.snapshot(),
     };

@@ -39,6 +39,11 @@ fn batch_tables(threads: usize) -> String {
     full[..cut + 1].to_string()
 }
 
+/// Batch reference for `/report.json`: `analyze --json`'s output.
+fn batch_json(threads: usize) -> String {
+    analyze::analyze_json_with(dataset_dir(), threads).expect("batch analyze --json")
+}
+
 fn fresh(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("certchain-serve-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -286,6 +291,62 @@ fn a_rotation_renamed_in_is_folded_before_the_interval_ends() {
     }
     for dir in [&spool, &held, &checkpoint] {
         let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// Watch mode folding a 6-part spool one rotation pair at a time, each
+/// pair renamed in only once the daemon lists the one before on
+/// `/status`, serves the batch tables at `/report` and `analyze --json`'s
+/// summary at `/report.json` after the last pair, at threads 1 and 2.
+#[test]
+fn a_spool_renamed_in_pair_by_pair_reports_as_batch() {
+    let (tables, json) = (batch_tables(1), batch_json(1));
+    for threads in [1usize, 2] {
+        let spool = fresh(&format!("spool-pairs-{threads}"));
+        let held = fresh(&format!("held-pairs-{threads}"));
+        let checkpoint = fresh(&format!("ckpt-pairs-{threads}"));
+        serve::spool_split(dataset_dir(), &held, 6).expect("spool-split");
+        std::fs::create_dir_all(&spool).unwrap();
+        let addr = spawn_daemon(
+            &spool,
+            &checkpoint,
+            serve::ServeOptions {
+                threads,
+                listen: Some("127.0.0.1:0".to_string()),
+                interval_ms: 50,
+                listen_addr_file: Some(
+                    fresh(&format!("addr-pairs-{threads}")).with_extension("txt"),
+                ),
+                ..serve::ServeOptions::default()
+            },
+        );
+        for hour in 0..6 {
+            let pair = [
+                format!("x509.2024-09-01-{hour:02}.log"),
+                format!("ssl.2024-09-01-{hour:02}.log"),
+            ];
+            for name in &pair {
+                std::fs::rename(held.join(name), spool.join(name)).unwrap();
+            }
+            let mut tries = 0;
+            while !pair.iter().all(|name| folded_files(&addr).contains(name)) {
+                tries += 1;
+                assert!(tries < 1500, "threads={threads}: pair {hour} never folded");
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            }
+        }
+        let (status, report) = http_get(&addr, "/report");
+        assert_eq!(status, "HTTP/1.1 200 OK");
+        assert_eq!(report, tables, "threads={threads}: /report vs batch tables");
+        let (status, report_json) = http_get(&addr, "/report.json");
+        assert_eq!(status, "HTTP/1.1 200 OK");
+        assert_eq!(
+            report_json, json,
+            "threads={threads}: /report.json vs analyze --json"
+        );
+        for dir in [&spool, &held, &checkpoint] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 }
 
@@ -556,7 +617,11 @@ fn http_endpoints_expose_report_and_thread_invariant_metrics() {
         assert_eq!(report, batch_tables(1), "served report vs batch tables");
         let (status, report_json) = http_get(&addr, "/report.json");
         assert_eq!(status, "HTTP/1.1 200 OK");
-        assert!(certchain_obs::json::parse(&report_json).is_ok());
+        assert_eq!(
+            report_json,
+            batch_json(1),
+            "served JSON summary vs analyze --json"
+        );
 
         // Content negotiation: query param and Accept header both reach
         // the JSON body; an unknown format gets 406 plus a hint.

@@ -106,6 +106,25 @@ impl Histogram {
         }
     }
 
+    /// Record `n` observations of `v`: the histogram `n` calls of
+    /// [`Histogram::observe`] leave, in one step.
+    pub fn observe_n(&self, v: u64, n: u64) {
+        let idx = (u64::BITS - v.leading_zeros()) as usize;
+        self.buckets[idx].fetch_add(n, Relaxed);
+        self.count.fetch_add(n, Relaxed);
+        // `n` saturating adds of `v` saturate exactly when one add of
+        // `v * n` does.
+        let add = v.saturating_mul(n);
+        let mut cur = self.sum.load(Relaxed);
+        loop {
+            let next = cur.saturating_add(add);
+            match self.sum.compare_exchange_weak(cur, next, Relaxed, Relaxed) {
+                Ok(_) => break,
+                Err(seen) => cur = seen,
+            }
+        }
+    }
+
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count.load(Relaxed)

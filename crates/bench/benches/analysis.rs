@@ -1,10 +1,10 @@
-//! Analysis-pipeline benchmarks: the paper's per-stage costs over a
-//! generated trace — trace generation, enrichment + categorization, path
-//! analysis, interception detection.
+//! Analysis benchmarks over a generated trace: trace generation (whole
+//! and per thread count) and path analysis of the longest chain. The
+//! pipeline itself is timed end to end and per layer by `perfbench/`.
 
 use certchain_bench::Lab;
 use certchain_chainlab::matchpath::analyze;
-use certchain_chainlab::{CrossSignRegistry, Pipeline, PipelineOptions};
+use certchain_chainlab::CrossSignRegistry;
 use certchain_workload::{CampusProfile, CampusTrace};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -25,52 +25,6 @@ fn bench_trace_generation(c: &mut Criterion) {
     group.bench_function("generate_tiny_trace", |b| {
         b.iter(|| CampusTrace::generate(tiny_profile()))
     });
-    group.finish();
-}
-
-fn bench_pipeline(c: &mut Criterion) {
-    let trace = CampusTrace::generate(tiny_profile());
-    let weights: Vec<f64> = trace.conn_meta.iter().map(|m| m.weight).collect();
-    let mut group = c.benchmark_group("pipeline");
-    group.sample_size(10);
-    group.bench_function("full_analysis_tiny_trace", |b| {
-        b.iter(|| {
-            let pipeline = Pipeline::new(
-                &trace.eco.trust,
-                &trace.ct_index,
-                CrossSignRegistry::from_disclosures(&trace.cross_sign_disclosures),
-            );
-            pipeline.analyze(&trace.ssl_records, &trace.x509_records, Some(&weights))
-        })
-    });
-    group.finish();
-}
-
-fn bench_pipeline_threads(c: &mut Criterion) {
-    let trace = CampusTrace::generate(tiny_profile());
-    let weights: Vec<f64> = trace.conn_meta.iter().map(|m| m.weight).collect();
-    let mut group = c.benchmark_group("pipeline/threads");
-    group.sample_size(10);
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let pipeline = Pipeline::with_options(
-                        &trace.eco.trust,
-                        &trace.ct_index,
-                        CrossSignRegistry::from_disclosures(&trace.cross_sign_disclosures),
-                        PipelineOptions {
-                            threads,
-                            ..PipelineOptions::default()
-                        },
-                    );
-                    pipeline.analyze(&trace.ssl_records, &trace.x509_records, Some(&weights))
-                })
-            },
-        );
-    }
     group.finish();
 }
 
@@ -105,8 +59,6 @@ fn bench_matchpath(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_trace_generation,
-    bench_pipeline,
-    bench_pipeline_threads,
     bench_trace_generation_threads,
     bench_matchpath
 );

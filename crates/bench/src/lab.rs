@@ -12,12 +12,10 @@ pub struct Lab {
 }
 
 /// Profile selection: `CERTCHAIN_PROFILE=quick` for the test-sized run,
-/// `CERTCHAIN_PROFILE=large` for the parallel-scaling bench size,
 /// anything else (or unset) for the default calibration.
 pub fn profile_from_env() -> CampusProfile {
     match std::env::var("CERTCHAIN_PROFILE").as_deref() {
         Ok("quick") => CampusProfile::quick(),
-        Ok("large") => CampusProfile::large(),
         _ => CampusProfile::default(),
     }
 }

@@ -41,11 +41,6 @@ pub mod pipeline;
 pub mod summary;
 pub mod usage;
 
-/// The workspace JSON value type, re-exported from `certchain-obs` (its
-/// home since the observability layer landed) so existing
-/// `certchain_chainlab::json::JsonValue` paths keep working.
-pub use certchain_obs::json;
-
 pub use classify::CertClass;
 pub use crosssign::CrossSignRegistry;
 pub use filtercat::{chain_category, CategoryOracle, CertCat};

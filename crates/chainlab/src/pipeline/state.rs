@@ -860,11 +860,20 @@ impl PipelineState {
     /// that is not a whole number of [`Weight`] units in `[0, 2^36)` is
     /// `Corrupt`, and so is a port, address or SNI list that is not
     /// strictly increasing, as the encoder writes every one: a repeated
-    /// entry would otherwise replace or collapse silently.
+    /// entry would otherwise replace or collapse silently. A chain with no
+    /// fingerprints is `Corrupt` too: no fold keeps one (a chainless row
+    /// counts as `no_chain`), and it would resolve to no certificates and
+    /// count as public-only.
     fn decode_chains(&mut self, bytes: &[u8]) -> Result<(), StateError> {
         let mut cur = Cur::new(bytes);
         while !cur.done() {
+            let at = cur.pos;
             let fp_count = cur.count(32)?;
+            if fp_count == 0 {
+                return Err(StateError::Corrupt(format!(
+                    "chain at offset {at} has no fingerprints"
+                )));
+            }
             let mut fps = Vec::with_capacity(fp_count);
             for _ in 0..fp_count {
                 fps.push(cur.fp()?);

@@ -12,10 +12,10 @@
 //! sorted set, so the order chains enter in never shows.
 
 use crate::hybrid::{HybridCategory, NoPathCategory};
-use crate::json::{JsonError, JsonValue};
 use crate::matchpath::{path_verdict_leaf_agnostic, PathVerdict};
 use crate::pipeline::{Analysis, ChainAnalysis, ChainCategoryLabel};
 use crate::usage::{gather, Sums, UsageStats, Weight};
+use certchain_obs::json::{self, JsonError, JsonValue};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
@@ -414,7 +414,7 @@ impl AnalysisSummary {
 
     /// Parse back from JSON.
     pub fn from_json(text: &str) -> Result<AnalysisSummary, JsonError> {
-        AnalysisSummary::from_value(&crate::json::parse(text)?)
+        AnalysisSummary::from_value(&json::parse(text)?)
     }
 
     fn to_value(&self) -> JsonValue {

@@ -6,7 +6,7 @@
 
 use certchain_asn1::Asn1Time;
 use certchain_chainlab::{
-    Analysis, CrossSignRegistry, Pipeline, PipelineOptions, PipelineState, StateError,
+    Analysis, CrossSignRegistry, Pipeline, PipelineOptions, PipelineState, Publisher, StateError,
 };
 use certchain_ctlog::DomainIndex;
 use certchain_netsim::{SslRecord, TlsVersion, X509Record};
@@ -725,5 +725,85 @@ fn a_fingerprint_count_the_file_cannot_hold_is_corrupt() {
     bytes[..4].copy_from_slice(&u32::MAX.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
     assert_corrupt(&root, "overruns the field");
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// Record `size` as the byte length of the field file at `path` in its
+/// generation's manifest, so that `load_latest` decodes the changed file
+/// rather than skipping the generation for a size mismatch.
+fn set_manifest_size(path: &Path, size: u64) {
+    use certchain_obs::json::{self, JsonValue};
+    let manifest = path.with_file_name(certchain_colstore::CHECKPOINT_MANIFEST_FILE);
+    let mut doc = json::parse(&std::fs::read_to_string(&manifest).unwrap()).expect("manifest JSON");
+    let JsonValue::Obj(fields) = &mut doc else {
+        panic!("manifest is not an object")
+    };
+    let Some((_, JsonValue::Obj(files))) = fields.iter_mut().find(|(k, _)| k == "files") else {
+        panic!("manifest has no files object")
+    };
+    let name = path.file_name().and_then(|n| n.to_str()).unwrap();
+    let Some((_, recorded)) = files.iter_mut().find(|(k, _)| k == name) else {
+        panic!("manifest lists no {name}")
+    };
+    *recorded = JsonValue::Num(size as f64);
+    std::fs::write(&manifest, doc.to_pretty() + "\n").unwrap();
+}
+
+/// No fold keeps a chain without fingerprints: a chainless row counts as
+/// `no_chain`. Such a chain in `chains.dat` would resolve to no
+/// certificates and count as public-only, so reload rejects it. The
+/// first chain's count is set to 0 and its fingerprints cut out.
+#[test]
+fn a_chain_with_no_fingerprints_is_corrupt() {
+    let (root, path) = saved_chains("no-fingerprints");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let n = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+    assert!(n > 0, "the first chain has fingerprints");
+    bytes[..4].copy_from_slice(&0u32.to_le_bytes());
+    bytes.drain(4..4 + 32 * n);
+    std::fs::write(&path, &bytes).unwrap();
+    set_manifest_size(&path, bytes.len() as u64);
+    assert_corrupt(&root, "has no fingerprints");
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// A flipped byte anywhere in a generation never panics a resume. Each
+/// byte of `chains.dat`, the cert chunk and `checkpoint.json` in turn is
+/// XORed with 0xFF; `load_latest` must return `Ok` or `Err`, and a state
+/// it returns must finalize and publish through a fresh publisher.
+#[test]
+fn a_flipped_byte_never_panics_a_resume() {
+    let (root, chains) = saved_chains("byte-flips");
+    let dir = chains.parent().unwrap();
+    let chunk = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .find(|name| name.starts_with("certs-"))
+        .map(|name| dir.join(name))
+        .expect("a cert chunk");
+    let manifest = dir.join(certchain_colstore::CHECKPOINT_MANIFEST_FILE);
+    let trust = TrustDb::new();
+    let ct = DomainIndex::new();
+    let pipe = pipeline(&trust, &ct, 2);
+    let mut panicked = Vec::new();
+    for file in [&chains, &chunk, &manifest] {
+        let good = std::fs::read(file).unwrap();
+        for at in 0..good.len() {
+            let mut bytes = good.clone();
+            bytes[at] ^= 0xFF;
+            std::fs::write(file, &bytes).unwrap();
+            let resume = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if let Ok(Some(mut state)) = PipelineState::load_latest(&root) {
+                    pipe.finalize_state(&state);
+                    Publisher::new().publish(&pipe, &mut state);
+                }
+            }));
+            if resume.is_err() {
+                panicked.push(format!("{} byte {at}", file.display()));
+            }
+        }
+        std::fs::write(file, &good).unwrap();
+    }
+    assert!(panicked.is_empty(), "a flip panicked: {panicked:?}");
     std::fs::remove_dir_all(&root).unwrap();
 }

@@ -13,7 +13,7 @@ use crate::clock::Stopwatch;
 use crate::snapshot::{HistogramSnapshot, MetricsSnapshot, StageSnapshot};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// A monotonically increasing event count.
 #[derive(Debug, Default)]
@@ -177,9 +177,7 @@ struct StageStat {
 ///
 /// A `Registry` is an ordinary value — pipelines and tests create a
 /// fresh one per run so snapshots cover exactly one execution (the
-/// bit-identical-across-threads tests depend on that). [`Registry::global`]
-/// exists for process-wide convenience wiring where per-run isolation is
-/// not needed.
+/// bit-identical-across-threads tests depend on that).
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
@@ -192,12 +190,6 @@ impl Registry {
     /// An empty registry.
     pub fn new() -> Registry {
         Registry::default()
-    }
-
-    /// The process-wide registry (created on first use).
-    pub fn global() -> &'static Registry {
-        static GLOBAL: OnceLock<Registry> = OnceLock::new();
-        GLOBAL.get_or_init(Registry::new)
     }
 
     /// Get or create the counter named `name`.
@@ -384,12 +376,5 @@ mod tests {
         let demo = snap.stages.get("demo").expect("stage recorded");
         assert_eq!(demo.invocations, 2);
         assert!(demo.wall_ms >= 0.0);
-    }
-
-    #[test]
-    fn global_registry_is_a_singleton() {
-        let a = Registry::global() as *const Registry;
-        let b = Registry::global() as *const Registry;
-        assert_eq!(a, b);
     }
 }

@@ -328,20 +328,6 @@ impl CampusProfile {
         }
     }
 
-    /// A larger profile for parallel-scaling benchmarks: the same chain
-    /// population as the default but ~4× the connection volume, so the
-    /// per-record accumulate stage dominates the wall time and thread
-    /// scaling is visible on multi-core hosts (`CERTCHAIN_PROFILE=large`).
-    pub fn large() -> CampusProfile {
-        CampusProfile {
-            seed: 20250901,
-            chain_scale: 0.01,
-            conn_scale: 0.004,
-            public_chains: 2_000,
-            public_conns_per_chain: 20,
-        }
-    }
-
     /// Weight of one scaled chain.
     pub fn chain_weight(&self) -> f64 {
         1.0 / self.chain_scale

@@ -129,8 +129,7 @@ fn missing(table: &CertTable, key: &ChainKey) -> Option<Fingerprint> {
 /// The state's accumulators of a chain it holds.
 fn accum_of<'s>(state: &'s PipelineState, key: &ChainKey) -> &'s SharedAccum {
     state
-        .chains
-        .get(key)
+        .accum(key)
         .expect("the state holds every chain it logged")
 }
 

@@ -38,33 +38,54 @@
 //! # Checkpoint layout
 //!
 //! Persistence reuses `certchain-colstore`'s checkpoint container
-//! (generation directories, one file per field, manifest written last,
-//! size-validated loader with fallback to the last complete generation):
+//! (generation directories, manifest written last with every file's size
+//! and SHA-256, loader with fallback to the last complete generation,
+//! a digest check on every read). A generation is a stack of *runs*, files
+//! that never change once committed:
 //!
-//! - `chains.dat` — every per-chain accumulator, sorted by [`ChainKey`]
-//!   so the bytes are invariant across thread counts and hash seeds.
-//!   Rewritten per generation: it is a mutable aggregate, O(distinct
-//!   chains).
-//! - `certs-NNNNNN.dat` — the interned x509 rows as an append-only
-//!   chunk series: each generation writes only the rows interned since
-//!   the previous checkpoint and *carries* older chunks by hard link, so
-//!   cert persistence costs O(new data). The state frees those rows once
-//!   the generation commits, and reload rebuilds the [`CertTable`] from
-//!   the chunks and frees the decoded rows, so no session holds a row a
-//!   chunk already has. A one-shot state ([`PipelineState::one_shot`])
-//!   keeps no rows at all and refuses to be checkpointed.
+//! - each commit writes one run, `run-NNNNNN.dat` (`NNNNNN` the generation
+//!   that wrote it): the x509 rows interned since the previous commit
+//!   (the cert section), then the full accumulators of every chain a fold
+//!   merged into since then, sorted by [`ChainKey`] so the bytes are
+//!   invariant across thread counts and hash seeds (the chain section).
+//!   The manifest's `meta.runs` lists the runs oldest first, with each
+//!   run's certificate count, cert-section length, chain count and `from`,
+//!   the first generation whose changes it holds. The state logs the
+//!   chains to write through the hook that fills its publish log.
+//! - older runs are *carried* by hard link with the digest the previous
+//!   manifest recorded. While the run before the new one is at most twice
+//!   its size, the new run absorbs it: its cert section is copied (and
+//!   its whole file checked against its digest on the way), and the chains
+//!   any absorbed run holds are re-encoded from their values in memory,
+//!   which are the newest. So run sizes more than double down the stack, a
+//!   generation holds O(log commits) files, and a stored byte is rewritten
+//!   O(log commits) times. A commit with nothing new writes no run.
+//! - `load_latest` reads the runs in order; a chain in a later run
+//!   replaces the same chain in an earlier one. A generation written
+//!   before runs (schema `certchain-checkpoint/v1`: `certs-NNNNNN.dat`
+//!   chunks and one `chains.dat`, no digests) loads as the same stack: each
+//!   cert chunk a run with no chains, then `chains.dat` a run with no
+//!   certificates. Its files are carried into the next generation as
+//!   runs, with the digests computed when they were read.
+//! - after a commit, every generation but the new one and the one it
+//!   carried from is removed; no manifest is opened to decide.
+//! - the state frees the x509 rows a run holds once it commits, and
+//!   reload rebuilds the [`CertTable`] from the runs and frees the
+//!   decoded rows, so no session holds a row a run already has. A
+//!   one-shot state ([`PipelineState::one_shot`]) keeps neither rows nor a
+//!   log of chains to write, and refuses to be checkpointed.
 //! - counters (the table's row tallies among them), loss tallies, and
 //!   the folded-file ledger ride in the manifest's `meta` object.
 //!   Generations written by older builds may also carry a
 //!   `category_census` there; the loader checks its shape and drops it.
 
 use super::enrich::CertTable;
-use super::ingest::{merge_into, ChainAccum, IngestCounts, SharedAccum, SniPool};
+use super::ingest::{merge_into, ChainAccum, IngestCounts, Partial, SharedAccum, SniPool};
 use super::Pipeline;
 use crate::model::ChainKey;
 use crate::usage::{UsageStats, Weight};
 use certchain_asn1::Asn1Time;
-use certchain_colstore::{Checkpoint, CheckpointWriter, ColError};
+use certchain_colstore::{Checkpoint, CheckpointWriter, ColError, FieldFile, FieldReader};
 use certchain_netsim::X509Record;
 use certchain_obs::json::JsonValue;
 use certchain_x509::Fingerprint;
@@ -75,8 +96,12 @@ use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// The chains field file name.
+/// The chains file of a generation written before runs.
 const CHAINS_FILE: &str = "chains.dat";
+
+/// A run absorbs the run before it while that one is at most this many
+/// times its size.
+const MERGE_RATIO: u64 = 2;
 
 /// Errors from checkpoint persistence and reload.
 #[derive(Debug)]
@@ -123,20 +148,69 @@ pub(crate) struct Changes {
     pub(crate) table_grew: bool,
 }
 
-/// One already-persisted certificate chunk (carried forward by link).
-#[derive(Debug, Clone)]
-struct ChunkInfo {
-    name: String,
-    count: usize,
-    bytes: u64,
+/// A chain the state holds: its accumulators, and the generation whose
+/// commit last wrote them to a run (0: none has).
+struct Held {
+    accum: SharedAccum,
+    written: u64,
 }
 
-/// Where the state was last persisted — what `save_checkpoint` carries
-/// chunks from. Never serialized; rebuilt on load.
+/// A fold merges into the accumulators; the commit that writes them
+/// next records its generation.
+impl Partial<ChainAccum> for Held {
+    type Cx = SniPool;
+
+    fn merge(&mut self, other: ChainAccum, pool: &mut SniPool) {
+        self.accum.merge(other, pool);
+    }
+
+    fn first(part: ChainAccum, pool: &mut SniPool) -> Held {
+        Held {
+            accum: SharedAccum::first(part, pool),
+            written: 0,
+        }
+    }
+}
+
+/// One run of the last generation written or loaded (see the module
+/// doc): a file that never changes once committed.
+#[derive(Debug, Clone)]
+struct Run {
+    name: String,
+    /// The first generation whose changes the run holds: every chain
+    /// whose newest stored value it holds was last written by that
+    /// generation or a later one, and every chain of an older run before
+    /// it.
+    from: u64,
+    /// Certificate records in its cert section.
+    certs: u64,
+    /// The cert section's length; the chain section follows it.
+    cert_bytes: u64,
+    /// Chains in its chain section.
+    chains: u64,
+    /// Its size and digest.
+    file: FieldFile,
+}
+
+impl Run {
+    fn to_json(&self) -> JsonValue {
+        let num = |n: u64| JsonValue::Num(n as f64);
+        JsonValue::Obj(vec![
+            ("name".into(), JsonValue::Str(self.name.clone())),
+            ("from".into(), num(self.from)),
+            ("certs".into(), num(self.certs)),
+            ("cert_bytes".into(), num(self.cert_bytes)),
+            ("chains".into(), num(self.chains)),
+        ])
+    }
+}
+
+/// Where the state was last persisted — the runs the next commit carries
+/// or absorbs. Never serialized; rebuilt on load.
 #[derive(Debug, Clone)]
 struct PrevCheckpoint {
     dir: PathBuf,
-    chunks: Vec<ChunkInfo>,
+    runs: Vec<Run>,
 }
 
 /// The pipeline's resumable accumulator state. Build one with
@@ -153,23 +227,26 @@ struct PrevCheckpoint {
 /// still holds it, and never changes what that analysis reports. Each
 /// distinct SNI is one shared string, which every chain that saw it
 /// holds. Of the raw x509 rows, the state keeps only
-/// those interned since the last checkpoint: a committed checkpoint's
-/// cert chunk holds the rest, and the [`CertTable`] holds every
-/// certificate. A one-shot state ([`PipelineState::one_shot`]) keeps
-/// none.
+/// those interned since the last checkpoint, and of the chains it logs
+/// the ones folds merged into since then: a committed checkpoint's runs
+/// hold the rest, and the [`CertTable`] holds every certificate. A
+/// one-shot state ([`PipelineState::one_shot`]) keeps neither.
 #[derive(Default)]
 pub struct PipelineState {
     /// Per-chain accumulators, shared with the analyses finalized from
     /// the state.
-    pub(crate) chains: HashMap<ChainKey, SharedAccum>,
+    chains: HashMap<ChainKey, Held>,
     /// One shared string per distinct SNI the chains hold.
     snis: SniPool,
     /// The raw x509 rows that interned certificates since the last
-    /// checkpoint, in intern order: the next checkpoint's cert chunk.
-    /// Freed once that checkpoint commits.
+    /// checkpoint, in intern order: the next run's cert section. Freed
+    /// once that checkpoint commits.
     certs: Vec<X509Record>,
-    /// Set in a one-shot state: `certs` stays empty, and the state
-    /// cannot be checkpointed.
+    /// The chains a fold merged into since the last checkpoint: the next
+    /// run's chain section.
+    dirty: BTreeSet<ChainKey>,
+    /// Set in a one-shot state: `certs` and `dirty` stay empty, and the
+    /// state cannot be checkpointed.
     one_shot: bool,
     /// The certificate table and its row tallies.
     table: CertTable,
@@ -321,14 +398,20 @@ impl PipelineState {
     /// Absorb one fold's accumulator map and counts. Chain merges are
     /// exact (integer sums, set unions), so absorbing per-file folds
     /// reproduces the one-shot batch fold bit-for-bit. Each merge is
-    /// copy-on-write (see [`PipelineState`]), and a new SNI is interned.
+    /// copy-on-write (see [`PipelineState`]), a new SNI is interned, and
+    /// each chain merged into is logged for the next publish and, unless
+    /// the state is one-shot, the next checkpoint.
     pub(crate) fn absorb(&mut self, accums: HashMap<ChainKey, ChainAccum>, counts: IngestCounts) {
         self.records += counts.records;
         self.no_chain += counts.no_chain;
         let changes = &mut self.changes;
+        let mut dirty = (!self.one_shot).then_some(&mut self.dirty);
         merge_into(&mut self.chains, accums, &mut self.snis, |key| {
             if let Some(changes) = changes {
                 changes.chains.insert(key.clone());
+            }
+            if let Some(dirty) = &mut dirty {
+                dirty.insert(key.clone());
             }
         });
         self.revision += 1;
@@ -352,9 +435,8 @@ impl PipelineState {
         );
         let mut counts = [0u64; certchain_colstore::CATEGORY_COUNT];
         counts[certchain_colstore::Category::NoChain.index()] = self.no_chain;
-        // srclint: commutative — u64 additions into per-category slots
-        for (key, accum) in &self.chains {
-            counts[oracle.category(&key.0).index()] += accum.usage.records;
+        for (key, held) in self.held() {
+            counts[oracle.category(&key.0).index()] += held.accum.usage.records;
         }
         counts
     }
@@ -366,21 +448,24 @@ impl PipelineState {
 
     // ---- persistence ----------------------------------------------------
 
-    /// Write a new checkpoint generation under `root` and prune all but
-    /// the two newest complete generations. Returns the generation
-    /// number. Field files land before the manifest, so a crash
-    /// mid-write leaves the previous generation as the loadable one. A
-    /// one-shot state writes nothing and fails with
-    /// [`StateError::NoRows`].
+    /// Write a new checkpoint generation under `root` (see the module
+    /// doc's "Checkpoint layout") and remove every other generation but
+    /// the one it carried from. Returns the generation number. Field
+    /// files land before the manifest, so a crash mid-write leaves the
+    /// previous generation as the loadable one. A one-shot state writes
+    /// nothing and fails with [`StateError::NoRows`].
     pub fn save_checkpoint(&mut self, root: &Path) -> Result<u64, StateError> {
         self.save_checkpoint_traced(root, None)
     }
 
     /// [`PipelineState::save_checkpoint`], with an optional parent trace
-    /// span: the commit then runs under a `checkpoint.commit` child span
-    /// whose events record every field write, the carried chunks and the
-    /// manifest fsync (see [`CheckpointWriter::attach_trace`]), and the
-    /// prune of old generations under a `checkpoint.prune` one.
+    /// span: the whole commit then runs under a `checkpoint.commit` child
+    /// span, with `runs` (the runs the generation holds), `merged` (the
+    /// runs the new one absorbed), `delta_bytes` (what the new run would
+    /// hold had it absorbed none) and `written_bytes` attributes and an
+    /// event for every field write, the carried runs and the manifest
+    /// fsync (see [`CheckpointWriter::attach_trace`]), and the prune of
+    /// old generations under a `checkpoint.prune` one.
     pub fn save_checkpoint_traced(
         &mut self,
         root: &Path,
@@ -389,31 +474,110 @@ impl PipelineState {
         if self.one_shot {
             return Err(StateError::NoRows);
         }
+        let span = trace.map(|t| t.child("checkpoint.commit"));
         let generation = Checkpoint::next_generation(root)?;
         let mut writer = CheckpointWriter::begin(root, generation)?;
-        if let Some(parent) = trace {
-            let span = parent.child("checkpoint.commit");
-            span.attr("generation", generation.to_string());
-            writer.attach_trace(span);
-        }
-        writer.write_field(CHAINS_FILE, &self.encode_chains())?;
-        let mut chunks: Vec<ChunkInfo> = Vec::new();
-        if let Some(prev) = &self.prev {
-            for chunk in &prev.chunks {
-                writer.carry_field(&chunk.name, &prev.dir.join(&chunk.name), chunk.bytes)?;
-                chunks.push(chunk.clone());
+        // The logged chains are written by this generation; should it
+        // fail, the log keeps them for the next.
+        for key in &self.dirty {
+            if let Some(held) = self.chains.get_mut(key) {
+                held.written = generation;
             }
         }
-        if !self.certs.is_empty() {
-            let name = format!("certs-{generation:06}.dat");
-            let bytes = encode_certs(&self.certs);
-            writer.write_field(&name, &bytes)?;
-            chunks.push(ChunkInfo {
+        let (prev_dir, mut runs) = match &self.prev {
+            Some(prev) => (prev.dir.clone(), prev.runs.clone()),
+            None => (PathBuf::new(), Vec::new()),
+        };
+        let new_certs = encode_certs(&self.certs);
+        let (mut chain_bytes, mut chains) = self.chain_section(None);
+        let delta = (new_certs.len() + chain_bytes.len()) as u64;
+        let merging = absorbed(&mut runs, delta);
+        if let Some(span) = span {
+            span.attr("generation", generation.to_string());
+            span.attr("runs", (runs.len() + usize::from(delta > 0)).to_string());
+            span.attr("merged", merging.len().to_string());
+            span.attr("delta_bytes", delta.to_string());
+            writer.attach_trace(span);
+        }
+        for run in &runs {
+            writer.carry_field(&run.name, &prev_dir.join(&run.name), run.file)?;
+        }
+        if delta > 0 {
+            let from = merging.first().map_or(generation, |oldest| oldest.from);
+            if !merging.is_empty() {
+                (chain_bytes, chains) = self.chain_section(Some(from));
+            }
+            let name = format!("run-{generation:06}.dat");
+            let mut field = writer.field(&name)?;
+            let (mut certs, mut cert_bytes) = (self.certs.len() as u64, new_certs.len() as u64);
+            for run in &merging {
+                let mut old = FieldReader::open(&prev_dir.join(&run.name), run.file)?;
+                old.copy_section(run.cert_bytes, &mut field)?;
+                old.finish()?;
+                certs += run.certs;
+                cert_bytes += run.cert_bytes;
+            }
+            field.append(&new_certs)?;
+            field.append(&chain_bytes)?;
+            let file = field.finish()?;
+            runs.push(Run {
                 name,
-                count: self.certs.len(),
-                bytes: bytes.len() as u64,
+                from,
+                certs,
+                cert_bytes,
+                chains,
+                file,
             });
         }
+        self.set_meta(&mut writer, &runs);
+        let sealed = writer.commit()?;
+        // The new run holds these rows and chains now, and the table
+        // their certificates.
+        let carried_from = self.prev.as_ref().map(|_| self.generation);
+        self.prev = Some(PrevCheckpoint {
+            dir: sealed.dir().to_path_buf(),
+            runs,
+        });
+        self.certs = Vec::new();
+        self.dirty = BTreeSet::new();
+        self.generation = generation;
+        let prune = trace.map(|t| t.child("checkpoint.prune"));
+        let keep: Vec<u64> = std::iter::once(generation).chain(carried_from).collect();
+        Checkpoint::prune(root, &keep)?;
+        drop(prune);
+        Ok(generation)
+    }
+
+    /// A run's chain section and its chain count: the chains logged
+    /// since the last commit, or with `since`, every chain last written
+    /// by that generation or a later one, at its value now.
+    fn chain_section(&self, since: Option<u64>) -> (Vec<u8>, u64) {
+        let entries: Vec<(&ChainKey, &SharedAccum)> = match since {
+            None => self
+                .dirty
+                .iter()
+                .filter_map(|key| Some((key, self.accum(key)?)))
+                .collect(),
+            Some(from) => {
+                let mut entries: Vec<_> = self
+                    .held()
+                    .filter(|(_, held)| held.written >= from)
+                    .map(|(key, held)| (key, &held.accum))
+                    .collect();
+                entries.sort_by_key(|&(key, _)| key);
+                entries
+            }
+        };
+        let mut out = Vec::new();
+        for &(key, accum) in &entries {
+            encode_chain(&mut out, key, accum);
+        }
+        (out, entries.len() as u64)
+    }
+
+    /// The manifest's `meta`: counters, loss tallies, the folded-file
+    /// ledger and the runs.
+    fn set_meta(&self, writer: &mut CheckpointWriter, runs: &[Run]) {
         writer.set_meta("records", JsonValue::Num(self.records as f64));
         writer.set_meta("no_chain", JsonValue::Num(self.no_chain as f64));
         writer.set_meta("x509_rows", JsonValue::Num(self.table.rows() as f64));
@@ -437,37 +601,15 @@ impl PipelineState {
             JsonValue::Arr(self.folded.iter().cloned().map(JsonValue::Str).collect()),
         );
         writer.set_meta(
-            "cert_chunks",
-            JsonValue::Arr(
-                chunks
-                    .iter()
-                    .map(|c| {
-                        JsonValue::Obj(vec![
-                            ("name".into(), JsonValue::Str(c.name.clone())),
-                            ("count".into(), JsonValue::Num(c.count as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            "runs",
+            JsonValue::Arr(runs.iter().map(Run::to_json).collect()),
         );
-        let sealed = writer.commit()?;
-        let prune = trace.map(|t| t.child("checkpoint.prune"));
-        Checkpoint::prune(root, 2)?;
-        drop(prune);
-        self.prev = Some(PrevCheckpoint {
-            dir: sealed.dir().to_path_buf(),
-            chunks,
-        });
-        // The new chunk holds these rows now, and the table their
-        // certificates.
-        self.certs = Vec::new();
-        self.generation = generation;
-        Ok(generation)
     }
 
     /// Load the newest complete checkpoint under `root`, falling back
     /// across partial generations ([`Checkpoint::load_latest`]), or
-    /// `Ok(None)` when no complete checkpoint exists (fresh start).
+    /// `Ok(None)` when no complete checkpoint exists (fresh start). A
+    /// generation written before runs loads too (see the module doc).
     pub fn load_latest(root: &Path) -> Result<Option<PipelineState>, StateError> {
         let Some(ckpt) = Checkpoint::load_latest(root)? else {
             return Ok(None);
@@ -517,42 +659,33 @@ impl PipelineState {
                 state.folded_set.insert(name.to_string());
             }
         }
-        let mut chunks: Vec<ChunkInfo> = Vec::new();
-        if let Some(arr) = ckpt.meta.get("cert_chunks").and_then(JsonValue::as_arr) {
-            for chunk in arr {
-                let name = chunk
-                    .get("name")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| StateError::Corrupt("cert chunk missing name".into()))?;
-                let count = chunk
-                    .get("count")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| StateError::Corrupt("cert chunk missing count".into()))?;
-                let bytes = *ckpt.files.get(name).ok_or_else(|| {
-                    StateError::Corrupt(format!("cert chunk {name:?} not in manifest"))
-                })?;
-                chunks.push(ChunkInfo {
-                    name: name.to_string(),
-                    count: count as usize,
-                    bytes,
-                });
-            }
-        }
-        // The rows are needed only to rebuild the table: the chunks keep
+        let mut runs = stored_runs(&ckpt, meta_u64("chains")?)?;
+        // The rows are needed only to rebuild the table: the runs keep
         // them, so they are freed once it stands.
         let mut rows = Vec::new();
-        for chunk in &chunks {
-            let bytes = ckpt.read_field(&chunk.name)?;
+        for run in &mut runs {
+            let mut field = ckpt.open_field(&run.name)?;
             let before = rows.len();
-            decode_certs(&bytes, &mut rows)?;
-            if rows.len() - before != chunk.count {
+            decode_certs(&field.section(run.cert_bytes)?, &mut rows)?;
+            if (rows.len() - before) as u64 != run.certs {
                 return Err(StateError::Corrupt(format!(
-                    "cert chunk {:?} decoded {} records, manifest says {}",
-                    chunk.name,
+                    "run {:?} decoded {} certificates, manifest says {}",
+                    run.name,
                     rows.len() - before,
-                    chunk.count
+                    run.certs
                 )));
             }
+            let chains = field.section(run.file.bytes - run.cert_bytes)?;
+            let decoded = state.decode_chains(&chains, run.from)?;
+            if decoded != run.chains {
+                return Err(StateError::Corrupt(format!(
+                    "run {:?} decoded {decoded} chains, manifest says {}",
+                    run.name, run.chains
+                )));
+            }
+            // A generation written before digests gets them here, for
+            // the generations that carry its files.
+            run.file.sha256 = Some(field.finish()?);
         }
         if rows.len() as u64 != meta_u64("certs")? {
             return Err(StateError::Corrupt(format!(
@@ -565,7 +698,6 @@ impl PipelineState {
             CertTable::restore(&rows, meta_u64("x509_rows")?, meta_u64("x509_unparseable")?)
                 .map_err(StateError::Corrupt)?;
         drop(rows);
-        state.decode_chains(&ckpt.read_field(CHAINS_FILE)?)?;
         if state.chains.len() as u64 != meta_u64("chains")? {
             return Err(StateError::Corrupt(format!(
                 "decoded {} chains, meta says {}",
@@ -575,52 +707,127 @@ impl PipelineState {
         }
         state.prev = Some(PrevCheckpoint {
             dir: ckpt.dir().to_path_buf(),
-            chunks,
+            runs,
         });
         Ok(Some(state))
     }
 
-    /// The chain accumulators, in the map's hash order: the checkpoint
-    /// encoder sorts them, finalize sorts what it derives from them, and
-    /// a publisher's first publish files them into ordered maps.
-    pub(crate) fn chain_entries(&self) -> Vec<(&ChainKey, &SharedAccum)> {
-        // srclint: commutative -- snapshot of a keyed map; every caller sorts it or its result
-        self.chains.iter().collect()
+    /// Every chain the state holds, in the map's hash order: every
+    /// caller sorts what it takes, or sums it.
+    fn held(&self) -> impl Iterator<Item = (&ChainKey, &Held)> {
+        // srclint: commutative -- a keyed map's entries; each caller sorts them or adds them up
+        self.chains.iter()
     }
 
-    /// Encode the chain accumulators, sorted by [`ChainKey`] so the file
-    /// bytes are identical regardless of the fold's thread count or the
-    /// map's history.
-    fn encode_chains(&self) -> Vec<u8> {
-        let mut entries = self.chain_entries();
-        entries.sort_by_key(|&(key, _)| key);
-        let mut out = Vec::new();
-        for (key, accum) in entries {
-            put_u32(&mut out, key.0.len() as u32);
-            for fp in &key.0 {
-                out.extend_from_slice(&fp.0);
-            }
-            let u = &accum.usage;
-            put_u64(&mut out, u.records);
-            put_weight(&mut out, u.connections);
-            put_weight(&mut out, u.established);
-            put_weight(&mut out, u.with_sni);
-            put_u32(&mut out, u.ports.len() as u32);
-            for &(port, weight) in &u.ports {
-                put_u16(&mut out, port);
-                put_weight(&mut out, weight);
-            }
-            put_u32(&mut out, u.client_ips.len() as u32);
-            for &ip in &u.client_ips {
-                put_u32(&mut out, u32::from(ip));
-            }
-            put_u32(&mut out, accum.snis.len() as u32);
-            for sni in accum.snis.iter() {
-                put_str(&mut out, sni);
-            }
-        }
-        out
+    /// The accumulators of one chain, if the state holds it.
+    pub(crate) fn accum(&self, key: &ChainKey) -> Option<&SharedAccum> {
+        self.chains.get(key).map(|held| &held.accum)
     }
+
+    /// The chain accumulators, in the map's hash order: finalize sorts
+    /// what it derives from them, and a publisher's first publish files
+    /// them into ordered maps.
+    pub(crate) fn chain_entries(&self) -> Vec<(&ChainKey, &SharedAccum)> {
+        self.held().map(|(key, held)| (key, &held.accum)).collect()
+    }
+}
+
+/// Pop the runs a new run of `delta` bytes absorbs off the top of
+/// `runs` and return them, oldest first: while the run under it is at
+/// most [`MERGE_RATIO`] times its size, which is at most the delta and
+/// the runs absorbed so far together. A commit with nothing new writes no
+/// run and absorbs none.
+fn absorbed(runs: &mut Vec<Run>, delta: u64) -> Vec<Run> {
+    let mut size = delta;
+    let mut keep = runs.len();
+    while delta > 0 && keep > 0 && runs[keep - 1].file.bytes <= MERGE_RATIO * size {
+        keep -= 1;
+        size += runs[keep].file.bytes;
+    }
+    runs.split_off(keep)
+}
+
+/// The runs a generation's manifest lists, oldest first. A generation
+/// written before runs lists its cert chunks (`meta.cert_chunks`) and
+/// `chains.dat`, which load as runs: each chunk with no chains, then
+/// `chains.dat` with no certificates, holding `chains` chains.
+fn stored_runs(ckpt: &Checkpoint, chains: u64) -> Result<Vec<Run>, StateError> {
+    let file = |name: &str| {
+        ckpt.files
+            .get(name)
+            .copied()
+            .ok_or_else(|| StateError::Corrupt(format!("run {name:?} not in manifest")))
+    };
+    let field = |entry: &JsonValue, key: &str| {
+        entry
+            .get(key)
+            .and_then(JsonValue::as_u64)
+            .ok_or_else(|| StateError::Corrupt(format!("run entry missing numeric {key:?}")))
+    };
+    let mut runs = Vec::new();
+    if let Some(listed) = ckpt.meta.get("runs") {
+        let listed = listed
+            .as_arr()
+            .ok_or_else(|| StateError::Corrupt("meta runs is not a list".into()))?;
+        for entry in listed {
+            let name = entry
+                .get("name")
+                .and_then(JsonValue::as_str)
+                .ok_or_else(|| StateError::Corrupt("run entry missing name".into()))?;
+            let run = Run {
+                name: name.to_string(),
+                from: field(entry, "from")?,
+                certs: field(entry, "certs")?,
+                cert_bytes: field(entry, "cert_bytes")?,
+                chains: field(entry, "chains")?,
+                file: file(name)?,
+            };
+            if run.cert_bytes > run.file.bytes {
+                return Err(StateError::Corrupt(format!(
+                    "run {name:?}: a cert section of {} bytes in a file of {}",
+                    run.cert_bytes, run.file.bytes
+                )));
+            }
+            // A commit absorbs the runs it finds by the generations they
+            // start from, so those must not decrease down the stack.
+            if runs.last().is_some_and(|last: &Run| last.from > run.from) {
+                return Err(StateError::Corrupt(format!(
+                    "run {name:?} starts before the run under it"
+                )));
+            }
+            runs.push(run);
+        }
+        return Ok(runs);
+    }
+    if let Some(chunks) = ckpt.meta.get("cert_chunks").and_then(JsonValue::as_arr) {
+        for chunk in chunks {
+            let name = chunk
+                .get("name")
+                .and_then(JsonValue::as_str)
+                .ok_or_else(|| StateError::Corrupt("cert chunk missing name".into()))?;
+            let file = file(name)?;
+            runs.push(Run {
+                name: name.to_string(),
+                from: 0,
+                certs: chunk
+                    .get("count")
+                    .and_then(JsonValue::as_u64)
+                    .ok_or_else(|| StateError::Corrupt("cert chunk missing count".into()))?,
+                cert_bytes: file.bytes,
+                chains: 0,
+                file,
+            });
+        }
+    }
+    runs.push(Run {
+        name: CHAINS_FILE.to_string(),
+        from: ckpt.generation,
+        certs: 0,
+        cert_bytes: 0,
+        chains,
+        file: file(CHAINS_FILE)?,
+    });
+    Ok(runs)
 }
 
 // ---- Pipeline: the resumable fold core + pure finalize -----------------
@@ -856,16 +1063,22 @@ impl<'a> Cur<'a> {
 }
 
 impl PipelineState {
-    /// Decode a `chains.dat` field into the state's chains. A stored sum
-    /// that is not a whole number of [`Weight`] units in `[0, 2^36)` is
-    /// `Corrupt`, and so is a port, address or SNI list that is not
-    /// strictly increasing, as the encoder writes every one: a repeated
-    /// entry would otherwise replace or collapse silently. A chain with no
-    /// fingerprints is `Corrupt` too: no fold keeps one (a chainless row
-    /// counts as `no_chain`), and it would resolve to no certificates and
-    /// count as public-only.
-    fn decode_chains(&mut self, bytes: &[u8]) -> Result<(), StateError> {
+    /// Decode a run's chain section into the state's chains, each
+    /// replacing the value an earlier run stored for it and recorded as
+    /// written by `from` (see [`Run::from`]). Returns how many chains the
+    /// section holds. A stored sum that is not a whole number of
+    /// [`Weight`] units in `[0, 2^36)` is `Corrupt`, and so is a chain
+    /// key, port, address or SNI list that is not strictly increasing, as
+    /// the encoder writes every one: a repeated entry would otherwise
+    /// replace or collapse silently. A chain with no fingerprints is
+    /// `Corrupt` too: no fold keeps one (a chainless row counts as
+    /// `no_chain`), and it would resolve to no certificates and count as
+    /// public-only.
+    fn decode_chains(&mut self, bytes: &[u8], from: u64) -> Result<u64, StateError> {
         let mut cur = Cur::new(bytes);
+        // The previous key's fingerprint bytes, which order as its key.
+        let mut last: &[u8] = &[];
+        let mut decoded = 0u64;
         while !cur.done() {
             let at = cur.pos;
             let fp_count = cur.count(32)?;
@@ -878,6 +1091,13 @@ impl PipelineState {
             for _ in 0..fp_count {
                 fps.push(cur.fp()?);
             }
+            let key_bytes = &bytes[at + 4..cur.pos];
+            if decoded > 0 && last >= key_bytes {
+                return Err(StateError::Corrupt(format!(
+                    "chain keys are not strictly increasing at offset {at}"
+                )));
+            }
+            last = key_bytes;
             let records = cur.u64_()?;
             let connections = cur.weight()?;
             let established = cur.weight()?;
@@ -893,7 +1113,7 @@ impl PipelineState {
                 |a, b| a < b,
             )?;
             let snis = cur.increasing("SNI", Cur::str_, |a, b| a < b)?;
-            let mut chain = SharedAccum {
+            let mut accum = SharedAccum {
                 usage: Arc::new(UsageStats {
                     connections,
                     established,
@@ -904,12 +1124,17 @@ impl PipelineState {
                 }),
                 snis: self.snis.none(),
             };
-            self.snis.merge(&mut chain.snis, &snis);
-            if self.chains.insert(ChainKey(fps), chain).is_some() {
-                return Err(StateError::Corrupt("duplicate chain in chains.dat".into()));
-            }
+            self.snis.merge(&mut accum.snis, &snis);
+            self.chains.insert(
+                ChainKey(fps),
+                Held {
+                    accum,
+                    written: from,
+                },
+            );
+            decoded += 1;
         }
-        Ok(())
+        Ok(decoded)
     }
 }
 
@@ -929,7 +1154,33 @@ fn x509_flags(rec: &X509Record) -> u8 {
     flags
 }
 
-/// Encode a run of interned x509 rows (one append-only chunk).
+/// Append one chain to a chain section.
+fn encode_chain(out: &mut Vec<u8>, key: &ChainKey, accum: &SharedAccum) {
+    put_u32(out, key.0.len() as u32);
+    for fp in &key.0 {
+        out.extend_from_slice(&fp.0);
+    }
+    let u = &accum.usage;
+    put_u64(out, u.records);
+    put_weight(out, u.connections);
+    put_weight(out, u.established);
+    put_weight(out, u.with_sni);
+    put_u32(out, u.ports.len() as u32);
+    for &(port, weight) in &u.ports {
+        put_u16(out, port);
+        put_weight(out, weight);
+    }
+    put_u32(out, u.client_ips.len() as u32);
+    for &ip in &u.client_ips {
+        put_u32(out, u32::from(ip));
+    }
+    put_u32(out, accum.snis.len() as u32);
+    for sni in accum.snis.iter() {
+        put_str(out, sni);
+    }
+}
+
+/// Encode interned x509 rows as a run's cert section.
 fn encode_certs(certs: &[X509Record]) -> Vec<u8> {
     let mut out = Vec::new();
     for rec in certs {
@@ -951,7 +1202,7 @@ fn encode_certs(certs: &[X509Record]) -> Vec<u8> {
     out
 }
 
-/// Decode one cert chunk, appending its rows to `certs`. The rows are
+/// Decode one cert section, appending its rows to `certs`. The rows are
 /// vetted when the [`CertTable`] is rebuilt from them.
 fn decode_certs(bytes: &[u8], certs: &mut Vec<X509Record>) -> Result<(), StateError> {
     let mut cur = Cur::new(bytes);

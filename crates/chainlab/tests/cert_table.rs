@@ -4,6 +4,8 @@
 //! break the rule — a repeated fingerprint, a row that no longer
 //! parses — is corrupt.
 
+mod common;
+
 use certchain_asn1::Asn1Time;
 use certchain_chainlab::{
     CertRecord, CertTable, CrossSignRegistry, Pipeline, PipelineState, StateError,
@@ -13,7 +15,7 @@ use certchain_netsim::X509Record;
 use certchain_trust::TrustDb;
 use certchain_x509::Fingerprint;
 use proptest::prelude::*;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Row `i` of a log: fingerprint `[fp; 32]`, with a subject that names
@@ -130,8 +132,9 @@ proptest! {
 }
 
 /// Checkpoint rows 1 and 2 (fingerprints `[1; 32]` and `[2; 32]`),
-/// replace `from` with `to` (same length) in the stored cert chunk, and
-/// reload: the corrupt-state message.
+/// replace `from` with `to` (same length) in the stored run, record the
+/// patched run's digest in the manifest, and reload: the corrupt-state
+/// message.
 fn reload_patched(tag: &str, from: &[u8], to: &[u8]) -> String {
     assert_eq!(
         from.len(),
@@ -146,15 +149,17 @@ fn reload_patched(tag: &str, from: &[u8], to: &[u8]) -> String {
     pipe.fold_x509_stream(&mut state, rows.iter().map(Ok::<_, ()>))
         .unwrap();
     let gen = state.save_checkpoint(&root).unwrap();
-    let chunk = chunk_path(&root.join(format!("gen-{gen:06}")));
-    let bytes = std::fs::read(&chunk).unwrap();
+    let run = root
+        .join(format!("gen-{gen:06}"))
+        .join(format!("run-{gen:06}.dat"));
+    let bytes = std::fs::read(&run).unwrap();
     let at = bytes
         .windows(from.len())
         .position(|w| w == from)
-        .expect("the chunk holds the patched bytes");
+        .expect("the run holds the patched bytes");
     let mut patched = bytes.clone();
     patched[at..at + from.len()].copy_from_slice(to);
-    std::fs::write(&chunk, patched).unwrap();
+    common::reseal(&run, &patched);
     let loaded = PipelineState::load_latest(&root);
     std::fs::remove_dir_all(&root).unwrap();
     match loaded {
@@ -162,19 +167,6 @@ fn reload_patched(tag: &str, from: &[u8], to: &[u8]) -> String {
         Err(e) => panic!("expected a corrupt-state error, got {e}"),
         Ok(_) => panic!("the patched checkpoint loaded"),
     }
-}
-
-fn chunk_path(gen: &Path) -> PathBuf {
-    std::fs::read_dir(gen)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .find(|p| {
-            p.file_name()
-                .unwrap()
-                .to_string_lossy()
-                .starts_with("certs-")
-        })
-        .expect("a cert chunk")
 }
 
 #[test]

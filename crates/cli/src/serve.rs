@@ -10,13 +10,15 @@
 //! `certchain-metrics/v1` snapshot over a tiny HTTP endpoint.
 //!
 //! In watch mode a cycle starts as soon as the spool changes. Between
-//! cycles the loop probes the spool directory's modification time every
-//! `--interval-ms / 25` and rescans once it differs from the time read
-//! just before the previous scan listed the directory, so a file renamed
-//! in during a scan costs one more cheap scan, never a missed file. A
-//! change the probe cannot see (a coarse directory timestamp, a
-//! filesystem that does not update it) waits at most `--interval-ms`,
-//! which is also how often an idle cycle completes. `--drain` scans once.
+//! cycles the loop probes the spool directory's modification time, at
+//! once and then every `--interval-ms / 25`, and rescans once it differs
+//! from the time read just before the previous scan listed the
+//! directory, so a file renamed in during a cycle is folded without a
+//! sleep, and one renamed in during a scan costs one more cheap scan,
+//! never a missed file. A change the probe cannot see (a coarse
+//! directory timestamp, a filesystem that does not update it) waits at
+//! most `--interval-ms`, which is also how often an idle cycle
+//! completes. `--drain` scans once.
 //!
 //! The spool contract: a rotated file appears complete, by rename, under
 //! its recognized name. A writer that fills a recognized name in place
@@ -64,8 +66,9 @@
 //! - every scan/fold/checkpoint/publish cycle runs under a
 //!   `serve.cycle` trace span (children: `serve.scan`, one `serve.fold`
 //!   per file with the fold's `pipeline.enrich` or `pipeline.ingest`
-//!   under it, `checkpoint.commit` with per-field fsync events and one
-//!   event for all carried chunks, `checkpoint.prune`, `serve.publish`
+//!   under it, `checkpoint.commit` (with `runs`, `merged` and
+//!   `written_bytes` attributes, per-field fsync events and one event for
+//!   all carried runs), `checkpoint.prune`, `serve.publish`
 //!   with `serve.finalize`, over `pipeline.resolve`, `pipeline.categorize`
 //!   and `pipeline.finalize` (each with a `chains` attribute: the chains
 //!   the publish processed in it), and `serve.render` children) in a
@@ -381,21 +384,23 @@ fn spool_mtime(spool: &Path) -> Option<SystemTime> {
 }
 
 /// Watch mode's wait between cycles: return once the spool's
-/// modification time differs from `listed_at`, probing every
-/// `interval_ms / 25`, or once `interval_ms` has passed.
+/// modification time differs from `listed_at`, probing at once and then
+/// every `interval_ms / 25`, or once `interval_ms` has passed. A file
+/// renamed in while the cycle ran is seen by the first probe, before any
+/// sleep.
 fn wait_for_spool(spool: &Path, listed_at: Option<SystemTime>, interval_ms: u64) {
     let waited = Stopwatch::start();
     let budget_us = interval_ms.saturating_mul(1000);
     let probe_us = budget_us / 25;
     loop {
+        if spool_mtime(spool) != listed_at {
+            return;
+        }
         let left_us = budget_us.saturating_sub(waited.elapsed_micros());
         if left_us == 0 {
             return;
         }
         std::thread::sleep(Duration::from_micros(probe_us.min(left_us)));
-        if spool_mtime(spool) != listed_at {
-            return;
-        }
     }
 }
 
@@ -749,4 +754,32 @@ pub fn spool_split(dir: &Path, out: &Path, parts: u64) -> CliResult<String> {
         out.display(),
         written.join("\n  ")
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// How long `wait_for_spool` takes, in milliseconds.
+    fn timed_wait(spool: &Path, listed_at: Option<SystemTime>, interval_ms: u64) -> u64 {
+        let clock = Stopwatch::start();
+        wait_for_spool(spool, listed_at, interval_ms);
+        clock.elapsed_micros() / 1000
+    }
+
+    /// A spool whose time already differs from the listing's is rescanned
+    /// without a sleep; the first probe at a 10 s interval would come
+    /// only after 400 ms. An unchanged spool, and one whose time cannot
+    /// be read, wait the whole interval.
+    #[test]
+    fn the_spool_wait_probes_before_it_sleeps() {
+        let spool = std::env::temp_dir().join(format!("certchain-wait-{}", std::process::id()));
+        std::fs::create_dir_all(&spool).unwrap();
+        let now = spool_mtime(&spool).expect("a readable spool time");
+        let before = now.checked_sub(Duration::from_secs(1));
+        assert!(timed_wait(&spool, before, 10_000) < 200, "it slept first");
+        assert!(timed_wait(&spool, Some(now), 100) >= 100, "unchanged spool");
+        std::fs::remove_dir_all(&spool).unwrap();
+        assert!(timed_wait(&spool, None, 100) >= 100, "unreadable time");
+    }
 }

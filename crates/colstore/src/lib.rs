@@ -107,7 +107,10 @@ pub mod write;
 pub mod zonemap;
 
 pub use category::{Category, CategoryDigest, CategorySet, CATEGORY_COUNT, CATEGORY_NAMES};
-pub use checkpoint::{Checkpoint, CheckpointWriter, CHECKPOINT_MANIFEST_FILE, CHECKPOINT_SCHEMA};
+pub use checkpoint::{
+    Checkpoint, CheckpointWriter, FieldFile, FieldReader, FieldWriter, CHECKPOINT_MANIFEST_FILE,
+    CHECKPOINT_SCHEMA,
+};
 pub use manifest::{Manifest, MANIFEST_FILE, SCHEMA, STORE_DIR, VERSION, VERSION_V1};
 pub use map::{MapMode, Mapping};
 pub use read::{DatasetReader, SegmentedColumn, SslSegments, X509Band, X509Segments};

@@ -30,3 +30,8 @@ pub use dn::{AttrType, DistinguishedName, Rdn};
 pub use extensions::{BasicConstraints, Extension, KeyUsage};
 pub use serial::Serial;
 pub use validity::Validity;
+
+/// The SHA-256 that [`Fingerprint`]s are taken with, for crates that
+/// digest other bytes stored beside certificates (the checkpoint
+/// manifest's file digests).
+pub use certchain_cryptosim::sha256;

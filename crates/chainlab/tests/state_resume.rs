@@ -1000,6 +1000,30 @@ fn a_flipped_byte_never_panics_a_resume() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
+/// A manifest nested deeper than the JSON parser's bound is an invalid
+/// generation like any other: `load_latest` skips it and resumes the
+/// generation before, where the unbounded parser overflowed its stack.
+#[test]
+fn a_deeply_nested_manifest_skips_the_generation() {
+    let (root, previous, _) = several_runs("deep-manifest");
+    let newest = PipelineState::load_latest(&root)
+        .unwrap()
+        .unwrap()
+        .generation();
+    let manifest = root
+        .join(format!("gen-{newest:06}"))
+        .join(certchain_colstore::CHECKPOINT_MANIFEST_FILE);
+    std::fs::write(&manifest, "{\"a\":".repeat(200_000)).unwrap();
+    let state = PipelineState::load_latest(&root).unwrap().unwrap();
+    assert_eq!(state.generation(), newest - 1);
+    let (trust, ct) = (TrustDb::new(), DomainIndex::new());
+    assert_eq!(
+        canon(&pipeline(&trust, &ct, 2).finalize_state(&state)),
+        previous
+    );
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
 /// The generation a build before runs wrote for [`saved_run`]'s fold
 /// (`chains.dat`, one cert chunk and a manifest without digests), kept
 /// under `tests/fixtures`. It loads and finalizes as a fresh fold of the

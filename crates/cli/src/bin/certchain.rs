@@ -24,7 +24,8 @@ certchain — certificate-chain structure and usage analysis
 USAGE:
   certchain generate --out <dir> [--profile quick|default] [--seed N] [--threads N]
                      [--format tsv|columnar] [--progress] [--metrics-json <path>]
-      Generate a synthetic campus dataset (logs + trust PEMs + CT corpus).
+      Generate a synthetic campus dataset (logs + trust PEMs + CT corpus,
+      and <dir>/ct.idx, the CT index every later load reads instead).
       --format columnar writes the mmap-backed columnar store instead of
       Zeek TSV logs (the store `convert` writes from those logs, category
       digests included); analyzing either yields byte-identical reports.
@@ -34,7 +35,8 @@ USAGE:
       segmented (v2) columnar store `analyze` then reads without a parse
       stage. Refuses to overwrite an existing store unless --force is
       given; like compact, it replaces the store only after the new one
-      is complete. --segment-rows tunes the row-band size.
+      is complete. --segment-rows tunes the row-band size. Also compiles
+      <dir>/ct.idx from <dir>/ct when it is missing or stale.
   certchain compact --dir <dir> [--segment-rows N] [--metrics-json <path>]
       Rewrite <dir>/colstore/ in the current segmented (v2) format —
       the migration path for read-only v1 stores written by older

@@ -10,9 +10,13 @@
 //! that is not valid UTF-8) or is interrupted never leaves a half-written
 //! store that `analyze` would auto-detect: the previous store, if any,
 //! stays as it was.
+//!
+//! Once the store is in place, `convert` compiles the CT index table
+//! (`ct.idx`) from `ct/` if it is missing or stale
+//! ([`compile_ct_table`]); a fresh table is only checked, never decoded.
 
 use crate::compact::{rewrite_store, StoreRows};
-use crate::dataset::colstore_dir;
+use crate::dataset::{colstore_dir, compile_ct_table};
 use crate::{io_ctx, CliError, CliResult};
 use certchain_colstore::MANIFEST_FILE;
 use certchain_netsim::{SslLogStream, SslRecord, StreamStats, X509LogStream, X509Record};
@@ -59,13 +63,17 @@ pub fn convert_opts(dir: &Path, opts: &ConvertOptions) -> CliResult<String> {
             })
         })?
     };
+    let ct_notices = {
+        let _span = registry.stage("compile_ct_table");
+        compile_ct_table(dir, 0)?
+    };
     if let Some(path) = &opts.metrics_json {
         let text = registry.snapshot().to_json().to_pretty() + "\n";
         std::fs::write(path, text)
             .map_err(io_ctx(format!("writing metrics to {}", path.display())))?;
     }
     Ok(format!(
-        "{notices}wrote v{} store: {} ssl rows, {} x509 rows, {} dictionary entries, {} fingerprints to {}\n",
+        "{notices}wrote v{} store: {} ssl rows, {} x509 rows, {} dictionary entries, {} fingerprints to {}\n{ct_notices}",
         manifest.version,
         manifest.ssl_rows,
         manifest.x509_rows,

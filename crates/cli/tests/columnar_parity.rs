@@ -182,6 +182,21 @@ fn version_mismatch_fails_instead_of_falling_back() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A store manifest nested far deeper than any real one is an error that
+/// names the store, not a stack overflow.
+#[test]
+fn a_deeply_nested_manifest_is_an_error_naming_the_store() {
+    let dir = copy_dataset("deep");
+    let store = dir.join("colstore");
+    std::fs::write(store.join("dataset.json"), "[".repeat(300_000)).unwrap();
+    let msg = analyze::analyze_opts(&dir, &analyze::AnalyzeOptions::default())
+        .unwrap_err()
+        .to_string();
+    assert!(msg.starts_with(&store.display().to_string()), "{msg}");
+    assert!(msg.contains("nested more than 128 deep"), "{msg}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn columnar_metrics_are_thread_invariant_and_counted() {
     let dir = dataset_dir();
@@ -711,6 +726,11 @@ fn generate_columnar_writes_the_converted_store() {
             path.display()
         );
     }
+    assert!(
+        std::fs::read(columnar.join("ct.idx")).unwrap()
+            == std::fs::read(tsv.join("ct.idx")).unwrap(),
+        "ct.idx differs"
+    );
     for leftover in [
         "ssl.log",
         "x509.log",

@@ -186,11 +186,19 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. Every
+/// document the workspace writes nests a few levels; the bound keeps a
+/// hostile one (say, a store manifest of 300,000 `[`) from overflowing
+/// the parser's stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse one JSON document (trailing whitespace allowed, nothing else).
+/// Arrays and objects nested more than [`MAX_DEPTH`] deep are an error.
 pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.value()?;
@@ -204,6 +212,8 @@ pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -248,8 +258,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') | Some(b'f') => {
                 if self.eat_literal("true") {
@@ -270,6 +280,20 @@ impl<'a> Parser<'a> {
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parse an array or object one level deeper, if [`MAX_DEPTH`] allows.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nested more than {MAX_DEPTH} deep")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
@@ -488,6 +512,20 @@ mod tests {
         assert!(parse("nul").is_err());
         assert!(parse("{\"a\":1} x").is_err());
         assert!(parse("\"\\ud800\"").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nested more than 128 deep"), "{err}");
+        // Far deeper than the stack could recurse: an error, not an abort.
+        assert!(parse(&"[".repeat(300_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
+        let objects = "{\"a\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(parse(&objects).is_ok());
     }
 
     #[test]

@@ -75,7 +75,7 @@ fn snapshot_parses_and_loss_accounting_balances() {
 
 /// `generate --metrics-json` times where generation goes: the population
 /// build and the emission (with the log writes) inside `generate_total`,
-/// then the sidecar files.
+/// then the sidecar files and the CT table compiled from them.
 #[test]
 fn generate_snapshot_times_population_emit_and_sidecars() {
     let dir = std::env::temp_dir().join(format!("certchain-obs-gen-{}", std::process::id()));
@@ -116,6 +116,7 @@ fn generate_snapshot_times_population_emit_and_sidecars() {
         "{population} + {emit} > {total}"
     );
     wall_ms("write_sidecars");
+    wall_ms("compile_ct_table");
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_file(&metrics_path).unwrap();
 }
